@@ -16,7 +16,6 @@ DEFAULT_MAX_VERTICES = 100_000
 
 # x ~ y on 2-bit blocks; the relation is a bijection, so the image is a map.
 _PAIR_MAP = {"00": "00", "10": "10", "01": "11", "11": "01"}
-_PAIR_SET = {("00", "00"), ("10", "10"), ("01", "11"), ("11", "01")}
 
 
 def pair_related(x: str, y: str) -> bool:
@@ -24,7 +23,7 @@ def pair_related(x: str, y: str) -> bool:
     for s in (x, y):
         if len(s) != 2 or any(c not in "01" for c in s):
             raise ParameterError(f"pair_related needs 2-bit strings, got {s!r}")
-    return (x, y) in _PAIR_SET
+    return _PAIR_MAP[x] == y
 
 
 def _check_bits(u: str, n: int | None = None) -> int:

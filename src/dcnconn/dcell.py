@@ -30,15 +30,7 @@ def _check_params(m: int, n: int) -> None:
 
 def t_size(m: int, n: int) -> int:
     """Number of servers t_{m,n}: t_0 = n, t_i = t_{i-1} * (t_{i-1} + 1)."""
-    _check_params(m, n)
-    t = n
-    for level in range(1, m + 1):
-        t = t * (t + 1)
-        if t.bit_length() > _MAX_T_BITS:
-            raise ParameterError(
-                f"t_size overflow at level {level}: value exceeds {_MAX_T_BITS} bits"
-            )
-    return t
+    return t_table(m, n)[-1]
 
 
 def t_table(m: int, n: int) -> list[int]:

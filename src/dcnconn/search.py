@@ -3,9 +3,13 @@
 The oracles never answer "no" heuristically: a "no" means every candidate
 subset was enumerated. Tripping any budget cap converts the answer into a
 partial result carrying the bound proven so far. Subsets are scanned in
-canonical lexicographic order over copy indices; with several workers the
-scan is statically partitioned by leading index, so the reported witness is
-the lexicographically first one regardless of worker count.
+canonical lexicographic order over copy indices by one kernel, `_scan_range`,
+which covers the subsets whose leading index lies in a range: the serial scan
+is one range, a pool of workers takes one task per leading index. One size
+loop, `_scan_sizes`, reads the kernel results in leading-index order and
+settles them as the serial scan would, so the witness is the
+lexicographically first one and `checks` (the length of the lexicographic
+prefix the answer rests on) is the same for every worker count.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .cuts import verify_cut
-from .graph import Graph, flood_mask, min_vertex_cut
+from .graph import Graph, flood_mask, is_connected, min_vertex_cut
 from .shapes import CutMember, ShapeSpec, StructureCut, enumerate_shape_copies
 
 YES = "yes"
@@ -49,14 +53,6 @@ def budget_from_env(base: SearchBudget | None = None) -> SearchBudget:
             base.max_members, base.max_candidates, base.max_checks, float(secs)
         )
     return base
-
-
-@dataclass
-class ScanOutcome:
-    status: str
-    witness_indices: tuple[int, ...] | None = None
-    checks: int = 0
-    note: str = ""
 
 
 @dataclass
@@ -99,7 +95,7 @@ class CertifyResult:
     note: str = ""
 
 
-# --- ordinary (single-process) scanning -----------------------------------
+# --- the scan ---------------------------------------------------------------
 
 
 def _cuts_after_removal(masks, full: int, removed: int) -> bool:
@@ -127,36 +123,20 @@ def _extra_after_removal(masks, full: int, removed: int, h: int) -> bool:
     return comps >= 2
 
 
-class _Deadline:
-    def __init__(self, seconds: float):
-        self.t_end = time.monotonic() + seconds
+def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float, progress=None):
+    """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
-    def expired(self) -> bool:
-        return time.monotonic() > self.t_end
-
-
-def _scan_size(
-    masks,
-    full: int,
-    unit_masks: list[int],
-    size: int,
-    mode: str,
-    h: int,
-    deadline: _Deadline,
-    checks_left: int,
-    jobs: int,
-    progress=None,
-) -> ScanOutcome:
-    """Scan all index subsets of exactly `size`, lexicographically."""
+    `ctx` is (adjacency masks, full mask, unit masks, mode, h): a subset
+    removes the union of its unit masks, and mode "cut" asks that the rest be
+    disconnected, mode "extra" also that every component exceed h vertices.
+    Returns (first hitting subset or None, checks made, note); the note names
+    the cap that stopped the scan, checks at most `cap` or time past `t_end`.
+    """
+    masks, full, unit_masks, mode, h = ctx
     n = len(unit_masks)
-    if size > n:
-        return ScanOutcome(NO, checks=0)
-    if jobs > 1 and n - size >= 1 and size >= 2:
-        return _scan_size_parallel(
-            masks, full, unit_masks, size, mode, h, deadline, checks_left, jobs, progress
-        )
+    count = comb(n - lo, size) - comb(n - hi, size)
     checks = 0
-    for combo in combinations(range(n), size):
+    for combo in islice(combinations(range(lo, n), size), count):
         removed = 0
         for i in combo:
             removed |= unit_masks[i]
@@ -166,98 +146,87 @@ def _scan_size(
             hit = _extra_after_removal(masks, full, removed, h)
         checks += 1
         if hit:
-            return ScanOutcome(YES, combo, checks)
-        if checks >= checks_left:
-            return ScanOutcome(BUDGET, None, checks, "check cap reached")
+            return combo, checks, ""
+        if checks >= cap:
+            return None, checks, "check cap reached"
         if checks % 8192 == 0:
-            if deadline.expired():
-                return ScanOutcome(BUDGET, None, checks, "time cap reached")
+            if time.monotonic() > t_end:
+                return None, checks, "time cap reached"
             if progress is not None:
                 progress(size, checks, comb(n, size))
-    return ScanOutcome(NO, None, checks)
+    return None, checks, ""
 
 
-def _worker_scan(args) -> tuple[int, tuple[int, ...] | None, int, str]:
-    lead, size, checks_cap, t_end = args
-    masks = _PAR["masks"]
-    full = _PAR["full"]
-    unit_masks = _PAR["units"]
-    mode = _PAR["mode"]
-    h = _PAR["h"]
-    n = len(unit_masks)
-    base = unit_masks[lead]
-    checks = 0
-    for combo in combinations(range(lead + 1, n), size - 1):
-        removed = base
-        for i in combo:
-            removed |= unit_masks[i]
-        if mode == "cut":
-            hit = _cuts_after_removal(masks, full, removed)
-        else:
-            hit = _extra_after_removal(masks, full, removed, h)
-        checks += 1
-        if hit:
-            return (lead, (lead,) + combo, checks, "")
-        if checks >= checks_cap:
-            return (lead, None, checks, "check cap reached")
-        if checks % 8192 == 0 and time.monotonic() > t_end:
-            return (lead, None, checks, "time cap reached")
-    return (lead, None, checks, "")
+_worker_ctx: tuple = ()  # a pool worker's scan context, set once by _pool_init
 
 
-_PAR: dict = {}
+def _pool_init(ctx) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
 
 
-def _par_init(masks, full, units, mode, h) -> None:
-    _PAR["masks"] = masks
-    _PAR["full"] = full
-    _PAR["units"] = units
-    _PAR["mode"] = mode
-    _PAR["h"] = h
+def _pool_task(task):
+    size, lead, cap, t_end = task
+    return _scan_range(_worker_ctx, size, lead, lead + 1, cap, t_end)
 
 
-def _scan_size_parallel(
-    masks, full, unit_masks, size, mode, h, deadline, checks_left, jobs, progress=None
-) -> ScanOutcome:
-    import multiprocessing as mp
+def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
+    """Scan each size in turn until a subset hits or a cap trips.
 
-    n = len(unit_masks)
-    t_end = deadline.t_end
-    tasks = [(lead, size, checks_left, t_end) for lead in range(n - size + 1)]
-    total_checks = 0
-    witness = None
-    note = ""
-    ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-    with ctx.Pool(jobs, initializer=_par_init, initargs=(masks, full, unit_masks, mode, h)) as pool:
-        for lead, combo, checks, wnote in pool.imap(_worker_scan, tasks, chunksize=1):
-            total_checks += checks
-            if progress is not None:
-                progress(size, total_checks, comb(n, size))
-            if wnote and not note:
-                note = wnote
-            if combo is not None:
-                witness = combo
-                break
-            if total_checks >= checks_left:
-                note = note or "check cap reached"
-                break
-            if deadline.expired():
-                note = note or "time cap reached"
-                break
-        pool.terminate()
-    if witness is not None:
-        return ScanOutcome(YES, witness, total_checks)
-    if note:
-        return ScanOutcome(BUDGET, None, total_checks, note)
-    return ScanOutcome(NO, None, total_checks)
+    Returns (status, size, witness indices, checks, note); `size` is where
+    the scan stopped (None after NO). With `jobs > 1`, sizes of at least 2
+    and below the copy count are split into one pool task per leading index
+    (the pool starts at the first such size and serves the rest of the call),
+    and the results are read in leading-index order and settled as the serial
+    scan would settle them: the witness is the lexicographically first,
+    `checks` is the length of the lexicographic prefix the answer rests on
+    (never above `budget.max_checks`, the same for every job count while no
+    time cap trips), and any note from a task stops the scan. Work that
+    workers do past that point is not counted.
+    """
+    n = len(ctx[2])  # the number of unit masks
+    t_end = time.monotonic() + budget.time_cap_secs
+    total = 0
+    pool = None
+    try:
+        for size in sizes:
+            start = total
+            cap = budget.max_checks - start
+            if jobs > 1 and size >= 2 and n > size:
+                if pool is None:
+                    import multiprocessing as mp
+
+                    mpc = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
+                    pool = mpc.Pool(jobs, initializer=_pool_init, initargs=(ctx,))
+                tasks = [(size, lead, cap, t_end) for lead in range(n - size + 1)]
+                results = pool.imap(_pool_task, tasks, chunksize=1)
+            else:
+                results = [_scan_range(ctx, size, 0, n, cap, t_end, progress)]
+            for witness, checks, note in results:
+                left = budget.max_checks - total
+                if witness is not None and checks <= left:
+                    return YES, size, witness, total + checks, ""
+                if checks >= left:
+                    return BUDGET, size, None, budget.max_checks, "check cap reached"
+                total += checks
+                if note:
+                    return BUDGET, size, None, total, note
+                if progress is not None:
+                    progress(size, total - start, comb(n, size))
+                if time.monotonic() > t_end:
+                    return BUDGET, size, None, total, "time cap reached"
+    finally:
+        if pool is not None:
+            pool.terminate()
+    return NO, None, None, total, ""
 
 
 # --- public oracles ---------------------------------------------------------
 
 
-def _collect_copies(
-    g: Graph, shape: ShapeSpec, mode: str, budget: SearchBudget
-) -> tuple[list[CutMember], list[int]] | None:
+def _collect_copies(g: Graph, shape: ShapeSpec, mode: str, budget: SearchBudget):
+    """The copies of `shape` in `g` and the scan context over their vertex
+    sets, or None once there are more than `budget.max_candidates`."""
     copies: list[CutMember] = []
     unit_masks: list[int] = []
     for member in enumerate_shape_copies(g, shape, mode):
@@ -268,7 +237,7 @@ def _collect_copies(
         unit_masks.append(m)
         if len(copies) > budget.max_candidates:
             return None
-    return copies, unit_masks
+    return copies, (g.adjacency_masks, (1 << g.vertex_count) - 1, unit_masks, "cut", 0)
 
 
 def exists_cut_of_size(
@@ -281,8 +250,6 @@ def exists_cut_of_size(
     progress=None,
 ) -> ExistsResult:
     """Is there a cut of at most `size_bound` members? Exhaustive when "no"."""
-    from .graph import is_connected
-
     if not is_connected(g):
         raise ValueError("exists_cut_of_size requires a connected graph")
     if size_bound < 0:
@@ -294,23 +261,12 @@ def exists_cut_of_size(
     collected = _collect_copies(g, shape, mode, budget)
     if collected is None:
         return ExistsResult(BUDGET, None, 0, budget.max_candidates, "candidate cap reached")
-    copies, unit_masks = collected
-    masks = g.adjacency_masks
-    full = (1 << g.vertex_count) - 1
-    deadline = _Deadline(budget.time_cap_secs)
-    total = 0
-    for size in range(1, size_bound + 1):
-        out = _scan_size(
-            masks, full, unit_masks, size, "cut", 0, deadline,
-            budget.max_checks - total, jobs, progress,
-        )
-        total += out.checks
-        if out.status == YES:
-            members = tuple(copies[i] for i in out.witness_indices)
-            return ExistsResult(YES, StructureCut(members, mode), total, len(copies))
-        if out.status == BUDGET:
-            return ExistsResult(BUDGET, None, total, len(copies), out.note)
-    return ExistsResult(NO, None, total, len(copies))
+    copies, ctx = collected
+    status, _, found, checks, note = _scan_sizes(
+        ctx, range(1, size_bound + 1), budget, jobs, progress
+    )
+    witness = None if found is None else StructureCut(tuple(copies[i] for i in found), mode)
+    return ExistsResult(status, witness, checks, len(copies), note)
 
 
 def min_structure_cut(
@@ -322,8 +278,6 @@ def min_structure_cut(
     progress=None,
 ) -> MinCutResult:
     """Smallest cut size, by increasing subset size from 1; witness verified."""
-    from .graph import is_connected
-
     if not is_connected(g):
         raise ValueError("min_structure_cut requires a connected graph")
     budget = budget or SearchBudget()
@@ -331,30 +285,21 @@ def min_structure_cut(
     if collected is None:
         return MinCutResult(BUDGET, None, 0, None, 0, budget.max_candidates,
                             "candidate cap reached")
-    copies, unit_masks = collected
-    masks = g.adjacency_masks
-    full = (1 << g.vertex_count) - 1
-    deadline = _Deadline(budget.time_cap_secs)
-    total = 0
-    for size in range(1, min(budget.max_members, len(copies)) + 1):
-        out = _scan_size(
-            masks, full, unit_masks, size, "cut", 0, deadline,
-            budget.max_checks - total, jobs, progress,
-        )
-        total += out.checks
-        if out.status == YES:
-            members = tuple(copies[i] for i in out.witness_indices)
-            witness = StructureCut(members, mode)
-            report = verify_cut(g, witness, shape, mode)
-            if not report.passed:
-                raise AssertionError("oracle witness failed independent verification")
-            return MinCutResult("certified", size, size, witness, total, len(copies))
-        if out.status == BUDGET:
-            return MinCutResult(BUDGET, None, size - 1, None, total, len(copies), out.note)
+    copies, ctx = collected
+    sizes = range(1, min(budget.max_members, len(copies)) + 1)
+    status, size, found, checks, note = _scan_sizes(ctx, sizes, budget, jobs, progress)
+    if status == YES:
+        witness = StructureCut(tuple(copies[i] for i in found), mode)
+        report = verify_cut(g, witness, shape, mode)
+        if not report.passed:
+            raise AssertionError("oracle witness failed independent verification")
+        return MinCutResult("certified", size, size, witness, checks, len(copies))
+    if status == BUDGET:
+        return MinCutResult(BUDGET, None, size - 1, None, checks, len(copies), note)
     if budget.max_members >= len(copies):
-        return MinCutResult(NO_CUT, None, len(copies), None, total, len(copies),
+        return MinCutResult(NO_CUT, None, len(copies), None, checks, len(copies),
                             "no subset of all copies disconnects the graph")
-    return MinCutResult(BUDGET, None, budget.max_members, None, total, len(copies),
+    return MinCutResult(BUDGET, None, budget.max_members, None, checks, len(copies),
                         "member cap reached")
 
 
@@ -367,37 +312,42 @@ def certify_min(
     witness: StructureCut | None = None,
     jobs: int = 1,
 ) -> CertifyResult:
-    """Certify a predicted minimum: exhaustively refute size value-1, then
+    """Certify a predicted minimum: exhaustively refute sizes 1..value-1, then
     verify a witness of size value (supplied, e.g. a constructed cut, or
-    searched)."""
+    searched at size value in the same scan)."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
+    if not is_connected(g):
+        raise ValueError("certify_min requires a connected graph")
     budget = budget or SearchBudget()
-    below = exists_cut_of_size(g, shape, mode, value - 1, budget, jobs)
-    if below.status == YES:
-        return CertifyResult("refuted", value, 0, below.witness, below.checks,
-                             f"found a cut of {len(below.witness.members)} members")
-    if below.status == BUDGET:
-        return CertifyResult(BUDGET, value, 0, None, below.checks, below.note)
-    if witness is None:
-        found = exists_cut_of_size(g, shape, mode, value, budget, jobs)
-        if found.status == YES:
-            witness = found.witness
-        elif found.status == BUDGET:
-            return CertifyResult(BUDGET, value, value - 1, None,
-                                 below.checks + found.checks, found.note)
-        else:
-            return CertifyResult("refuted", value, value - 1, None,
-                                 below.checks + found.checks,
-                                 f"no cut of size {value} exists either")
+    status, size, found, checks, note = NO, None, None, 0, ""
+    sizes = range(1, value + (witness is None))
+    if sizes:
+        # with value 1 and a witness the lower bound is vacuous: nothing to enumerate
+        collected = _collect_copies(g, shape, mode, budget)
+        if collected is None:
+            return CertifyResult(BUDGET, value, 0, None, 0, "candidate cap reached")
+        copies, ctx = collected
+        status, size, found, checks, note = _scan_sizes(ctx, sizes, budget, jobs)
+    if status == BUDGET:
+        return CertifyResult(BUDGET, value, size - 1, None, checks, note)
+    if status == YES:
+        cut = StructureCut(tuple(copies[i] for i in found), mode)
+        if size < value:
+            return CertifyResult("refuted", value, 0, cut, checks,
+                                 f"found a cut of {size} members")
+        witness = cut
+    elif witness is None:
+        return CertifyResult("refuted", value, value - 1, None, checks,
+                             f"no cut of size {value} exists either")
     if len(witness.members) != value:
-        return CertifyResult("refuted", value, value - 1, witness, below.checks,
+        return CertifyResult("refuted", value, value - 1, witness, checks,
                              f"witness has {len(witness.members)} members, expected {value}")
     report = verify_cut(g, witness, shape, mode)
     if not report.passed:
-        return CertifyResult("refuted", value, value - 1, witness, below.checks,
+        return CertifyResult("refuted", value, value - 1, witness, checks,
                              "witness failed verification")
-    return CertifyResult("certified", value, value - 1, witness, below.checks)
+    return CertifyResult("certified", value, value - 1, witness, checks)
 
 
 def g_extra_connectivity(
@@ -412,30 +362,20 @@ def g_extra_connectivity(
     Exhaustive over raw vertex subsets; for h >= 1 sizes start at the
     classical connectivity (any such cut is in particular a vertex cut).
     """
-    from .graph import is_connected
-
     if not is_connected(g):
         raise ValueError("g_extra_connectivity requires a connected graph")
     if h < 0:
         raise ValueError("h must be >= 0")
     budget = budget or SearchBudget()
     n = g.vertex_count
-    unit_masks = [1 << i for i in range(n)]
-    masks = g.adjacency_masks
-    full = (1 << n) - 1
+    ctx = (g.adjacency_masks, (1 << n) - 1, [1 << i for i in range(n)], "extra", h)
     start = 1 if h == 0 else min_vertex_cut(g)
-    deadline = _Deadline(budget.time_cap_secs)
-    total = 0
-    for size in range(start, n - 1):
-        out = _scan_size(
-            masks, full, unit_masks, size, "extra", h, deadline,
-            budget.max_checks - total, jobs, progress,
-        )
-        total += out.checks
-        if out.status == YES:
-            labels = tuple(g.label_of(i) for i in out.witness_indices)
-            return ExtraResult("certified", size, size, labels, total)
-        if out.status == BUDGET:
-            return ExtraResult(BUDGET, None, size - 1, None, total, out.note)
-    return ExtraResult(NO_CUT, None, n - 2, None, total,
+    status, size, found, checks, note = _scan_sizes(ctx, range(start, n - 1), budget, jobs,
+                                                    progress)
+    if status == YES:
+        labels = tuple(g.label_of(i) for i in found)
+        return ExtraResult("certified", size, size, labels, checks)
+    if status == BUDGET:
+        return ExtraResult(BUDGET, None, size - 1, None, checks, note)
+    return ExtraResult(NO_CUT, None, n - 2, None, checks,
                        "no qualifying separation exists")

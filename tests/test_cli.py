@@ -149,6 +149,23 @@ def test_table_quick(capsys, tmp_path):
     assert all(c["status"] in ("pass", "fail", "rejected", "skipped") for c in man["cases"])
 
 
+def test_table_summary_counts_skipped_rows(capsys, tmp_path):
+    import json
+
+    out_file = tmp_path / "table.csv"
+    manifest = tmp_path / "manifest.json"
+    code, _, _ = run(
+        capsys, "table", "--oracle", "off", "--out", str(out_file),
+        "--manifest", str(manifest),
+    )
+    assert code == 0
+    lines = out_file.read_text().splitlines()
+    skipped = sum(1 for line in lines[1:-1] if line.rsplit(",", 1)[1] == "skipped")
+    assert skipped > 0
+    assert f" skipped={skipped}" in lines[-1]
+    assert json.loads(manifest.read_text())["totals"]["skipped"] == skipped
+
+
 def test_table_deterministic_output(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "table", "--oracle", "off", "--out", str(a))

@@ -148,3 +148,31 @@ class TestGExtra:
         res = g_extra_connectivity(b4, 1, tiny)
         assert res.status == BUDGET
         assert res.value is None
+
+
+class TestJobsParity:
+    """Capped scans settle the same at every job count: same status, witness,
+    note and checks, and never more checks than the cap."""
+
+    @pytest.mark.parametrize("cap", [1, 7, 40, 300, 821, 5000])
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
+    def test_capped_oracles_match_serial(self, request, graph, cap):
+        g = request.getfixturevalue(graph)
+        budget = SearchBudget(max_members=4, max_checks=cap)
+        calls = [
+            lambda jobs: exists_cut_of_size(g, ShapeSpec.star(1), STRUCTURE, 3, budget, jobs),
+            lambda jobs: exists_cut_of_size(g, ShapeSpec.path(4), STRUCTURE, 3, budget, jobs),
+            lambda jobs: min_structure_cut(g, ShapeSpec.star(1), STRUCTURE, budget, jobs),
+            lambda jobs: g_extra_connectivity(g, 0, budget, jobs),
+        ]
+        for call in calls:
+            one, two = call(1), call(2)
+            assert one == two
+            assert one.checks <= cap
+
+    def test_certify_without_witness_counts_one_scan(self, d14):
+        res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3)
+        found = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
+        assert res.status == "certified"
+        assert res.witness == found.witness
+        assert res.checks == found.checks
