@@ -137,9 +137,11 @@ def cmd_cut(args) -> int:
 def _progress_printer(enabled: bool):
     if not enabled:
         return None
-    state = {"last": 0}
+    state = {"size": None, "last": 0}
 
     def report(size: int, checks: int, total: int) -> None:
+        if size != state["size"]:  # checks count from 0 again at each size
+            state["size"], state["last"] = size, 0
         if checks - state["last"] >= 100_000:
             state["last"] = checks
             print(f"progress: size={size} subsets examined={checks:,} / {total:,}",

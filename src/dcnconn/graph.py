@@ -1,9 +1,14 @@
 """Undirected simple graphs with string labels and dense integer ids.
 
 Graphs are immutable after construction and safe to share across workers.
-Connectivity runs on per-vertex adjacency bitmasks; the minimum vertex cut
-uses vertex-split maximum flow, independent of the brute-force search in
-`dcnconn.search` that cross-validates it.
+Connectivity runs on byte-sliced neighbour tables over vertex bitmasks: one
+table per group of 8 vertex ids maps each byte of a vertex set to the union
+of those vertices' neighbourhoods, so a breadth-first step reads one table
+entry per 8 vertices (the Four-Russians table trick). Table entries are
+filled on first use; a fill stores the value every caller would compute, so
+sharing stays safe. The minimum vertex cut uses vertex-split maximum flow,
+independent of the brute-force search in `dcnconn.search` that
+cross-validates it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterator
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("_labels", "_index", "_adj", "_masks")
+    __slots__ = ("_labels", "_index", "_adj", "_tables")
 
     def __init__(self, labels: Sequence[str], id_edges: Iterable[tuple[int, int]]):
         self._labels: tuple[str, ...] = tuple(labels)
@@ -42,7 +47,7 @@ class Graph:
             for v in s:
                 m |= 1 << v
             masks.append(m)
-        self._masks: tuple[int, ...] = tuple(masks)
+        self._tables = _neighbor_tables(masks)
 
     @property
     def vertex_count(self) -> int:
@@ -57,8 +62,10 @@ class Graph:
         return self._labels
 
     @property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        return self._masks
+    def neighbor_tables(self) -> tuple[list[int], ...]:
+        """Table j maps a byte b to the union of the neighbour masks of the
+        vertices 8j + i for the bits i set in b (see `_neighbor_tables`)."""
+        return self._tables
 
     def id_of(self, label: str) -> int:
         try:
@@ -122,17 +129,39 @@ def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Grap
     return Graph(g_labels, id_edges)
 
 
-def flood_mask(masks: Sequence[int], alive: int, seed: int) -> int:
-    """Bitmask BFS: the component of `seed` (single-bit mask) within `alive`."""
+def _neighbor_tables(masks: Sequence[int]) -> tuple[list[int], ...]:
+    """One table per group of 8 vertex ids, 8j..8j+7: entry b < 256 of table j
+    is the OR of the neighbour masks of the vertices 8j + i for the bits i set
+    in b, and entries 256.. hold those masks. Entries start as 0 and are filled
+    on first use by `_fill_entry`, so a graph that floods little holds few of
+    them; building all 256 up front would cost 32 big integers per vertex."""
+    return tuple([0] * 256 + list(masks[base:base + 8]) for base in range(0, len(masks), 8))
+
+
+def _fill_entry(table: list[int], b: int) -> int:
+    entry = 0
+    for i in range(8):
+        if b >> i & 1:
+            entry |= table[256 + i]
+    table[b] = entry
+    return entry
+
+
+def flood_mask(tables: Sequence[list[int]], alive: int, seed: int) -> int:
+    """Bitmask BFS: the component of `seed` (single-bit mask) within `alive`.
+
+    `tables` are a graph's `neighbor_tables`; each step ORs the neighbourhoods
+    of the frontier one byte (8 vertices) per table lookup. An entry that
+    reads 0 is filled (or, for isolated vertices, recomputed as 0).
+    """
+    width = len(tables)
     comp = seed
     frontier = seed
     while frontier:
         nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= masks[b.bit_length() - 1]
-            f ^= b
+        for table, b in zip(tables, frontier.to_bytes(width, "little")):
+            if b:
+                nxt |= table[b] or _fill_entry(table, b)
         frontier = nxt & alive & ~comp
         comp |= frontier
     return comp
@@ -141,12 +170,12 @@ def flood_mask(masks: Sequence[int], alive: int, seed: int) -> int:
 def _component_masks(g: Graph) -> list[int]:
     n = g.vertex_count
     alive = (1 << n) - 1
-    masks = g.adjacency_masks
+    tables = g.neighbor_tables
     out = []
     rest = alive
     while rest:
         seed = rest & -rest
-        comp = flood_mask(masks, rest, seed)
+        comp = flood_mask(tables, rest, seed)
         out.append(comp)
         rest &= ~comp
     return out

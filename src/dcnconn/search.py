@@ -98,16 +98,16 @@ class CertifyResult:
 # --- the scan ---------------------------------------------------------------
 
 
-def _cuts_after_removal(masks, full: int, removed: int) -> bool:
+def _cuts_after_removal(tables, full: int, removed: int) -> bool:
     alive = full & ~removed
     count = alive.bit_count()
     if count <= 1:
         return True
     seed = alive & -alive
-    return flood_mask(masks, alive, seed) != alive
+    return flood_mask(tables, alive, seed) != alive
 
 
-def _extra_after_removal(masks, full: int, removed: int, h: int) -> bool:
+def _extra_after_removal(tables, full: int, removed: int, h: int) -> bool:
     alive = full & ~removed
     if alive == 0:
         return False
@@ -115,7 +115,7 @@ def _extra_after_removal(masks, full: int, removed: int, h: int) -> bool:
     rest = alive
     while rest:
         seed = rest & -rest
-        comp = flood_mask(masks, alive, seed)
+        comp = flood_mask(tables, alive, seed)
         if comp.bit_count() < h + 1:
             return False
         comps += 1
@@ -126,29 +126,31 @@ def _extra_after_removal(masks, full: int, removed: int, h: int) -> bool:
 def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float, progress=None):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
-    `ctx` is (adjacency masks, full mask, unit masks, mode, h): a subset
+    `ctx` is (neighbour tables, full mask, unit masks, mode, h): a subset
     removes the union of its unit masks, and mode "cut" asks that the rest be
     disconnected, mode "extra" also that every component exceed h vertices.
     Returns (first hitting subset or None, checks made, note); the note names
-    the cap that stopped the scan, checks at most `cap` or time past `t_end`.
+    the cap that stopped the scan with subsets left to check: `cap` checks
+    made, or time past `t_end`. A range that ends at exactly `cap` checks is
+    complete and carries no note.
     """
-    masks, full, unit_masks, mode, h = ctx
+    tables, full, unit_masks, mode, h = ctx
     n = len(unit_masks)
     count = comb(n - lo, size) - comb(n - hi, size)
     checks = 0
     for combo in islice(combinations(range(lo, n), size), count):
+        if checks >= cap:
+            return None, checks, "check cap reached"
         removed = 0
         for i in combo:
             removed |= unit_masks[i]
         if mode == "cut":
-            hit = _cuts_after_removal(masks, full, removed)
+            hit = _cuts_after_removal(tables, full, removed)
         else:
-            hit = _extra_after_removal(masks, full, removed, h)
+            hit = _extra_after_removal(tables, full, removed, h)
         checks += 1
         if hit:
             return combo, checks, ""
-        if checks >= cap:
-            return None, checks, "check cap reached"
         if checks % 8192 == 0:
             if time.monotonic() > t_end:
                 return None, checks, "time cap reached"
@@ -206,7 +208,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
                 left = budget.max_checks - total
                 if witness is not None and checks <= left:
                     return YES, size, witness, total + checks, ""
-                if checks >= left:
+                if checks > left:
                     return BUDGET, size, None, budget.max_checks, "check cap reached"
                 total += checks
                 if note:
@@ -237,7 +239,7 @@ def _collect_copies(g: Graph, shape: ShapeSpec, mode: str, budget: SearchBudget)
         unit_masks.append(m)
         if len(copies) > budget.max_candidates:
             return None
-    return copies, (g.adjacency_masks, (1 << g.vertex_count) - 1, unit_masks, "cut", 0)
+    return copies, (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, "cut", 0)
 
 
 def exists_cut_of_size(
@@ -368,7 +370,7 @@ def g_extra_connectivity(
         raise ValueError("h must be >= 0")
     budget = budget or SearchBudget()
     n = g.vertex_count
-    ctx = (g.adjacency_masks, (1 << n) - 1, [1 << i for i in range(n)], "extra", h)
+    ctx = (g.neighbor_tables, (1 << n) - 1, [1 << i for i in range(n)], "extra", h)
     start = 1 if h == 0 else min_vertex_cut(g)
     status, size, found, checks, note = _scan_sizes(ctx, range(start, n - 1), budget, jobs,
                                                     progress)

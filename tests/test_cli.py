@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from dcnconn.cli import main
+from dcnconn.cli import _progress_printer, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -128,6 +128,15 @@ def test_oracle_budget_exit3(capsys):
     )
     assert code == 3
     assert "budget" in out
+
+
+def test_progress_printer_restarts_at_each_size(capsys):
+    report = _progress_printer(True)
+    report(6, 851_968, 906_192)
+    report(7, 100_000, 4_272_048)
+    err = capsys.readouterr().err
+    assert "size=6 subsets examined=851,968" in err
+    assert "size=7 subsets examined=100,000" in err
 
 
 def test_table_quick(capsys, tmp_path):

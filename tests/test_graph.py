@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dcnconn import (
@@ -9,6 +11,7 @@ from dcnconn import (
     min_vertex_cut,
 )
 from dcnconn.bcdc import build_bcdc, build_crossed_cube
+from dcnconn.graph import flood_mask
 
 
 def test_build_graph_k2():
@@ -156,3 +159,38 @@ def test_line_graph_counts(d14):
         d14.degree(v) * (d14.degree(v) - 1) // 2 for v in d14.labels
     )
     assert lg.edge_count == expected_edges
+
+
+def _per_bit_flood(g, alive, seed):
+    """Reference BFS: expands the frontier one vertex bit at a time."""
+    comp = frontier = seed
+    while frontier:
+        nxt = 0
+        for v in range(g.vertex_count):
+            if frontier >> v & 1:
+                for w in g.neighbor_ids(v):
+                    nxt |= 1 << w
+        frontier = nxt & alive & ~comp
+        comp |= frontier
+    return comp
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 80])
+def test_flood_mask_matches_per_bit_bfs(n, b5):
+    rng = random.Random(n)
+    if n == 80:
+        g = b5
+    else:
+        labels = [f"v{i}" for i in range(n)]
+        g = build_graph(labels, [(labels[i], labels[j]) for i in range(n)
+                                 for j in range(i + 1, n) if rng.random() < 3 / n])
+    assert g.vertex_count == n
+    tables = g.neighbor_tables
+    assert len(tables) == (n + 7) // 8
+    for _ in range(400):
+        keep = rng.choice((0.3, 0.6, 0.9))
+        alive = sum(1 << v for v in range(n) if rng.random() < keep)
+        if not alive:
+            continue
+        seed = 1 << rng.choice([v for v in range(n) if alive >> v & 1])
+        assert flood_mask(tables, alive, seed) == _per_bit_flood(g, alive, seed)

@@ -55,6 +55,30 @@ def test_components_partition(g):
     assert is_connected(g) == (len(comps) <= 1)
 
 
+@st.composite
+def sparse_graphs(draw, max_vertices=24):
+    """Graphs of 1-24 vertices with about one edge per vertex, so that their
+    components span several 8-vertex neighbour tables."""
+    n = draw(st.integers(1, max_vertices))
+    labels = [f"v{i}" for i in range(n)]
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=n))
+    return build_graph(labels, sorted({(labels[min(p)], labels[max(p)])
+                                       for p in pairs if p[0] != p[1]}))
+
+
+@given(sparse_graphs())
+@settings(max_examples=80, deadline=None)
+def test_components_match_networkx(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(g.labels)
+    h.add_edges_from(g.edges())
+    expected = sorted(sorted(c) for c in nx.connected_components(h))
+    assert sorted(sorted(c) for c in components(g)) == expected
+
+
 @given(connected_graphs())
 @settings(max_examples=30, deadline=None)
 def test_single_shape_cut_equals_vertex_connectivity(g):

@@ -154,7 +154,7 @@ class TestJobsParity:
     """Capped scans settle the same at every job count: same status, witness,
     note and checks, and never more checks than the cap."""
 
-    @pytest.mark.parametrize("cap", [1, 7, 40, 300, 821, 5000])
+    @pytest.mark.parametrize("cap", [1, 7, 40, 300, 820, 821, 5000])
     @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
     def test_capped_oracles_match_serial(self, request, graph, cap):
         g = request.getfixturevalue(graph)
@@ -169,6 +169,13 @@ class TestJobsParity:
             one, two = call(1), call(2)
             assert one == two
             assert one.checks <= cap
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scan_ending_at_the_cap_is_exhaustive(self, d14, jobs):
+        # C(40,1) + C(40,2) = 820 subsets: a cap of exactly 820 leaves none unchecked
+        res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 2,
+                                 SearchBudget(max_checks=820), jobs)
+        assert (res.status, res.checks, res.note) == (NO, 820, "")
 
     def test_certify_without_witness_counts_one_scan(self, d14):
         res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3)
