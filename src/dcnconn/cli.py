@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from math import comb
 
 from . import bcdc as bc
@@ -26,13 +27,12 @@ from .search import (
     NO,
     YES,
     SearchBudget,
-    budget_from_env,
     certify_min,
     exists_cut_of_size,
     g_extra_connectivity,
     min_structure_cut,
 )
-from .shapes import MODES, STRUCTURE, ShapeSpec
+from .shapes import MODES, STRUCTURE, CutMember, ShapeSpec, StructureCut
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -89,13 +89,12 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _budget_from_args(args) -> SearchBudget:
-    base = SearchBudget(
+    return SearchBudget(
         max_members=args.max_members,
         max_candidates=args.max_candidates,
         max_checks=args.max_checks,
         time_cap_secs=args.budget_secs,
     )
-    return budget_from_env(base)
 
 
 def cmd_gen(args) -> int:
@@ -162,8 +161,6 @@ def cmd_oracle(args) -> int:
         print(f"g_extra_connectivity(h={args.g_extra}) status={res.status} "
               f"value={res.value} lower_bound={res.lower_bound} checks={res.checks}")
         if res.witness:
-            from .shapes import CutMember, ShapeSpec, StructureCut
-
             single = ShapeSpec.single()
             cut = StructureCut(
                 tuple(CutMember(single, (lab,)) for lab in res.witness), args.mode
@@ -235,6 +232,21 @@ def _default_grid() -> list[tuple[str, dict[str, int], ShapeSpec, str]]:
     return rows
 
 
+def _copy_cap(predicted: int, check_cap: float, limit: int) -> int:
+    """The largest copy count up to `limit` whose scan of the sizes below
+    `predicted`, sum(comb(copies, s) for s < predicted), fits in `check_cap`
+    (0 when not even one copy fits). The sum grows with the count, so a binary
+    search finds it."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if sum(comb(mid, size) for size in range(1, predicted)) <= check_cap:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def cmd_table(args) -> int:
     budget = _budget_from_args(args)
     jobs = args.jobs or os.cpu_count() or 1
@@ -264,23 +276,12 @@ def cmd_table(args) -> int:
 
         oracle_status = "skipped"
         if args.oracle != "off" and predicted >= 1:
-            if predicted == 1:
-                # lower bound is vacuous; certification only verifies the witness
-                res = certify_min(g, shape, mode, predicted, budget, cut, jobs=jobs)
-                oracle_status = res.status
-            else:
-                from .shapes import enumerate_shape_copies
-
-                probe_cap = int(args.oracle_check_cap) + 1
-                copy_count = 0
-                for _ in enumerate_shape_copies(g, shape, mode):
-                    copy_count += 1
-                    if copy_count >= probe_cap:
-                        break
-                scan = sum(comb(copy_count, size) for size in range(1, predicted))
-                if scan <= args.oracle_check_cap:
-                    res = certify_min(g, shape, mode, predicted, budget, cut, jobs=jobs)
-                    oracle_status = res.status
+            # a row with more copies than the scan estimate admits reads skipped
+            copy_cap = _copy_cap(predicted, args.oracle_check_cap, budget.max_candidates)
+            if copy_cap:
+                res = certify_min(g, shape, mode, predicted,
+                                  replace(budget, max_candidates=copy_cap), cut, jobs=jobs)
+                oracle_status = "skipped" if res.note == "candidate cap reached" else res.status
 
         ok = report.passed and len(cut.members) == predicted and oracle_status in (
             "certified",

@@ -22,7 +22,7 @@ from math import comb
 
 from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
-from .shapes import CutMember, ShapeSpec, StructureCut, enumerate_shape_copies
+from .shapes import ShapeSpec, StructureCut, enumerate_shape_copies
 
 YES = "yes"
 NO = "no"
@@ -42,17 +42,6 @@ class SearchBudget:
             raise ValueError("budget caps must be positive")
         if self.time_cap_secs <= 0:
             raise ValueError("time cap must be positive")
-
-
-def budget_from_env(base: SearchBudget | None = None) -> SearchBudget:
-    """Apply the DCN_BUDGET_SECS override to a budget."""
-    base = base or SearchBudget()
-    secs = os.environ.get("DCN_BUDGET_SECS")
-    if secs:
-        return SearchBudget(
-            base.max_members, base.max_candidates, base.max_checks, float(secs)
-        )
-    return base
 
 
 @dataclass
@@ -130,15 +119,21 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float, progre
     removes the union of its unit masks, and mode "cut" asks that the rest be
     disconnected, mode "extra" also that every component exceed h vertices.
     Returns (first hitting subset or None, checks made, note); the note names
-    the cap that stopped the scan with subsets left to check: `cap` checks
-    made, or time past `t_end`. A range that ends at exactly `cap` checks is
-    complete and carries no note.
+    the cap that stopped the scan with subsets left to check: time past
+    `t_end` (tested every 8192 checks), or `cap` checks made. Both caps are
+    tested before a subset, so a range that ends as a cap trips is complete
+    and carries no note.
     """
     tables, full, unit_masks, mode, h = ctx
     n = len(unit_masks)
     count = comb(n - lo, size) - comb(n - hi, size)
     checks = 0
     for combo in islice(combinations(range(lo, n), size), count):
+        if checks % 8192 == 0 and checks:
+            if time.monotonic() > t_end:
+                return None, checks, "time cap reached"
+            if progress is not None:
+                progress(size, checks, comb(n, size))
         if checks >= cap:
             return None, checks, "check cap reached"
         removed = 0
@@ -151,11 +146,6 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float, progre
         checks += 1
         if hit:
             return combo, checks, ""
-        if checks % 8192 == 0:
-            if time.monotonic() > t_end:
-                return None, checks, "time cap reached"
-            if progress is not None:
-                progress(size, checks, comb(n, size))
     return None, checks, ""
 
 
@@ -184,10 +174,12 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
     `checks` is the length of the lexicographic prefix the answer rests on
     (never above `budget.max_checks`, the same for every job count while no
     time cap trips), and any note from a task stops the scan. Work that
-    workers do past that point is not counted.
+    workers do past that point is not counted. The time cap is tested between
+    results, only while subsets are left to check.
     """
     n = len(ctx[2])  # the number of unit masks
     t_end = time.monotonic() + budget.time_cap_secs
+    whole = sum(comb(n, size) for size in sizes)
     total = 0
     pool = None
     try:
@@ -215,7 +207,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
                     return BUDGET, size, None, total, note
                 if progress is not None:
                     progress(size, total - start, comb(n, size))
-                if time.monotonic() > t_end:
+                if total < whole and time.monotonic() > t_end:
                     return BUDGET, size, None, total, "time cap reached"
     finally:
         if pool is not None:
@@ -227,19 +219,25 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
 
 
 def _collect_copies(g: Graph, shape: ShapeSpec, mode: str, budget: SearchBudget):
-    """The copies of `shape` in `g` and the scan context over their vertex
-    sets, or None once there are more than `budget.max_candidates`."""
-    copies: list[CutMember] = []
+    """The scan context over the vertex sets of the copies of `shape` in `g`,
+    or None once there are more than `budget.max_candidates`. Only the masks
+    are kept: `_cut_of` rebuilds the few copies a witness needs."""
     unit_masks: list[int] = []
     for member in enumerate_shape_copies(g, shape, mode):
-        copies.append(member)
+        if len(unit_masks) == budget.max_candidates:
+            return None
         m = 0
         for lab in member.vertices:
             m |= 1 << g.id_of(lab)
         unit_masks.append(m)
-        if len(copies) > budget.max_candidates:
-            return None
-    return copies, (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, "cut", 0)
+    return g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, "cut", 0
+
+
+def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
+    """The cut made of the copies at the ascending indices `found`; the
+    enumeration order is deterministic, so it stops at the last of them."""
+    copies = islice(enumerate_shape_copies(g, shape, mode), found[-1] + 1)
+    return StructureCut(tuple(m for i, m in enumerate(copies) if i in found), mode)
 
 
 def exists_cut_of_size(
@@ -260,15 +258,14 @@ def exists_cut_of_size(
     if size_bound == 0:
         # the empty set never cuts a connected graph; no enumeration needed
         return ExistsResult(NO, None, 0, 0)
-    collected = _collect_copies(g, shape, mode, budget)
-    if collected is None:
+    ctx = _collect_copies(g, shape, mode, budget)
+    if ctx is None:
         return ExistsResult(BUDGET, None, 0, budget.max_candidates, "candidate cap reached")
-    copies, ctx = collected
     status, _, found, checks, note = _scan_sizes(
         ctx, range(1, size_bound + 1), budget, jobs, progress
     )
-    witness = None if found is None else StructureCut(tuple(copies[i] for i in found), mode)
-    return ExistsResult(status, witness, checks, len(copies), note)
+    witness = None if found is None else _cut_of(g, shape, mode, found)
+    return ExistsResult(status, witness, checks, len(ctx[2]), note)
 
 
 def min_structure_cut(
@@ -283,25 +280,25 @@ def min_structure_cut(
     if not is_connected(g):
         raise ValueError("min_structure_cut requires a connected graph")
     budget = budget or SearchBudget()
-    collected = _collect_copies(g, shape, mode, budget)
-    if collected is None:
+    ctx = _collect_copies(g, shape, mode, budget)
+    if ctx is None:
         return MinCutResult(BUDGET, None, 0, None, 0, budget.max_candidates,
                             "candidate cap reached")
-    copies, ctx = collected
-    sizes = range(1, min(budget.max_members, len(copies)) + 1)
+    copies = len(ctx[2])
+    sizes = range(1, min(budget.max_members, copies) + 1)
     status, size, found, checks, note = _scan_sizes(ctx, sizes, budget, jobs, progress)
     if status == YES:
-        witness = StructureCut(tuple(copies[i] for i in found), mode)
+        witness = _cut_of(g, shape, mode, found)
         report = verify_cut(g, witness, shape, mode)
         if not report.passed:
             raise AssertionError("oracle witness failed independent verification")
-        return MinCutResult("certified", size, size, witness, checks, len(copies))
+        return MinCutResult("certified", size, size, witness, checks, copies)
     if status == BUDGET:
-        return MinCutResult(BUDGET, None, size - 1, None, checks, len(copies), note)
-    if budget.max_members >= len(copies):
-        return MinCutResult(NO_CUT, None, len(copies), None, checks, len(copies),
+        return MinCutResult(BUDGET, None, size - 1, None, checks, copies, note)
+    if budget.max_members >= copies:
+        return MinCutResult(NO_CUT, None, copies, None, checks, copies,
                             "no subset of all copies disconnects the graph")
-    return MinCutResult(BUDGET, None, budget.max_members, None, checks, len(copies),
+    return MinCutResult(BUDGET, None, budget.max_members, None, checks, copies,
                         "member cap reached")
 
 
@@ -326,15 +323,14 @@ def certify_min(
     sizes = range(1, value + (witness is None))
     if sizes:
         # with value 1 and a witness the lower bound is vacuous: nothing to enumerate
-        collected = _collect_copies(g, shape, mode, budget)
-        if collected is None:
+        ctx = _collect_copies(g, shape, mode, budget)
+        if ctx is None:
             return CertifyResult(BUDGET, value, 0, None, 0, "candidate cap reached")
-        copies, ctx = collected
         status, size, found, checks, note = _scan_sizes(ctx, sizes, budget, jobs)
     if status == BUDGET:
         return CertifyResult(BUDGET, value, size - 1, None, checks, note)
     if status == YES:
-        cut = StructureCut(tuple(copies[i] for i in found), mode)
+        cut = _cut_of(g, shape, mode, found)
         if size < value:
             return CertifyResult("refuted", value, 0, cut, checks,
                                  f"found a cut of {size} members")

@@ -1,8 +1,8 @@
 """Acceptance suite: one criterion per test, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. The heavy exhaustive rows use both cores; DCN_BUDGET_SECS lowers the
-wall-clock cap if needed.
+lines. The heavy exhaustive rows use both cores, each under the explicit
+`SearchBudget` it builds.
 """
 
 import os

@@ -1,8 +1,12 @@
+from itertools import islice
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from dcnconn.cli import _progress_printer, main
+from dcnconn import build_bcdc, build_dcell, predicted_kappa
+from dcnconn.cli import _default_grid, _progress_printer, main
+from dcnconn.shapes import enumerate_shape_copies
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +184,52 @@ def test_table_deterministic_output(capsys, tmp_path):
     run(capsys, "table", "--oracle", "off", "--out", str(a))
     run(capsys, "table", "--oracle", "off", "--out", str(b), "--seed", "3")
     assert a.read_text() == b.read_text()
+
+
+@pytest.fixture(scope="module")
+def probed_grid():
+    """Each table row's predicted value and copy count, the count cut at 301:
+    a reference for the skip rule that counts the copies before any scan."""
+    graphs, rows = {}, []
+    for family, params, shape, mode in _default_grid():
+        key = (family, tuple(sorted(params.items())))
+        if key not in graphs:
+            graphs[key] = (build_dcell(params["m"], params["n"]) if family == "dcell"
+                           else build_bcdc(params["n"]))
+        copies = enumerate_shape_copies(graphs[key], shape, mode)
+        predicted = predicted_kappa(family, params, shape, mode).value
+        rows.append((predicted, sum(1 for _ in islice(copies, 301))))
+    return rows
+
+
+def _table_rows(capsys, tmp_path, *extra):
+    out_file = tmp_path / "table.csv"
+    code, _, _ = run(capsys, "table", "--oracle-check-cap", "300", "--out", str(out_file), *extra)
+    lines = out_file.read_text().splitlines()
+    return code, [line.rsplit(",", 1) for line in lines[1:-1]], lines[-1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_oracle_matches_the_probe_rule(capsys, tmp_path, probed_grid, jobs):
+    code, rows, summary = _table_rows(capsys, tmp_path, "--jobs", jobs)
+    assert code == 0
+    want = ["certified" if predicted == 1 or sum(comb(copies, s) for s in range(1, predicted)) <= 300
+            else "skipped" for predicted, copies in probed_grid]
+    assert [oracle for _, oracle in rows] == want
+    assert (want.count("certified"), want.count("skipped")) == (29, 96)
+    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=96"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_rows_over_max_candidates_read_skipped(capsys, tmp_path, probed_grid, jobs):
+    # a row with more copies than --max-candidates is skipped before any scan
+    _, default, _ = _table_rows(capsys, tmp_path, "--jobs", jobs)
+    code, capped, summary = _table_rows(capsys, tmp_path, "--jobs", jobs, "--max-candidates", "20")
+    assert code == 0
+    over = [i for i, (predicted, copies) in enumerate(probed_grid)
+            if predicted > 1 and copies > 20 and default[i][1] == "certified"]
+    assert len(over) == 10
+    assert [cells for cells, _ in capped] == [cells for cells, _ in default]
+    assert [oracle for _, oracle in capped] == [
+        "skipped" if i in over else oracle for i, (_, oracle) in enumerate(default)]
+    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=106"

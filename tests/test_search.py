@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from dcnconn import (
@@ -33,6 +35,19 @@ class TestExists:
         assert len(res.witness.members) == 3
         assert verify_cut(d14, res.witness, ShapeSpec.star(1), STRUCTURE).passed
 
+    def test_witness_is_the_first_cut_among_the_copies(self, d14):
+        # the oracle keeps only masks and rebuilds the witness from its indices
+        from itertools import combinations
+
+        from dcnconn.graph import delete_vertices, is_connected
+        from dcnconn.shapes import enumerate_shape_copies
+
+        copies = enumerate_shape_copies(d14, ShapeSpec.star(1), STRUCTURE)
+        first = next(c for c in combinations(list(copies), 3) if not is_connected(
+            delete_vertices(d14, {v for member in c for v in member.vertices})))
+        res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
+        assert res.witness.members == first
+
     def test_bound_zero_vacuous(self, b3):
         res = exists_cut_of_size(b3, ShapeSpec.cycle(4), STRUCTURE, 0)
         assert res.status == NO and res.checks == 0
@@ -54,6 +69,15 @@ class TestExists:
         tiny = SearchBudget(max_members=4, max_candidates=10, max_checks=10**6, time_cap_secs=600)
         res = exists_cut_of_size(b4, ShapeSpec.star(1), STRUCTURE, 2, tiny)
         assert res.status == BUDGET
+
+    def test_candidate_cap_boundary(self, d14):
+        # D_{1,4} has exactly 40 K_{1,1} copies: a cap of 40 admits them all
+        at = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 1,
+                                SearchBudget(max_candidates=40))
+        assert (at.status, at.copies, at.checks) == (NO, 40, 40)
+        below = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 1,
+                                   SearchBudget(max_candidates=39))
+        assert (below.status, below.checks, below.note) == (BUDGET, 0, "candidate cap reached")
 
 
 class TestMinCut:
@@ -176,6 +200,22 @@ class TestJobsParity:
         res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 2,
                                  SearchBudget(max_checks=820), jobs)
         assert (res.status, res.checks, res.note) == (NO, 820, "")
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_complete_scan_ignores_the_time_cap(self, d14, jobs):
+        # all 40 subsets are checked before any time test, so the answer stands
+        res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 1,
+                                 SearchBudget(time_cap_secs=1e-6), jobs)
+        assert (res.status, res.checks, res.note) == (NO, 40, "")
+
+    @pytest.mark.parametrize("units, want", [(8192, (None, 8192, "")),
+                                             (8193, (None, 8192, "time cap reached"))])
+    def test_kernel_tests_the_time_cap_only_with_subsets_left(self, k5, units, want):
+        # empty unit masks never cut K_5; the deadline has passed before the scan
+        from dcnconn.search import _scan_range
+
+        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, "cut", 0)
+        assert _scan_range(ctx, 1, 0, units, 10**6, time.monotonic() - 1) == want
 
     def test_certify_without_witness_counts_one_scan(self, d14):
         res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3)
