@@ -34,10 +34,6 @@ def _check_bits(u: str, n: int | None = None) -> int:
     return len(u)
 
 
-def _bit(u: str, d: int) -> str:
-    return u[len(u) - 1 - d]
-
-
 def dim_neighbor(u: str, d: int) -> str:
     """The d-dimensional neighbor u^d: equal above d, bit d flipped, bit d-1
     kept when d is odd, pair-related 2-bit blocks below."""

@@ -157,49 +157,39 @@ def cmd_oracle(args) -> int:
     progress = _progress_printer(args.progress)
 
     if args.g_extra is not None:
+        call, shape = f"g_extra_connectivity(h={args.g_extra})", ShapeSpec.single()
         res = g_extra_connectivity(g, args.g_extra, budget, jobs=jobs, progress=progress)
-        print(f"g_extra_connectivity(h={args.g_extra}) status={res.status} "
-              f"value={res.value} lower_bound={res.lower_bound} checks={res.checks}")
-        if res.witness:
-            single = ShapeSpec.single()
-            cut = StructureCut(
-                tuple(CutMember(single, (lab,)) for lab in res.witness), args.mode
+        if res.witness is not None:
+            res.witness = StructureCut(
+                tuple(CutMember(shape, (lab,)) for lab in res.witness), args.mode
             )
-            sys.stdout.write(dio.render_cut(cut, args.family, params, single))
-        return EXIT_OK if res.status == "certified" else EXIT_BUDGET
+    else:
+        shape = _shape_from_args(args)
+        if args.prove_min:
+            call = "min_structure_cut"
+            res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs, progress=progress)
+        elif args.certify is not None:
+            call = f"certify_min(value={args.certify})"
+            witness = None
+            if args.witness_from_constructor:
+                witness = structure_cut_for(args.family, params, shape, args.mode)
+            res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
+        elif args.bound is not None:
+            call = f"exists_cut_of_size(bound={args.bound})"
+            res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs,
+                                     progress=progress)
+        else:
+            raise ParameterError(
+                "oracle needs one of --prove-min, --certify, --bound, --g-extra")
 
-    shape = _shape_from_args(args)
-    if args.prove_min:
-        res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs, progress=progress)
-        print(f"min_structure_cut status={res.status} value={res.value} "
-              f"lower_bound={res.lower_bound} copies={res.copies} checks={res.checks}")
-        if res.witness is not None:
-            sys.stdout.write(dio.render_cut(res.witness, args.family, params, shape))
-        if res.status == "certified":
-            return EXIT_OK
-        return EXIT_BUDGET if res.status == BUDGET else EXIT_FAIL
-
-    if args.certify is not None:
-        witness = None
-        if args.witness_from_constructor:
-            witness = structure_cut_for(args.family, params, shape, args.mode)
-        res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
-        print(f"certify status={res.status} value={res.value} "
-              f"lower_bound_proven={res.lower_bound_proven} checks={res.checks} {res.note}")
-        if res.status == "certified":
-            return EXIT_OK
-        return EXIT_BUDGET if res.status == BUDGET else EXIT_FAIL
-
-    if args.bound is not None:
-        res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs,
-                                 progress=progress)
-        print(f"exists_cut_of_size(bound={args.bound}) status={res.status} "
-              f"copies={res.copies} checks={res.checks} {res.note}")
-        if res.witness is not None:
-            sys.stdout.write(dio.render_cut(res.witness, args.family, params, shape))
-        return EXIT_OK if res.status in (YES, NO) else EXIT_BUDGET
-
-    raise ParameterError("oracle needs one of --prove-min, --certify, --bound, --g-extra")
+    print(f"{call} status={res.status} value={res.value} "
+          f"lower_bound_proven={res.lower_bound_proven} copies={res.copies} "
+          f"checks={res.checks} {res.note}".rstrip())
+    if res.witness is not None:
+        sys.stdout.write(dio.render_cut(res.witness, args.family, params, shape))
+    if res.status in (YES, NO, "certified"):
+        return EXIT_OK
+    return EXIT_BUDGET if res.status == BUDGET else EXIT_FAIL
 
 
 def _default_grid() -> list[tuple[str, dict[str, int], ShapeSpec, str]]:
@@ -248,6 +238,8 @@ def _copy_cap(predicted: int, check_cap: float, limit: int) -> int:
 
 
 def cmd_table(args) -> int:
+    if not args.oracle_check_cap >= 0:  # NaN fails this too
+        raise ParameterError(f"--oracle-check-cap must be >= 0, got {args.oracle_check_cap}")
     budget = _budget_from_args(args)
     jobs = args.jobs or os.cpu_count() or 1
     rows_out = [dio.CSV_HEADER + ",oracle"]

@@ -2,7 +2,9 @@
 
 The oracles never answer "no" heuristically: a "no" means every candidate
 subset was enumerated. Tripping any budget cap converts the answer into a
-partial result carrying the bound proven so far. Subsets are scanned in
+partial result carrying the bound proven so far. Every oracle answers with
+one `OracleResult`; the three structure-cut oracles share one path from the
+copies through the scan to the witness, `_shape_oracle`. Subsets are scanned in
 canonical lexicographic order over copy indices by one kernel, `_scan_range`,
 which covers the subsets whose leading index lies in a range: the serial scan
 is one range, a pool of workers takes one task per leading index. One size
@@ -16,13 +18,13 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 from math import comb
 
 from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
-from .shapes import ShapeSpec, StructureCut, enumerate_shape_copies
+from .shapes import CutMember, ShapeSpec, StructureCut, enumerate_shape_copies
 
 YES = "yes"
 NO = "no"
@@ -45,42 +47,24 @@ class SearchBudget:
 
 
 @dataclass
-class ExistsResult:
-    status: str
-    witness: StructureCut | None
-    checks: int
-    copies: int
-    note: str = ""
+class OracleResult:
+    """What an oracle call found.
 
+    `value` is the size of the reported cut (for `certify_min`, the certified
+    or refuted value); `lower_bound_proven` is the largest size up to which
+    every size was scanned in full, so no cut has that many members or fewer;
+    `witness` is a `StructureCut`, or a tuple of vertex labels for
+    `g_extra_connectivity`; `checks` counts the subsets examined and `copies`
+    the candidates they were drawn from; `note` says why a scan stopped early
+    or why a value was refuted.
+    """
 
-@dataclass
-class MinCutResult:
-    status: str
-    value: int | None
-    lower_bound: int
-    witness: StructureCut | None
-    checks: int
-    copies: int
-    note: str = ""
-
-
-@dataclass
-class ExtraResult:
     status: str
     value: int | None
-    lower_bound: int
-    witness: tuple[str, ...] | None
-    checks: int
-    note: str = ""
-
-
-@dataclass
-class CertifyResult:
-    status: str  # certified | refuted | budget_exceeded
-    value: int
     lower_bound_proven: int
-    witness: StructureCut | None
+    witness: StructureCut | tuple[str, ...] | None
     checks: int
+    copies: int
     note: str = ""
 
 
@@ -162,11 +146,13 @@ def _pool_task(task):
     return _scan_range(_worker_ctx, size, lead, lead + 1, cap, t_end)
 
 
-def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
+def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> OracleResult:
     """Scan each size in turn until a subset hits or a cap trips.
 
-    Returns (status, size, witness indices, checks, note); `size` is where
-    the scan stopped (None after NO). With `jobs > 1`, sizes of at least 2
+    Returns the result with the hitting subset's indices as the witness:
+    YES with `value` the size that hit, BUDGET, or NO after every size. The
+    bound proven is the size before the one where the scan stopped, or the
+    last size after NO. With `jobs > 1`, sizes of at least 2
     and below the copy count are split into one pool task per leading index
     (the pool starts at the first such size and serves the rest of the call),
     and the results are read in leading-index order and settled as the serial
@@ -199,20 +185,21 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None):
             for witness, checks, note in results:
                 left = budget.max_checks - total
                 if witness is not None and checks <= left:
-                    return YES, size, witness, total + checks, ""
+                    return OracleResult(YES, size, size - 1, witness, total + checks, n)
                 if checks > left:
-                    return BUDGET, size, None, budget.max_checks, "check cap reached"
-                total += checks
+                    total, note = budget.max_checks, "check cap reached"
+                else:
+                    total += checks
                 if note:
-                    return BUDGET, size, None, total, note
+                    return OracleResult(BUDGET, None, size - 1, None, total, n, note)
                 if progress is not None:
                     progress(size, total - start, comb(n, size))
                 if total < whole and time.monotonic() > t_end:
-                    return BUDGET, size, None, total, "time cap reached"
+                    return OracleResult(BUDGET, None, size - 1, None, total, n, "time cap reached")
     finally:
         if pool is not None:
             pool.terminate()
-    return NO, None, None, total, ""
+    return OracleResult(NO, None, sizes.stop - 1, None, total, n)
 
 
 # --- public oracles ---------------------------------------------------------
@@ -223,12 +210,12 @@ def _collect_copies(g: Graph, shape: ShapeSpec, mode: str, budget: SearchBudget)
     or None once there are more than `budget.max_candidates`. Only the masks
     are kept: `_cut_of` rebuilds the few copies a witness needs."""
     unit_masks: list[int] = []
-    for member in enumerate_shape_copies(g, shape, mode):
+    for ids in enumerate_shape_copies(g, shape, mode):
         if len(unit_masks) == budget.max_candidates:
             return None
         m = 0
-        for lab in member.vertices:
-            m |= 1 << g.id_of(lab)
+        for i in ids:
+            m |= 1 << i
         unit_masks.append(m)
     return g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, "cut", 0
 
@@ -237,7 +224,28 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
     """The cut made of the copies at the ascending indices `found`; the
     enumeration order is deterministic, so it stops at the last of them."""
     copies = islice(enumerate_shape_copies(g, shape, mode), found[-1] + 1)
-    return StructureCut(tuple(m for i, m in enumerate(copies) if i in found), mode)
+    return StructureCut(tuple(CutMember(shape, tuple(g.label_of(v) for v in ids))
+                              for i, ids in enumerate(copies) if i in found), mode)
+
+
+def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, top: int, budget: SearchBudget,
+                  jobs: int, progress=None) -> OracleResult:
+    """Scan the copies of `shape` for a cut of 1..`top` members, never more
+    members than there are copies: YES with the first cut as the witness, NO,
+    or BUDGET. With `top` 0 nothing is enumerated: the empty set never cuts a
+    connected graph."""
+    if not is_connected(g):
+        raise ValueError("the structure-cut oracles require a connected graph")
+    if top < 1:
+        return OracleResult(NO, None, 0, None, 0, 0)
+    ctx = _collect_copies(g, shape, mode, budget)
+    if ctx is None:
+        return OracleResult(BUDGET, None, 0, None, 0, budget.max_candidates,
+                            "candidate cap reached")
+    res = _scan_sizes(ctx, range(1, min(top, len(ctx[2])) + 1), budget, jobs, progress)
+    if res.witness is not None:
+        res.witness = _cut_of(g, shape, mode, res.witness)
+    return res
 
 
 def exists_cut_of_size(
@@ -248,24 +256,11 @@ def exists_cut_of_size(
     budget: SearchBudget | None = None,
     jobs: int = 1,
     progress=None,
-) -> ExistsResult:
+) -> OracleResult:
     """Is there a cut of at most `size_bound` members? Exhaustive when "no"."""
-    if not is_connected(g):
-        raise ValueError("exists_cut_of_size requires a connected graph")
     if size_bound < 0:
         raise ValueError("size bound must be >= 0")
-    budget = budget or SearchBudget()
-    if size_bound == 0:
-        # the empty set never cuts a connected graph; no enumeration needed
-        return ExistsResult(NO, None, 0, 0)
-    ctx = _collect_copies(g, shape, mode, budget)
-    if ctx is None:
-        return ExistsResult(BUDGET, None, 0, budget.max_candidates, "candidate cap reached")
-    status, _, found, checks, note = _scan_sizes(
-        ctx, range(1, size_bound + 1), budget, jobs, progress
-    )
-    witness = None if found is None else _cut_of(g, shape, mode, found)
-    return ExistsResult(status, witness, checks, len(ctx[2]), note)
+    return _shape_oracle(g, shape, mode, size_bound, budget or SearchBudget(), jobs, progress)
 
 
 def min_structure_cut(
@@ -275,31 +270,19 @@ def min_structure_cut(
     budget: SearchBudget | None = None,
     jobs: int = 1,
     progress=None,
-) -> MinCutResult:
+) -> OracleResult:
     """Smallest cut size, by increasing subset size from 1; witness verified."""
-    if not is_connected(g):
-        raise ValueError("min_structure_cut requires a connected graph")
     budget = budget or SearchBudget()
-    ctx = _collect_copies(g, shape, mode, budget)
-    if ctx is None:
-        return MinCutResult(BUDGET, None, 0, None, 0, budget.max_candidates,
-                            "candidate cap reached")
-    copies = len(ctx[2])
-    sizes = range(1, min(budget.max_members, copies) + 1)
-    status, size, found, checks, note = _scan_sizes(ctx, sizes, budget, jobs, progress)
-    if status == YES:
-        witness = _cut_of(g, shape, mode, found)
-        report = verify_cut(g, witness, shape, mode)
-        if not report.passed:
+    res = _shape_oracle(g, shape, mode, budget.max_members, budget, jobs, progress)
+    if res.status == YES:
+        if not verify_cut(g, res.witness, shape, mode).passed:
             raise AssertionError("oracle witness failed independent verification")
-        return MinCutResult("certified", size, size, witness, checks, copies)
-    if status == BUDGET:
-        return MinCutResult(BUDGET, None, size - 1, None, checks, copies, note)
-    if budget.max_members >= copies:
-        return MinCutResult(NO_CUT, None, copies, None, checks, copies,
-                            "no subset of all copies disconnects the graph")
-    return MinCutResult(BUDGET, None, budget.max_members, None, checks, copies,
-                        "member cap reached")
+        return replace(res, status="certified")
+    if res.status == NO and res.lower_bound_proven == res.copies:
+        return replace(res, status=NO_CUT, note="no subset of all copies disconnects the graph")
+    if res.status == NO:
+        return replace(res, status=BUDGET, note="member cap reached")
+    return res
 
 
 def certify_min(
@@ -310,42 +293,28 @@ def certify_min(
     budget: SearchBudget | None = None,
     witness: StructureCut | None = None,
     jobs: int = 1,
-) -> CertifyResult:
+) -> OracleResult:
     """Certify a predicted minimum: exhaustively refute sizes 1..value-1, then
     verify a witness of size value (supplied, e.g. a constructed cut, or
-    searched at size value in the same scan)."""
+    searched at size value in the same scan). A smaller cut found on the way
+    refutes the value and becomes the reported one."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
-    if not is_connected(g):
-        raise ValueError("certify_min requires a connected graph")
     budget = budget or SearchBudget()
-    status, size, found, checks, note = NO, None, None, 0, ""
-    sizes = range(1, value + (witness is None))
-    if sizes:
-        # with value 1 and a witness the lower bound is vacuous: nothing to enumerate
-        ctx = _collect_copies(g, shape, mode, budget)
-        if ctx is None:
-            return CertifyResult(BUDGET, value, 0, None, 0, "candidate cap reached")
-        status, size, found, checks, note = _scan_sizes(ctx, sizes, budget, jobs)
-    if status == BUDGET:
-        return CertifyResult(BUDGET, value, size - 1, None, checks, note)
-    if status == YES:
-        cut = _cut_of(g, shape, mode, found)
-        if size < value:
-            return CertifyResult("refuted", value, 0, cut, checks,
-                                 f"found a cut of {size} members")
-        witness = cut
-    elif witness is None:
-        return CertifyResult("refuted", value, value - 1, None, checks,
-                             f"no cut of size {value} exists either")
-    if len(witness.members) != value:
-        return CertifyResult("refuted", value, value - 1, witness, checks,
-                             f"witness has {len(witness.members)} members, expected {value}")
-    report = verify_cut(g, witness, shape, mode)
-    if not report.passed:
-        return CertifyResult("refuted", value, value - 1, witness, checks,
-                             "witness failed verification")
-    return CertifyResult("certified", value, value - 1, witness, checks)
+    res = _shape_oracle(g, shape, mode, value - (witness is not None), budget, jobs)
+    if res.status == BUDGET:
+        return replace(res, value=value)
+    if res.status == YES and res.value < value:
+        return replace(res, status="refuted", note=f"found a cut of {res.value} members")
+    res = replace(res, value=value, witness=res.witness or witness)
+    if res.witness is None:
+        return replace(res, status="refuted", note=f"no cut of size {value} exists either")
+    if len(res.witness.members) != value:
+        return replace(res, status="refuted",
+                       note=f"witness has {len(res.witness.members)} members, expected {value}")
+    if not verify_cut(g, res.witness, shape, mode).passed:
+        return replace(res, status="refuted", note="witness failed verification")
+    return replace(res, status="certified")
 
 
 def g_extra_connectivity(
@@ -354,11 +323,12 @@ def g_extra_connectivity(
     budget: SearchBudget | None = None,
     jobs: int = 1,
     progress=None,
-) -> ExtraResult:
+) -> OracleResult:
     """Minimum |S| with g-S disconnected and every component > h vertices.
 
-    Exhaustive over raw vertex subsets; for h >= 1 sizes start at the
-    classical connectivity (any such cut is in particular a vertex cut).
+    Exhaustive over raw vertex subsets, so `copies` is the vertex count; for
+    h >= 1 sizes start at the classical connectivity (any such cut is in
+    particular a vertex cut). The witness is the tuple of the cut's labels.
     """
     if not is_connected(g):
         raise ValueError("g_extra_connectivity requires a connected graph")
@@ -368,12 +338,9 @@ def g_extra_connectivity(
     n = g.vertex_count
     ctx = (g.neighbor_tables, (1 << n) - 1, [1 << i for i in range(n)], "extra", h)
     start = 1 if h == 0 else min_vertex_cut(g)
-    status, size, found, checks, note = _scan_sizes(ctx, range(start, n - 1), budget, jobs,
-                                                    progress)
-    if status == YES:
-        labels = tuple(g.label_of(i) for i in found)
-        return ExtraResult("certified", size, size, labels, checks)
-    if status == BUDGET:
-        return ExtraResult(BUDGET, None, size - 1, None, checks, note)
-    return ExtraResult(NO_CUT, None, n - 2, None, checks,
-                       "no qualifying separation exists")
+    res = _scan_sizes(ctx, range(start, n - 1), budget, jobs, progress)
+    if res.status == YES:
+        return replace(res, status="certified", witness=tuple(g.label_of(i) for i in res.witness))
+    if res.status == NO:
+        return replace(res, status=NO_CUT, note="no qualifying separation exists")
+    return res

@@ -4,8 +4,9 @@ A cut member is an ordered vertex list claiming a shape: stars list the
 center first, paths and cycles list traversal order, cliques any order.
 `is_shape` validates a member in structure mode (the list realizes exactly
 the shape) or substructure mode (the list realizes a connected subgraph of
-the shape). `enumerate_shape_copies` streams every accepted member once, in
-a canonical deterministic order, which the exhaustive oracle relies on.
+the shape). `enumerate_shape_copies` streams the vertex-id tuple of every
+accepted member once, in a canonical deterministic order, which the
+exhaustive oracle relies on.
 """
 
 from __future__ import annotations
@@ -279,48 +280,43 @@ def _connected_set_ids(g: Graph, smax: int) -> Iterator[tuple[int, ...]]:
         yield from extend((v,), [x for x in sorted(g.neighbor_ids(v)) if x > v], v)
 
 
-def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[CutMember]:
-    """Stream every member accepted by `is_shape`, canonicalized, no duplicates.
+def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tuple[int, ...]]:
+    """Stream the vertex ids of every member accepted by `is_shape`,
+    canonicalized, no duplicates.
 
     Canonical forms: star = center then sorted leaf ids (K_{1,1}: smaller
     endpoint is the center); path = smaller endpoint first; cycle = rotation
     from the minimum id toward the smaller second id; clique = sorted ids.
-    Order is deterministic and stable across runs.
+    Order is deterministic and stable across runs. A copy `ids` is the member
+    `CutMember(shape, tuple(g.label_of(i) for i in ids))`.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
 
-    def emit(ids_iter: Iterator[tuple[int, ...]]) -> Iterator[CutMember]:
-        for ids in ids_iter:
-            yield CutMember(shape, tuple(g.label_of(i) for i in ids))
-
     if shape.kind == "single":
-        yield from emit(_single_ids(g))
+        yield from _single_ids(g)
         return
 
     if mode == STRUCTURE:
         if shape.kind == "star":
-            yield from emit(_star_ids(g, shape.size))
+            yield from _star_ids(g, shape.size)
         elif shape.kind == "path":
-            yield from emit(_path_ids(g, shape.size))
+            yield from _path_ids(g, shape.size)
         elif shape.kind == "cycle":
-            yield from emit(_cycle_ids(g, shape.size))
+            yield from _cycle_ids(g, shape.size)
         else:
-            yield from emit(_clique_ids(g, shape.size))
+            yield from _clique_ids(g, shape.size)
         return
 
     # substructure mode
     if shape.kind == "star":
-        yield from emit(_single_ids(g))
+        yield from _single_ids(g)
         for tp in range(1, shape.size + 1):
-            yield from emit(_star_ids(g, tp))
-    elif shape.kind == "path":
-        for j in range(1, shape.size + 1):
-            yield from emit(_path_ids(g, j))
-    elif shape.kind == "cycle":
+            yield from _star_ids(g, tp)
+    elif shape.kind in ("path", "cycle"):
         # every connected subgraph of C_k is a path P_j (j <= k) or C_k itself,
         # and each canonical C_k tuple already appears among the P_k tuples
         for j in range(1, shape.size + 1):
-            yield from emit(_path_ids(g, j))
+            yield from _path_ids(g, j)
     else:
-        yield from emit(_connected_set_ids(g, shape.size))
+        yield from _connected_set_ids(g, shape.size)

@@ -134,6 +134,29 @@ def test_oracle_budget_exit3(capsys):
     assert "budget" in out
 
 
+def test_oracle_g_extra_without_separation_exits_1(capsys):
+    # D_{0,4} is K_4: no vertex set leaves two components of 2 or more vertices
+    code, out, _ = run(capsys, "oracle", "dcell", "--m", "0", "--n", "4", "--g-extra", "1",
+                       "--jobs", "1")
+    assert code == 1
+    assert "status=no_cut_exists" in out
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["--g-extra", "0"], "g_extra_connectivity(h=0)"),
+    (["--shape", "star", "--t", "1", "--prove-min"], "min_structure_cut"),
+    (["--shape", "star", "--t", "1", "--certify", "3"], "certify_min(value=3)"),
+    (["--shape", "star", "--t", "1", "--bound", "2"], "exists_cut_of_size(bound=2)"),
+])
+def test_oracle_prints_one_report_line(capsys, argv, call):
+    code, out, _ = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", *argv, "--jobs", "1")
+    fields = out.splitlines()[0].split()
+    assert fields[0] == call
+    assert [f.split("=")[0] for f in fields[1:6]] == [
+        "status", "value", "lower_bound_proven", "copies", "checks"]
+    assert code == (0 if fields[1] in ("status=yes", "status=no", "status=certified") else 1)
+
+
 def test_progress_printer_restarts_at_each_size(capsys):
     report = _progress_printer(True)
     report(6, 851_968, 906_192)
@@ -233,3 +256,12 @@ def test_table_rows_over_max_candidates_read_skipped(capsys, tmp_path, probed_gr
     assert [oracle for _, oracle in capped] == [
         "skipped" if i in over else oracle for i, (_, oracle) in enumerate(default)]
     assert summary == "# summary pass=125 fail=0 rejected=0 skipped=106"
+
+
+@pytest.mark.parametrize("cap", ["-1", "nan"])
+def test_table_rejects_a_negative_or_nan_check_cap(capsys, tmp_path, cap):
+    out_file = tmp_path / "table.csv"
+    code, _, err = run(capsys, "table", "--oracle-check-cap", cap, "--out", str(out_file))
+    assert code == 2
+    assert "--oracle-check-cap must be >= 0" in err
+    assert not out_file.exists()

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnconn import (
+    CutMember,
     ShapeSpec,
     build_graph,
     components,
@@ -119,8 +120,8 @@ def test_enumeration_canonical_and_valid(g, kind, size):
         copies = list(enumerate_shape_copies(g, shape, mode))
         assert len(set(copies)) == len(copies)
         assert copies == list(enumerate_shape_copies(g, shape, mode))
-        for member in copies:
-            assert is_shape(g, member, mode)
+        for ids in copies:
+            assert is_shape(g, CutMember(shape, tuple(g.label_of(i) for i in ids)), mode)
 
 
 @given(connected_graphs(max_vertices=7), st.integers(1, 3))

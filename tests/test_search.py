@@ -3,8 +3,10 @@ import time
 import pytest
 
 from dcnconn import (
+    CutMember,
     SearchBudget,
     ShapeSpec,
+    StructureCut,
     certify_min,
     exists_cut_of_size,
     g_extra_connectivity,
@@ -44,9 +46,10 @@ class TestExists:
 
         copies = enumerate_shape_copies(d14, ShapeSpec.star(1), STRUCTURE)
         first = next(c for c in combinations(list(copies), 3) if not is_connected(
-            delete_vertices(d14, {v for member in c for v in member.vertices})))
+            delete_vertices(d14, {d14.label_of(i) for ids in c for i in ids})))
         res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
-        assert res.witness.members == first
+        assert res.witness.members == tuple(
+            CutMember(ShapeSpec.star(1), tuple(d14.label_of(i) for i in ids)) for ids in first)
 
     def test_bound_zero_vacuous(self, b3):
         res = exists_cut_of_size(b3, ShapeSpec.cycle(4), STRUCTURE, 0)
@@ -223,3 +226,75 @@ class TestJobsParity:
         assert res.status == "certified"
         assert res.witness == found.witness
         assert res.checks == found.checks
+
+
+K11 = ShapeSpec.star(1)
+
+
+def _d14_cut(members: int) -> StructureCut:
+    """The first `members` members of the constructed 3-member K_{1,1} cut of D_{1,4}."""
+    from dcnconn import star_cut_dcell
+
+    return StructureCut(star_cut_dcell(1, 4, 1).members[:members], STRUCTURE)
+
+
+# three edges at one vertex of D_{1,4}: valid members whose removal leaves it connected
+_NOT_A_CUT = StructureCut(
+    tuple(CutMember(K11, ("0.0", leaf)) for leaf in ("0.1", "0.2", "0.3")), STRUCTURE
+)
+
+BOUND_CASES = [
+    # (id, graph fixture, oracle call, status, value, lower_bound_proven)
+    ("exists-yes", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 3), YES, 3, 2),
+    ("exists-no", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 2), NO, None, 2),
+    ("exists-bound-0", "b3",
+     lambda g: exists_cut_of_size(g, ShapeSpec.cycle(4), STRUCTURE, 0), NO, None, 0),
+    ("exists-check-cap", "d14", lambda g: exists_cut_of_size(
+        g, K11, STRUCTURE, 3, SearchBudget(max_checks=100)), BUDGET, None, 1),
+    ("exists-candidate-cap", "d14", lambda g: exists_cut_of_size(
+        g, K11, STRUCTURE, 3, SearchBudget(max_candidates=10)), BUDGET, None, 0),
+    ("min-certified", "d14", lambda g: min_structure_cut(g, K11, STRUCTURE),
+     "certified", 3, 2),
+    ("min-no-cut", "c6", lambda g: min_structure_cut(g, ShapeSpec.clique(3), STRUCTURE),
+     NO_CUT, None, 0),
+    ("min-member-cap", "d14", lambda g: min_structure_cut(
+        g, K11, STRUCTURE, SearchBudget(max_members=2)), BUDGET, None, 2),
+    ("min-check-cap", "d14", lambda g: min_structure_cut(
+        g, K11, STRUCTURE, SearchBudget(max_checks=100)), BUDGET, None, 1),
+    ("min-candidate-cap", "d14", lambda g: min_structure_cut(
+        g, K11, STRUCTURE, SearchBudget(max_candidates=10)), BUDGET, None, 0),
+    ("extra-certified", "c6", lambda g: g_extra_connectivity(g, 0), "certified", 2, 1),
+    ("extra-certified-b3", "b3", lambda g: g_extra_connectivity(g, 0), "certified", 4, 3),
+    ("extra-no-cut", "k5", lambda g: g_extra_connectivity(g, 0), NO_CUT, None, 3),
+    ("extra-check-cap", "b3", lambda g: g_extra_connectivity(
+        g, 0, SearchBudget(max_checks=20)), BUDGET, None, 1),
+    ("certify-with-witness", "d14", lambda g: certify_min(
+        g, K11, STRUCTURE, 3, witness=_d14_cut(3)), "certified", 3, 2),
+    ("certify-searched", "d14", lambda g: certify_min(g, K11, STRUCTURE, 3),
+     "certified", 3, 2),
+    ("certify-smaller-cut", "k5", lambda g: certify_min(g, K11, STRUCTURE, 3),
+     "refuted", 2, 1),
+    ("certify-no-cut-of-value", "d14", lambda g: certify_min(g, K11, STRUCTURE, 2),
+     "refuted", 2, 2),
+    ("certify-witness-size", "d14", lambda g: certify_min(
+        g, K11, STRUCTURE, 3, witness=_d14_cut(2)), "refuted", 3, 2),
+    ("certify-witness-not-a-cut", "d14", lambda g: certify_min(
+        g, K11, STRUCTURE, 3, witness=_NOT_A_CUT), "refuted", 3, 2),
+    ("certify-value-1-witness", "d14", lambda g: certify_min(
+        g, K11, STRUCTURE, 1, witness=_d14_cut(3)), "refuted", 1, 0),
+    ("certify-check-cap", "d14", lambda g: certify_min(
+        g, K11, STRUCTURE, 3, SearchBudget(max_checks=100)), BUDGET, 3, 1),
+    ("certify-candidate-cap", "d14", lambda g: certify_min(
+        g, K11, STRUCTURE, 3, SearchBudget(max_candidates=10)), BUDGET, 3, 0),
+]
+
+
+@pytest.mark.parametrize("graph, call, status, value, bound",
+                         [pytest.param(*case[1:], id=case[0]) for case in BOUND_CASES])
+def test_value_and_lower_bound_proven(request, graph, call, status, value, bound):
+    """`value` is the size of the reported cut (for certify_min the value asked
+    about, unless a smaller cut refutes it); `lower_bound_proven` is the last
+    size scanned in full: one below the size where the scan stopped, or the
+    last size after a complete scan."""
+    res = call(request.getfixturevalue(graph))
+    assert (res.status, res.value, res.lower_bound_proven) == (status, value, bound)
