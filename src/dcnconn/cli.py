@@ -31,6 +31,7 @@ from .search import (
     exists_cut_of_size,
     g_extra_connectivity,
     min_structure_cut,
+    size_bound,
 )
 from .shapes import MODES, STRUCTURE, CutMember, ShapeSpec, StructureCut
 
@@ -268,11 +269,13 @@ def cmd_table(args) -> int:
 
         oracle_status = "skipped"
         if args.oracle != "off" and predicted >= 1:
-            # a row with more copies than the scan estimate admits reads skipped
+            # a row with more copies than the scan estimate admits reads
+            # skipped, unless the size bound settles it without a copy (the
+            # budget's candidate cap must still be positive)
             copy_cap = _copy_cap(predicted, args.oracle_check_cap, budget.max_candidates)
-            if copy_cap:
-                res = certify_min(g, shape, mode, predicted,
-                                  replace(budget, max_candidates=copy_cap), cut, jobs=jobs)
+            if copy_cap or size_bound(g, shape, predicted):
+                row_budget = replace(budget, max_candidates=max(copy_cap, 1))
+                res = certify_min(g, shape, mode, predicted, row_budget, cut, jobs=jobs)
                 oracle_status = "skipped" if res.note == "candidate cap reached" else res.status
 
         ok = report.passed and len(cut.members) == predicted and oracle_status in (

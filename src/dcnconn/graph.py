@@ -8,19 +8,33 @@ entry per 8 vertices (the Four-Russians table trick). Table entries are
 filled on first use; a fill stores the value every caller would compute, so
 sharing stays safe. The minimum vertex cut uses vertex-split maximum flow,
 independent of the brute-force search in `dcnconn.search` that
-cross-validates it.
+cross-validates it, and is likewise computed once per graph and kept on it.
+
+The flows run over the Esfahanian-Hakimi (1984) candidate pairs, with v0 a
+vertex of minimum degree δ: v0 and each vertex not adjacent to it, and each
+non-adjacent pair of neighbours of v0. Lemma (the pairs are complete): each
+pair is non-adjacent, so its flow, the least number of vertices separating
+the pair, is at least κ. Let S be a minimum vertex cut. If v0 is not in S, a
+vertex t in another component of G - S is a non-neighbour of v0 that S
+separates from v0, so the flow v0 -> t is at most |S| = κ. If v0 is in S, v0
+has a neighbour in every component of G - S: a vertex of S without one could
+leave S, and S would not be minimum. Neighbours x and y of v0 in two
+different components are non-adjacent and S separates them, so the flow
+x -> y is at most κ. Either way some candidate flow equals κ. Dropping the
+neighbour pairs is wrong whenever v0 lies in every minimum cut.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import combinations
 from typing import Iterator
 
 
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("_labels", "_index", "_adj", "_tables")
+    __slots__ = ("_labels", "_index", "_adj", "_tables", "_kappa")
 
     def __init__(self, labels: Sequence[str], id_edges: Iterable[tuple[int, int]]):
         self._labels: tuple[str, ...] = tuple(labels)
@@ -48,6 +62,7 @@ class Graph:
                 m |= 1 << v
             masks.append(m)
         self._tables = _neighbor_tables(masks)
+        self._kappa: int | None = None  # filled by the first min_vertex_cut call
 
     @property
     def vertex_count(self) -> int:
@@ -249,31 +264,52 @@ def line_graph(g: Graph) -> Graph:
 def min_vertex_cut(g: Graph) -> int:
     """κ(g): minimum vertices whose removal disconnects g or leaves one vertex.
 
-    Vertex-split maximum flow over non-adjacent pairs (Even-Tarjan candidate
-    set). Complete graphs return n-1 by convention.
+    Complete graphs return n-1 by convention. Otherwise κ is the least
+    vertex-split maximum flow over the Esfahanian-Hakimi candidate pairs (see
+    the module docstring for why they suffice). A graph that is not complete
+    has δ < n-1, so v0 has a non-neighbour and removing its δ neighbours
+    isolates it: the search starts from δ and asks each flow only whether it
+    falls below the best so far. The first call stores κ on the graph; later
+    calls return it without a flow.
     """
+    if g._kappa is not None:
+        return g._kappa
     n = g.vertex_count
     if n < 2:
         raise ValueError("min_vertex_cut requires at least two vertices")
     if not is_connected(g):
         raise ValueError("min_vertex_cut requires a connected graph")
-    if all(len(g.neighbor_ids(v)) == n - 1 for v in range(n)):
-        return n - 1
+    v0 = min(range(n), key=lambda v: len(g.neighbor_ids(v)))
+    near = g.neighbor_ids(v0)
+    best = len(near)
+    if best < n - 1:
+        net = _split_network(g)
+        pairs = [(v0, t) for t in range(n) if t != v0 and t not in near]
+        pairs += [(x, y) for x, y in combinations(sorted(near), 2)
+                  if y not in g.neighbor_ids(x)]
+        for s, t in pairs:
+            best = _max_flow(net, 2 * s + 1, 2 * t, best)
+    g._kappa = best
+    return best
 
-    # Flow network: v_in = 2v, v_out = 2v+1; unit capacity on (v_in, v_out),
-    # "infinite" (= n) on both directions of every edge.
-    node_count = 2 * n
+
+def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
+    """The vertex-split flow network of g as (arc heads, arc capacities, the
+    (arc, head) pairs out of each node). Vertex v becomes v_in = 2v and v_out = 2v+1 joined by
+    a unit arc; each edge becomes arcs of capacity n both ways. Arc a ^ 1 is
+    the reverse of arc a."""
+    n = g.vertex_count
     arc_to: list[int] = []
-    arc_cap0: list[int] = []
-    arc_adj: list[list[int]] = [[] for _ in range(node_count)]
+    arc_cap: list[int] = []
+    arc_adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
 
     def add_arc(u: int, w: int, c: int) -> None:
-        arc_adj[u].append(len(arc_to))
+        arc_adj[u].append((len(arc_to), w))
         arc_to.append(w)
-        arc_cap0.append(c)
-        arc_adj[w].append(len(arc_to))
+        arc_cap.append(c)
+        arc_adj[w].append((len(arc_to), u))
         arc_to.append(u)
-        arc_cap0.append(0)
+        arc_cap.append(0)
 
     for v in range(n):
         add_arc(2 * v, 2 * v + 1, 1)
@@ -282,46 +318,33 @@ def min_vertex_cut(g: Graph) -> int:
             if v > u:
                 add_arc(2 * u + 1, 2 * v, n)
                 add_arc(2 * v + 1, 2 * u, n)
+    return arc_to, arc_cap, arc_adj
 
-    def max_flow(s: int, t: int, limit: int) -> int:
-        cap = arc_cap0.copy()
-        flow = 0
-        while flow < limit:
-            parent = [-1] * node_count
-            parent[s] = -2
-            queue = [s]
-            qi = 0
-            found = False
-            while qi < len(queue) and not found:
-                x = queue[qi]
-                qi += 1
-                for a in arc_adj[x]:
-                    if cap[a] > 0 and parent[arc_to[a]] == -1:
-                        parent[arc_to[a]] = a
-                        if arc_to[a] == t:
-                            found = True
-                            break
-                        queue.append(arc_to[a])
-            if not found:
+
+def _max_flow(net, s: int, t: int, limit: int) -> int:
+    """The s-t maximum flow of `net` (see `_split_network`), or `limit` once
+    the flow reaches it: augmenting paths by breadth-first search."""
+    arc_to, arc_cap, arc_adj = net
+    cap = arc_cap.copy()
+    flow = 0
+    while flow < limit:
+        parent = [-1] * len(arc_adj)
+        parent[s] = -2
+        queue = [s]
+        for x in queue:
+            for a, y in arc_adj[x]:
+                if cap[a] and parent[y] == -1:
+                    parent[y] = a
+                    queue.append(y)
+            if parent[t] != -1:
                 break
-            x = t
-            while x != s:
-                a = parent[x]
-                cap[a] -= 1
-                cap[a ^ 1] += 1
-                x = arc_to[a ^ 1]
-            flow += 1
-        return flow
-
-    v0 = min(range(n), key=lambda v: len(g.neighbor_ids(v)))
-    best = n - 1
-    sources = [v0] + sorted(g.neighbor_ids(v0))
-    for s in sources:
-        closed = g.neighbor_ids(s) | {s}
-        for t in range(n):
-            if t in closed:
-                continue
-            best = min(best, max_flow(2 * s + 1, 2 * t, best))
-            if best == 0:  # pragma: no cover - connected graphs never hit 0
-                return 0
-    return best
+        else:  # the queue ran dry: no augmenting path is left
+            break
+        x = t
+        while x != s:
+            a = parent[x]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            x = arc_to[a ^ 1]
+        flow += 1
+    return flow

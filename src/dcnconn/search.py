@@ -12,6 +12,17 @@ loop, `_scan_sizes`, reads the kernel results in leading-index order and
 settles them as the serial scan would, so the witness is the
 lexicographically first one and `checks` (the length of the lexicographic
 prefix the answer rests on) is the same for every worker count.
+
+`certify_min` with a witness first tries the size bound, which settles the
+refutation of sizes 1..value-1 without enumerating a copy when
+(value-1)·|V(H)| < κ(G). Proof: a member is a copy of H (structure mode) or
+a connected subgraph of H (substructure mode), so s members cover at most
+s·|V(H)| vertices. Removing fewer than κ vertices leaves G connected, and
+since κ <= n-1 it leaves at least 2 vertices, so no union of value-1 or fewer
+members is a cut. κ comes from the max-flow `min_vertex_cut`, never from a
+formula. The other oracles, and `certify_min` without a witness or where the
+bound does not reach every size below the value, scan as before, so
+`exists_cut_of_size` stays the unpruned reference for the bound.
 """
 
 from __future__ import annotations
@@ -52,7 +63,8 @@ class OracleResult:
 
     `value` is the size of the reported cut (for `certify_min`, the certified
     or refuted value); `lower_bound_proven` is the largest size up to which
-    every size was scanned in full, so no cut has that many members or fewer;
+    every size was scanned in full or refuted by the size bound, so no cut
+    has that many members or fewer;
     `witness` is a `StructureCut`, or a tuple of vertex labels for
     `g_extra_connectivity`; `checks` counts the subsets examined and `copies`
     the candidates they were drawn from; `note` says why a scan stopped early
@@ -285,6 +297,21 @@ def min_structure_cut(
     return res
 
 
+def size_bound(g: Graph, shape: ShapeSpec, value: int) -> str:
+    """The size-bound note when (value-1)·|V(shape)| < κ(g), which settles
+    sizes 1..value-1 (see the module docstring), else "". Min degree δ >= κ
+    is tested first, so a value the bound cannot reach costs no flow; so is
+    connectivity, which κ needs."""
+    covered = (value - 1) * shape.vertex_count
+    degree = min((len(g.neighbor_ids(v)) for v in range(g.vertex_count)), default=0)
+    if covered >= degree or not is_connected(g):
+        return ""
+    kappa = min_vertex_cut(g)
+    if covered >= kappa:
+        return ""
+    return f"size bound: {value - 1} x {shape.vertex_count} vertices < kappa {kappa}"
+
+
 def certify_min(
     g: Graph,
     shape: ShapeSpec,
@@ -294,26 +321,36 @@ def certify_min(
     witness: StructureCut | None = None,
     jobs: int = 1,
 ) -> OracleResult:
-    """Certify a predicted minimum: exhaustively refute sizes 1..value-1, then
-    verify a witness of size value (supplied, e.g. a constructed cut, or
-    searched at size value in the same scan). A smaller cut found on the way
-    refutes the value and becomes the reported one."""
+    """Certify a predicted minimum: refute sizes 1..value-1, then verify a
+    witness of size value (supplied, e.g. a constructed cut, or searched at
+    size value in the same scan). A supplied witness lets the size bound
+    refute the smaller sizes with no copy enumerated (`checks` and `copies`
+    0, the rule in `note`); otherwise they are scanned exhaustively, and a
+    smaller cut found on the way refutes the value and becomes the reported
+    one."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
     budget = budget or SearchBudget()
-    res = _shape_oracle(g, shape, mode, value - (witness is not None), budget, jobs)
+    bound = size_bound(g, shape, value) if witness is not None else ""
+    if bound:
+        res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
+    else:
+        res = _shape_oracle(g, shape, mode, value - (witness is not None), budget, jobs)
     if res.status == BUDGET:
         return replace(res, value=value)
     if res.status == YES and res.value < value:
         return replace(res, status="refuted", note=f"found a cut of {res.value} members")
     res = replace(res, value=value, witness=res.witness or witness)
+
+    def refuted(reason: str) -> OracleResult:
+        return replace(res, status="refuted", note=f"{bound}; {reason}" if bound else reason)
+
     if res.witness is None:
-        return replace(res, status="refuted", note=f"no cut of size {value} exists either")
+        return refuted(f"no cut of size {value} exists either")
     if len(res.witness.members) != value:
-        return replace(res, status="refuted",
-                       note=f"witness has {len(res.witness.members)} members, expected {value}")
+        return refuted(f"witness has {len(res.witness.members)} members, expected {value}")
     if not verify_cut(g, res.witness, shape, mode).passed:
-        return replace(res, status="refuted", note="witness failed verification")
+        return refuted("witness failed verification")
     return replace(res, status="certified")
 
 

@@ -211,23 +211,29 @@ def test_table_deterministic_output(capsys, tmp_path):
 
 @pytest.fixture(scope="module")
 def probed_grid():
-    """Each table row's predicted value and copy count, the count cut at 301:
-    a reference for the skip rule that counts the copies before any scan."""
+    """Each table row's predicted value, copy count (cut at 301) and whether
+    the size bound settles it, (predicted - 1) * |V(H)| < kappa with kappa
+    from networkx: a reference for the skip rule that counts the copies
+    before any scan."""
+    nx = pytest.importorskip("networkx")
     graphs, rows = {}, []
     for family, params, shape, mode in _default_grid():
         key = (family, tuple(sorted(params.items())))
         if key not in graphs:
-            graphs[key] = (build_dcell(params["m"], params["n"]) if family == "dcell"
-                           else build_bcdc(params["n"]))
-        copies = enumerate_shape_copies(graphs[key], shape, mode)
+            g = (build_dcell(params["m"], params["n"]) if family == "dcell"
+                 else build_bcdc(params["n"]))
+            graphs[key] = g, nx.node_connectivity(nx.Graph(list(g.edges())))
+        g, kappa = graphs[key]
+        copies = enumerate_shape_copies(g, shape, mode)
         predicted = predicted_kappa(family, params, shape, mode).value
-        rows.append((predicted, sum(1 for _ in islice(copies, 301))))
+        rows.append((predicted, sum(1 for _ in islice(copies, 301)),
+                     (predicted - 1) * shape.vertex_count < kappa))
     return rows
 
 
-def _table_rows(capsys, tmp_path, *extra):
+def _table_rows(capsys, tmp_path, *extra, cap="300"):
     out_file = tmp_path / "table.csv"
-    code, _, _ = run(capsys, "table", "--oracle-check-cap", "300", "--out", str(out_file), *extra)
+    code, _, _ = run(capsys, "table", "--oracle-check-cap", cap, "--out", str(out_file), *extra)
     lines = out_file.read_text().splitlines()
     return code, [line.rsplit(",", 1) for line in lines[1:-1]], lines[-1]
 
@@ -236,26 +242,38 @@ def _table_rows(capsys, tmp_path, *extra):
 def test_table_oracle_matches_the_probe_rule(capsys, tmp_path, probed_grid, jobs):
     code, rows, summary = _table_rows(capsys, tmp_path, "--jobs", jobs)
     assert code == 0
-    want = ["certified" if predicted == 1 or sum(comb(copies, s) for s in range(1, predicted)) <= 300
-            else "skipped" for predicted, copies in probed_grid]
+    want = ["certified" if bound or sum(comb(copies, s) for s in range(1, predicted)) <= 300
+            else "skipped" for predicted, copies, bound in probed_grid]
     assert [oracle for _, oracle in rows] == want
-    assert (want.count("certified"), want.count("skipped")) == (29, 96)
-    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=96"
+    assert (want.count("certified"), want.count("skipped")) == (99, 26)
+    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=26"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_table_rows_over_max_candidates_read_skipped(capsys, tmp_path, probed_grid, jobs):
-    # a row with more copies than --max-candidates is skipped before any scan
+    # a row with more copies than --max-candidates is skipped before any scan,
+    # unless the size bound settles it without one
     _, default, _ = _table_rows(capsys, tmp_path, "--jobs", jobs)
     code, capped, summary = _table_rows(capsys, tmp_path, "--jobs", jobs, "--max-candidates", "20")
     assert code == 0
-    over = [i for i, (predicted, copies) in enumerate(probed_grid)
-            if predicted > 1 and copies > 20 and default[i][1] == "certified"]
-    assert len(over) == 10
+    over = [i for i, (predicted, copies, bound) in enumerate(probed_grid)
+            if predicted > 1 and copies > 20 and not bound and default[i][1] == "certified"]
+    assert len(over) == 4
     assert [cells for cells, _ in capped] == [cells for cells, _ in default]
     assert [oracle for _, oracle in capped] == [
         "skipped" if i in over else oracle for i, (_, oracle) in enumerate(default)]
-    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=106"
+    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=30"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_size_bound_rows_certify_at_check_cap_0(capsys, tmp_path, probed_grid, jobs):
+    # the size bound scans nothing, so no check cap can skip its rows
+    code, rows, summary = _table_rows(capsys, tmp_path, "--jobs", jobs, cap="0")
+    assert code == 0
+    assert [oracle for _, oracle in rows] == [
+        "certified" if bound else "skipped" for _, _, bound in probed_grid]
+    assert sum(bound for _, _, bound in probed_grid) == 95
+    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=30"
 
 
 @pytest.mark.parametrize("cap", ["-1", "nan"])

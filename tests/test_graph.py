@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from dcnconn import (
     min_vertex_cut,
 )
 from dcnconn.bcdc import build_bcdc, build_crossed_cube
+from dcnconn import graph as graph_module
 from dcnconn.graph import flood_mask
 
 
@@ -131,6 +133,88 @@ def test_min_cut_matches_networkx():
         g = build(arg)
         h = nx.Graph(list(g.edges()))
         assert min_vertex_cut(g) == nx.node_connectivity(h)
+
+
+def _brute_kappa(n, edges):
+    """Least k such that removing some k vertices disconnects the graph or
+    leaves at most one vertex, by trying every vertex subset."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for k in range(n):
+        for removed in map(set, combinations(range(n), k)):
+            rest = [v for v in range(n) if v not in removed]
+            if len(rest) <= 1:
+                return k
+            seen, stack = {rest[0]}, [rest[0]]
+            while stack:
+                for w in adj[stack.pop()] - removed - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if len(seen) < len(rest):
+                return k
+    raise AssertionError("unreachable: removing n-1 vertices leaves one")
+
+
+def _id_graph(n, edges):
+    labels = [str(v) for v in range(n)]
+    return build_graph(labels, [(labels[u], labels[v]) for u, v in edges])
+
+
+def test_min_cut_matches_brute_force_on_every_graph_up_to_5_vertices():
+    checked = 0
+    for n in range(2, 6):
+        pairs = list(combinations(range(n), 2))
+        for keep in product((False, True), repeat=len(pairs)):
+            edges = [p for p, k in zip(pairs, keep) if k]
+            g = _id_graph(n, edges)
+            if is_connected(g):
+                assert min_vertex_cut(g) == _brute_kappa(n, edges), (n, edges)
+                checked += 1
+    assert checked == 1 + 4 + 38 + 728  # connected labelled graphs on 2..5 vertices
+
+
+def test_min_cut_matches_brute_force_on_random_graphs():
+    rng = random.Random(1984)
+    for _ in range(2000):
+        n = rng.randint(6, 10)
+        density = rng.random()
+        edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+        edges |= {p for p in combinations(range(n), 2) if rng.random() < density}
+        assert min_vertex_cut(_id_graph(n, sorted(edges))) == _brute_kappa(n, edges), edges
+
+
+def test_min_cut_needs_the_neighbour_pairs():
+    """Vertex 0 has the minimum degree 4 and is the only cut vertex: it joins
+    two K_5s through two neighbours in each. A flow from vertex 0 to a
+    non-neighbour needs two vertices to block it, so only the flow between
+    two of its neighbours, one in each K_5, finds kappa = 1."""
+    edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
+    edges += list(combinations(range(1, 6), 2)) + list(combinations(range(6, 11), 2))
+    g = _id_graph(11, edges)
+    assert min(range(11), key=lambda v: len(g.neighbor_ids(v))) == 0
+    assert _brute_kappa(11, edges) == 1
+    assert [v for v in range(1, 11)
+            if not is_connected(delete_vertices(g, [str(v)]))] == []
+    assert min_vertex_cut(g) == 1
+
+
+def test_min_cut_is_computed_once_per_graph(monkeypatch):
+    flows = []
+
+    def counting_flow(*args):
+        flows.append(args)
+        return real_flow(*args)
+
+    real_flow = graph_module._max_flow
+    monkeypatch.setattr(graph_module, "_max_flow", counting_flow)
+    g = build_bcdc(4)
+    assert min_vertex_cut(g) == 6
+    assert flows
+    flows.clear()
+    assert min_vertex_cut(g) == 6
+    assert flows == []
 
 
 def test_line_graph_p3():

@@ -1,23 +1,28 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcnconn import (
     CutMember,
     SearchBudget,
     ShapeSpec,
     StructureCut,
+    build_graph,
     certify_min,
+    enumerate_shape_copies,
     exists_cut_of_size,
     g_extra_connectivity,
     min_structure_cut,
     min_vertex_cut,
+    star_cut_bcdc,
     verify_cut,
 )
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
-from dcnconn.search import BUDGET, NO, NO_CUT, YES
-from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE
+from dcnconn.search import BUDGET, NO, NO_CUT, YES, size_bound
+from dcnconn.shapes import MODES, STRUCTURE, SUBSTRUCTURE
 
 
 class TestExists:
@@ -298,3 +303,139 @@ def test_value_and_lower_bound_proven(request, graph, call, status, value, bound
     last size after a complete scan."""
     res = call(request.getfixturevalue(graph))
     assert (res.status, res.value, res.lower_bound_proven) == (status, value, bound)
+
+
+def _isolating_witness(g, shape, mode, size):
+    """A cut of `size` copies that isolates a vertex x: copies avoiding x that
+    cover its neighbours, padded with further copies avoiding x. None when no
+    vertex has such a cover."""
+    copies = list(enumerate_shape_copies(g, shape, mode))
+    for x in range(g.vertex_count):
+        usable = [c for c in copies if x not in c]
+        near = g.neighbor_ids(x)
+
+        def extend(chosen, covered):
+            left = near - covered
+            if not left:
+                return chosen
+            if len(chosen) == size:
+                return None
+            first = min(left)
+            for c in usable:
+                if first in c and (found := extend(chosen + [c], covered | set(c))):
+                    return found
+            return None
+
+        chosen = extend([], set())
+        if chosen is not None:
+            chosen += [c for c in usable if c not in chosen][:size - len(chosen)]
+            if len(chosen) == size:
+                return StructureCut(tuple(CutMember(shape, tuple(g.label_of(v) for v in c))
+                                          for c in chosen), mode)
+    return None
+
+
+def _check_size_bound_at_its_limit(g, shape, mode, kappa) -> bool:
+    """At the largest value the size bound settles, the unpruned scan of the
+    sizes below it finds no cut, and certify_min, given a cut of that value,
+    certifies it from the bound with the same lower bound. False when the
+    value has no isolating cut to certify with."""
+    value = (kappa - 1) // shape.vertex_count + 1
+    assert size_bound(g, shape, value) and not size_bound(g, shape, value + 1)
+    case = (shape.tag, mode, value)
+    assert exists_cut_of_size(g, shape, mode, value - 1).status == NO, case
+    witness = _isolating_witness(g, shape, mode, value)
+    if witness is None:
+        return False
+    res = certify_min(g, shape, mode, value, witness=witness)
+    assert (res.status, res.lower_bound_proven, res.checks, res.copies) == (
+        "certified", value - 1, 0, 0), case
+    return True
+
+
+def _two_k5(*bridges):
+    """K_5 on vertices 0..4 and K_5 on 5..9, joined by the given edges."""
+    labels = [str(v) for v in range(10)]
+    edges = [(labels[u], labels[v]) for block in (range(5), range(5, 10))
+             for u in block for v in block if u < v]
+    return build_graph(labels, edges + list(bridges))
+
+
+GRID_SHAPES = ([ShapeSpec.star(t) for t in range(1, 5)]
+               + [ShapeSpec.clique(s) for s in range(3, 5)]
+               + [ShapeSpec.path(k) for k in range(3, 6)]
+               + [ShapeSpec.cycle(k) for k in range(3, 6)])
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize("family, params, want", [
+        ("bcdc", {"n": 3}, (10, 8)), ("bcdc", {"n": 4}, (24, 20)),
+        ("dcell", {"m": 0, "n": 5}, (10, 10)), ("dcell", {"m": 1, "n": 4}, (10, 8)),
+    ])
+    def test_bound_agrees_with_the_unpruned_scan(self, family, params, want):
+        nx = pytest.importorskip("networkx")
+        g = build_bcdc(params["n"]) if family == "bcdc" else build_dcell(params["m"], params["n"])
+        kappa = nx.node_connectivity(nx.Graph(list(g.edges())))
+        cases = [(shape, mode) for shape in GRID_SHAPES for mode in MODES
+                 if shape.vertex_count < kappa
+                 and next(enumerate_shape_copies(g, shape, mode), None) is not None]
+        certified = sum(_check_size_bound_at_its_limit(g, shape, mode, kappa)
+                        for shape, mode in cases)
+        assert (len(cases), certified) == want
+
+    def test_bound_settles_a_certification_without_a_scan(self, b5):
+        res = certify_min(b5, ShapeSpec.star(2), STRUCTURE, 3, witness=star_cut_bcdc(5, 2))
+        assert (res.status, res.value, res.lower_bound_proven, res.checks, res.copies) == (
+            "certified", 3, 2, 0, 0)
+        assert res.note == "size bound: 2 x 3 vertices < kappa 8"
+
+    def test_bound_does_not_apply_without_a_witness_or_past_kappa(self, d14):
+        # 2 x 2 vertices is not below kappa(D_{1,4}) = 4: sizes 1..2 are scanned
+        res = certify_min(d14, K11, STRUCTURE, 3, witness=_d14_cut(3))
+        assert (res.status, res.lower_bound_proven, res.checks, res.note) == (
+            "certified", 2, 40 + 780, "")
+        # 0 x 2 < 4, but without a witness the scan searches one at size 1
+        res = certify_min(d14, K11, STRUCTURE, 1)
+        assert (res.status, res.checks, res.note) == ("refuted", 40, "no cut of size 1 exists either")
+
+    def test_bound_never_bypasses_verification(self, b4):
+        # 2 x 2 < kappa(B_4) = 6 settles sizes 1..2 of K_{1,1}, yet the least
+        # K_{1,1} cut of B_4 has 4 members, so no witness of 3 passes
+        rule = "size bound: 2 x 2 vertices < kappa 6"
+        four = _isolating_witness(b4, K11, STRUCTURE, 4)
+        res = certify_min(b4, K11, STRUCTURE, 3, witness=four)
+        assert (res.status, res.value, res.lower_bound_proven, res.checks) == ("refuted", 3, 2, 0)
+        assert res.note == f"{rule}; witness has 4 members, expected 3"
+        three = StructureCut(four.members[:3], STRUCTURE)
+        res = certify_min(b4, K11, STRUCTURE, 3, witness=three)
+        assert (res.status, res.lower_bound_proven) == ("refuted", 2)
+        assert res.note == f"{rule}; witness failed verification"
+
+    def test_bound_stops_at_kappa_below_the_min_degree(self):
+        # min degree 4 but kappa 2, and the edge 0-1 alone is a cut, so
+        # 1 x 2 vertices settles nothing
+        g = _two_k5(("0", "5"), ("1", "6"))
+        assert size_bound(g, K11, 1) and not size_bound(g, K11, 2)
+        two = StructureCut((CutMember(K11, ("0", "1")), CutMember(K11, ("2", "3"))), STRUCTURE)
+        res = certify_min(g, K11, STRUCTURE, 2, witness=two)
+        assert (res.status, res.value, res.note) == ("refuted", 1, "found a cut of 1 members")
+
+    def test_bound_keeps_the_disconnected_graph_error(self):
+        g = _two_k5()  # min degree 4 > 1 x 2, so only connectivity stops the bound
+        witness = StructureCut((CutMember(K11, ("0", "1")),), STRUCTURE)
+        with pytest.raises(ValueError, match="the structure-cut oracles require a connected graph"):
+            certify_min(g, K11, STRUCTURE, 2, witness=witness)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_bound_agrees_with_the_unpruned_scan_on_random_graphs(self, data):
+        nx = pytest.importorskip("networkx")
+        n = data.draw(st.integers(3, 8))
+        edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if data.draw(st.booleans())}
+        g = build_graph([str(v) for v in range(n)], [(str(u), str(v)) for u, v in edges])
+        shape = data.draw(st.sampled_from([ShapeSpec.star(1), ShapeSpec.star(2),
+                                           ShapeSpec.clique(3), ShapeSpec.path(3),
+                                           ShapeSpec.cycle(3)]))
+        mode = data.draw(st.sampled_from(MODES))
+        _check_size_bound_at_its_limit(g, shape, mode, nx.node_connectivity(nx.Graph(list(edges))))
