@@ -174,7 +174,8 @@ def cmd_oracle(args) -> int:
             witness = None
             if args.witness_from_constructor:
                 witness = structure_cut_for(args.family, params, shape, args.mode)
-            res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
+            res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs,
+                              progress=progress)
         elif args.bound is not None:
             call = f"exists_cut_of_size(bound={args.bound})"
             res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs,

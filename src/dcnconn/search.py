@@ -320,6 +320,7 @@ def certify_min(
     budget: SearchBudget | None = None,
     witness: StructureCut | None = None,
     jobs: int = 1,
+    progress=None,
 ) -> OracleResult:
     """Certify a predicted minimum: refute sizes 1..value-1, then verify a
     witness of size value (supplied, e.g. a constructed cut, or searched at
@@ -335,7 +336,8 @@ def certify_min(
     if bound:
         res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
     else:
-        res = _shape_oracle(g, shape, mode, value - (witness is not None), budget, jobs)
+        res = _shape_oracle(g, shape, mode, value - (witness is not None), budget, jobs,
+                            progress)
     if res.status == BUDGET:
         return replace(res, value=value)
     if res.status == YES and res.value < value:

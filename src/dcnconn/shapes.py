@@ -7,6 +7,21 @@ the shape) or substructure mode (the list realizes a connected subgraph of
 the shape). `enumerate_shape_copies` streams the vertex-id tuple of every
 accepted member once, in a canonical deterministic order, which the
 exhaustive oracle relies on.
+
+Paths and cycles are grown depth-first from each start in id order, over
+neighbours in id order. A path is kept when its first id is below its last,
+so the last vertex is drawn only from the neighbours above the first. A
+cycle is kept in its canonical rotation: it starts at its minimum id and runs
+toward the smaller of the start's two cycle neighbours. Cycles are pruned by
+the distance `dist` to the start inside the subgraph induced by the start and
+the ids above it. Lemma (the prune drops no cycle): let `path` be the prefix
+of a canonical k-cycle before `nb`. The vertices after `nb`, then the closing
+edge, form a walk of `k - len(path)` edges from `nb` back to the start, and
+every vertex on it other than the start is greater than the start. So
+`dist[nb] <= k - len(path)`, and a neighbour farther away begins no cycle.
+At the last vertex the bound reads `dist[nb] == 1`: `nb` closes the cycle.
+Both prunes only skip branches that yield nothing, so the order of the
+copies is the order of the unpruned search.
 """
 
 from __future__ import annotations
@@ -212,6 +227,10 @@ def _clique_ids(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
         yield from extend((v,), frozenset(x for x in g.neighbor_ids(v) if x > v))
 
 
+def _sorted_neighbors(g: Graph) -> list[list[int]]:
+    return [sorted(g.neighbor_ids(v)) for v in range(g.vertex_count)]
+
+
 def _path_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k == 1:
         yield from _single_ids(g)
@@ -219,13 +238,16 @@ def _path_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k == 2:
         yield from _edge_ids(g)
         return
+    nbrs = _sorted_neighbors(g)
 
     def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(path) == k:
-            if path[0] < path[-1]:
-                yield tuple(path)
+        if len(path) == k - 1:  # the last vertex: the larger endpoint
+            first = path[0]
+            for nb in nbrs[path[-1]]:
+                if nb > first and nb not in used:
+                    yield (*path, nb)
             return
-        for nb in sorted(g.neighbor_ids(path[-1])):
+        for nb in nbrs[path[-1]]:
             if nb not in used:
                 path.append(nb)
                 used.add(nb)
@@ -237,24 +259,50 @@ def _path_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
         yield from extend([start], {start})
 
 
+def _distances_above(nbrs: list[list[int]], start: int, depth: int) -> list[int]:
+    """Breadth-first distance to `start` inside the subgraph induced by
+    `start` and the ids above it; depth + 1 for the vertices farther than
+    `depth` or outside the subgraph."""
+    far = depth + 1
+    dist = [far] * len(nbrs)
+    dist[start] = 0
+    frontier = [start]
+    for d in range(1, far):
+        nxt = []
+        for u in frontier:
+            for v in nbrs[u]:
+                if v > start and dist[v] == far:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def _cycle_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     # Canonical form: rotation starts at the minimum id, direction toward the
-    # smaller second id; every vertex after the start exceeds the start.
-    def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(path) == k:
-            if path[0] in g.neighbor_ids(path[-1]) and path[1] < path[-1]:
-                yield tuple(path)
+    # smaller second id; every vertex after the start exceeds the start, which
+    # the distance test enforces too (ids below the start read as far). The
+    # distance prune is the module docstring's lemma.
+    nbrs = _sorted_neighbors(g)
+
+    def extend(path: list[int], used: set[int], dist: list[int]) -> Iterator[tuple[int, ...]]:
+        left = k - len(path)  # edges from the next vertex back to the start
+        if left == 1:
+            second = path[1]
+            for nb in nbrs[path[-1]]:
+                if dist[nb] == 1 and nb > second and nb not in used:
+                    yield (*path, nb)
             return
-        for nb in sorted(g.neighbor_ids(path[-1])):
-            if nb > path[0] and nb not in used:
+        for nb in nbrs[path[-1]]:
+            if dist[nb] <= left and nb not in used:
                 path.append(nb)
                 used.add(nb)
-                yield from extend(path, used)
+                yield from extend(path, used, dist)
                 used.discard(nb)
                 path.pop()
 
     for start in range(g.vertex_count):
-        yield from extend([start], {start})
+        yield from extend([start], {start}, _distances_above(nbrs, start, k - 1))
 
 
 def _connected_set_ids(g: Graph, smax: int) -> Iterator[tuple[int, ...]]:

@@ -160,6 +160,14 @@ class TestCertify:
         res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 4, witness=cut)
         assert res.status == "refuted"
 
+    def test_certify_scan_reports_each_size_to_progress(self, d14):
+        # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness
+        calls = []
+        res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3,
+                          progress=lambda *args: calls.append(args))
+        assert res.status == "certified"
+        assert calls == [(1, 40, 40), (2, 780, 780)]
+
 
 class TestGExtra:
     def test_c6(self, c6):
