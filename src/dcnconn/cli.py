@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from math import comb
 
 from . import bcdc as bc
@@ -41,14 +41,13 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _build_family(family: str, args) -> Graph:
-    cap = args.max_vertices
+def _build_family(family: str, params: dict[str, int], cap: int) -> Graph:
     if family == "dcell":
-        return dc.build_dcell(args.m, args.n, max_vertices=cap)
+        return dc.build_dcell(params["m"], params["n"], max_vertices=cap)
     if family == "bcdc":
-        return bc.build_bcdc(args.n, max_vertices=cap)
+        return bc.build_bcdc(params["n"], max_vertices=cap)
     if family == "cq":
-        return bc.build_crossed_cube(args.n, max_vertices=cap)
+        return bc.build_crossed_cube(params["n"], max_vertices=cap)
     raise ParameterError(f"unknown family: {family!r}")
 
 
@@ -58,27 +57,21 @@ def _family_params(family: str, args) -> dict[str, int]:
     return {"n": args.n}
 
 
+# shape kind -> the flag carrying its size (a single vertex has none)
+_SIZE_FLAGS = {"star": "t", "clique": "s", "path": "k", "cycle": "k", "single": None}
+
+
 def _shape_from_args(args) -> ShapeSpec:
     kind = args.shape
-    if kind == "star":
-        if args.t is None:
-            raise ParameterError("--shape star requires --t")
-        return ShapeSpec.star(args.t)
-    if kind == "clique":
-        if args.s is None:
-            raise ParameterError("--shape clique requires --s")
-        return ShapeSpec.clique(args.s)
-    if kind == "path":
-        if args.k is None:
-            raise ParameterError("--shape path requires --k")
-        return ShapeSpec.path(args.k)
-    if kind == "cycle":
-        if args.k is None:
-            raise ParameterError("--shape cycle requires --k")
-        return ShapeSpec.cycle(args.k)
-    if kind == "single":
+    if kind not in _SIZE_FLAGS:
+        raise ParameterError(f"unknown shape: {kind!r}")
+    flag = _SIZE_FLAGS[kind]
+    if flag is None:
         return ShapeSpec.single()
-    raise ParameterError(f"unknown shape: {kind!r}")
+    size = getattr(args, flag)
+    if size is None:
+        raise ParameterError(f"--shape {kind} requires --{flag}")
+    return ShapeSpec(kind, size)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -99,8 +92,8 @@ def _budget_from_args(args) -> SearchBudget:
 
 
 def cmd_gen(args) -> int:
-    g = _build_family(args.family, args)
     params = _family_params(args.family, args)
+    g = _build_family(args.family, params, args.max_vertices)
     if args.format == "edgelist":
         text = dio.render_edgelist(g, args.family, params)
     else:
@@ -113,7 +106,7 @@ def cmd_cut(args) -> int:
     shape = _shape_from_args(args)
     params = _family_params(args.family, args)
     cut = structure_cut_for(args.family, params, shape, args.mode)
-    g = _build_family(args.family, args)
+    g = _build_family(args.family, params, args.max_vertices)
     report = verify_cut(g, cut, shape, args.mode)
     try:
         predicted = predicted_kappa(args.family, params, shape, args.mode).value
@@ -151,8 +144,8 @@ def _progress_printer(enabled: bool):
 
 
 def cmd_oracle(args) -> int:
-    g = _build_family(args.family, args)
     params = _family_params(args.family, args)
+    g = _build_family(args.family, params, args.max_vertices)
     budget = _budget_from_args(args)
     jobs = args.jobs or os.cpu_count() or 1
     progress = _progress_printer(args.progress)
@@ -257,10 +250,7 @@ def cmd_table(args) -> int:
             predicted = predicted_kappa(family, params, shape, mode).value
             cut = structure_cut_for(family, params, shape, mode)
             if key not in graphs:
-                if family == "dcell":
-                    graphs[key] = dc.build_dcell(params["m"], params["n"])
-                else:
-                    graphs[key] = bc.build_bcdc(params["n"])
+                graphs[key] = _build_family(family, params, dc.DEFAULT_MAX_VERTICES)
             g = graphs[key]
             report = verify_cut(g, cut, shape, mode)
         except (ParameterError, BuildBudgetError) as exc:
@@ -310,12 +300,7 @@ def cmd_table(args) -> int:
     if args.manifest:
         manifest = {
             "command": "table",
-            "budget": {
-                "max_members": budget.max_members,
-                "max_candidates": budget.max_candidates,
-                "max_checks": budget.max_checks,
-                "time_cap_secs": budget.time_cap_secs,
-            },
+            "budget": asdict(budget),
             "jobs": jobs,
             "output": args.out,
             "cases": manifest_cases,
@@ -337,7 +322,7 @@ def _add_common(p: argparse.ArgumentParser, family_choices=("dcell", "bcdc", "cq
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", choices=("star", "clique", "path", "cycle", "single"))
+    p.add_argument("--shape", choices=tuple(_SIZE_FLAGS))
     p.add_argument("--t", type=int, default=None, help="star leaf count")
     p.add_argument("--s", type=int, default=None, help="clique size")
     p.add_argument("--k", type=int, default=None, help="path/cycle length")
@@ -345,10 +330,11 @@ def _add_shape_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-members", type=int, default=8)
-    p.add_argument("--max-candidates", type=int, default=2_000_000)
-    p.add_argument("--max-checks", type=int, default=100_000_000)
-    p.add_argument("--budget-secs", type=float, default=600.0)
+    default = SearchBudget()
+    p.add_argument("--max-members", type=int, default=default.max_members)
+    p.add_argument("--max-candidates", type=int, default=default.max_candidates)
+    p.add_argument("--max-checks", type=int, default=default.max_checks)
+    p.add_argument("--budget-secs", type=float, default=default.time_cap_secs)
 
 
 def make_parser() -> argparse.ArgumentParser:

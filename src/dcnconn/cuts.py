@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import bcdc as bc
 from . import dcell as dc
 from .errors import ParameterError
-from .graph import Graph, components, delete_vertices
+from .graph import Graph, component_masks
 from .shapes import (
     MODES,
     STRUCTURE,
@@ -574,22 +574,26 @@ def verify_cut(g: Graph, cut: StructureCut, shape: ShapeSpec, mode: str) -> Veri
                 overlap_verts.add(lab)
             seen.add(lab)
     union = cut.vertex_union()
-    rest = delete_vertices(g, union)
-    comps = components(rest)
-    sizes = tuple(sorted(len(c) for c in comps))
-    if comps:
-        smallest = min(comps, key=lambda c: (len(c), sorted(c)))
-        smallest_t = tuple(sorted(smallest))
-    else:
-        smallest_t = ()
-    passed = all(valid) and bool(valid) and (len(comps) >= 2 or rest.vertex_count <= 1)
+    n = g.vertex_count
+    alive = (1 << n) - 1
+    for lab in union:
+        alive &= ~(1 << g.id_of(lab))
+    comps = component_masks(g, alive)
+    sizes = tuple(sorted(c.bit_count() for c in comps))
+    smallest_t = min(
+        (tuple(sorted(g.label_of(i) for i in range(n) if c >> i & 1))
+         for c in comps if c.bit_count() == sizes[0]),
+        default=(),
+    )
+    remaining = n - len(union)
+    passed = all(valid) and bool(valid) and (len(comps) >= 2 or remaining <= 1)
     return VerificationReport(
         member_count=len(cut.members),
         member_valid=tuple(valid),
         overlap=bool(overlap_verts),
         overlap_vertices=tuple(sorted(overlap_verts)),
         removed_vertices=len(union),
-        remaining_vertices=rest.vertex_count,
+        remaining_vertices=remaining,
         component_count=len(comps),
         component_sizes=sizes,
         smallest_component=smallest_t,

@@ -126,20 +126,23 @@ def build_dcell(m: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Gra
     return Graph([label_str(v) for v in verts], id_edges)
 
 
+def _partner(digits: tuple[int, ...], level: int, tt: list[int]) -> tuple[int, ...]:
+    """The level-`level` neighbour of the vertex whose label inside its
+    D(level,n) is `digits` = (a, x_{level-1}, ..., x_0): copies a and b of a
+    D(level,n) are joined by one edge, between sub-labels of ranks b-1 in copy
+    a and a in copy b (a < b)."""
+    a = digits[0]
+    r = _rank(digits[1:], tt)
+    if r >= a:
+        return (r + 1,) + _unrank(a, level, tt)
+    return (r,) + _unrank(a - 1, level, tt)
+
+
 def outside_neighbor(label: str, m: int, n: int) -> str:
     """The unique neighbor of `label` in a different top-level copy."""
     if m < 1:
         raise ParameterError("D(0,n) has no outside neighbors")
-    digits = parse_label(label, m, n)
-    tt = t_table(m, n)
-    a = digits[0]
-    sub = digits[1:]
-    r = _rank(sub, tt)
-    if r >= a:
-        partner = (r + 1,) + _unrank(a, m, tt)
-    else:
-        partner = (r,) + _unrank(a - 1, m, tt)
-    return label_str(partner)
+    return label_str(_partner(parse_label(label, m, n), m, t_table(m, n)))
 
 
 def dcell_neighbors(digits: tuple[int, ...], m: int, n: int) -> list[tuple[int, ...]]:
@@ -151,13 +154,5 @@ def dcell_neighbors(digits: tuple[int, ...], m: int, n: int) -> list[tuple[int, 
         if c != x0:
             out.append(prefix + (c,))
     for level in range(1, m + 1):
-        above = digits[: m - level]
-        a = digits[m - level]
-        sub = digits[m - level + 1 :]
-        r = _rank(sub, tt)
-        if r >= a:
-            partner = (r + 1,) + _unrank(a, level, tt)
-        else:
-            partner = (r,) + _unrank(a - 1, level, tt)
-        out.append(above + partner)
+        out.append(digits[: m - level] + _partner(digits[m - level :], level, tt))
     return sorted(out)

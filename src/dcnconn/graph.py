@@ -38,13 +38,11 @@ class Graph:
 
     def __init__(self, labels: Sequence[str], id_edges: Iterable[tuple[int, int]]):
         self._labels: tuple[str, ...] = tuple(labels)
-        if len(set(self._labels)) != len(self._labels):
-            seen: set[str] = set()
-            for lab in self._labels:
-                if lab in seen:
-                    raise ValueError(f"duplicate label: {lab!r}")
-                seen.add(lab)
-        self._index = {lab: i for i, lab in enumerate(self._labels)}
+        self._index: dict[str, int] = {}
+        for i, lab in enumerate(self._labels):
+            if lab in self._index:
+                raise ValueError(f"duplicate label: {lab!r}")
+            self._index[lab] = i
         n = len(self._labels)
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in id_edges:
@@ -123,23 +121,17 @@ class Graph:
 def build_graph(labels: Sequence[str], edges: Iterable[tuple[str, str]]) -> Graph:
     """Build a graph from labels and label-pair edges, deduplicating edges.
 
-    Rejects duplicate labels, unknown endpoints, and self-loops, naming the
-    offending item.
+    Rejects unknown endpoints here, and duplicate labels and self-loops in
+    `Graph`, naming the offending item.
     """
     g_labels = tuple(labels)
-    index: dict[str, int] = {}
-    for lab in g_labels:
-        if lab in index:
-            raise ValueError(f"duplicate label: {lab!r}")
-        index[lab] = len(index)
+    index = {lab: i for i, lab in enumerate(g_labels)}
     id_edges = []
     for u, v in edges:
         if u not in index:
             raise ValueError(f"unknown endpoint: {u!r}")
         if v not in index:
             raise ValueError(f"unknown endpoint: {v!r}")
-        if u == v:
-            raise ValueError(f"self-loop at {u!r}")
         id_edges.append((index[u], index[v]))
     return Graph(g_labels, id_edges)
 
@@ -182,24 +174,22 @@ def flood_mask(tables: Sequence[list[int]], alive: int, seed: int) -> int:
     return comp
 
 
-def _component_masks(g: Graph) -> list[int]:
-    n = g.vertex_count
-    alive = (1 << n) - 1
+def component_masks(g: Graph, alive: int) -> list[int]:
+    """The components of the subgraph of g induced by the vertex bitmask
+    `alive`, as bitmasks ordered by smallest member id."""
     tables = g.neighbor_tables
     out = []
-    rest = alive
-    while rest:
-        seed = rest & -rest
-        comp = flood_mask(tables, rest, seed)
+    while alive:
+        comp = flood_mask(tables, alive, alive & -alive)
         out.append(comp)
-        rest &= ~comp
+        alive &= ~comp
     return out
 
 
 def components(g: Graph) -> list[set[str]]:
     """Connected components as label sets, ordered by smallest member id."""
     out = []
-    for comp in _component_masks(g):
+    for comp in component_masks(g, (1 << g.vertex_count) - 1):
         labs = set()
         m = comp
         while m:
@@ -212,7 +202,7 @@ def components(g: Graph) -> list[set[str]]:
 
 def is_connected(g: Graph) -> bool:
     """True when g has at most one component (empty graph counts as connected)."""
-    return len(_component_masks(g)) <= 1
+    return len(component_masks(g, (1 << g.vertex_count) - 1)) <= 1
 
 
 def delete_vertices(g: Graph, labels: Iterable[str]) -> Graph:

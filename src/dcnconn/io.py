@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cuts import VerificationReport
 from .graph import Graph
-from .shapes import CutMember, ShapeSpec, StructureCut
+from .shapes import STRUCTURE, CutMember, ShapeSpec, StructureCut
 
 CSV_HEADER = (
     "family,params,shape,mode,predicted,members,"
@@ -32,7 +32,10 @@ def render_edgelist(g: Graph, family: str, params: dict[str, int]) -> str:
 
 
 def parse_edgelist(text: str) -> tuple[str, dict[str, int], list[str], list[tuple[str, str]]]:
-    """Returns (family, params, labels, edges). Labels keep first-seen order."""
+    """Returns (family, params, labels, edges). Labels keep first-seen order.
+
+    Rejects a data line that is not two non-empty labels joined by one tab,
+    naming its line number."""
     family = ""
     params: dict[str, int] = {}
     labels: list[str] = []
@@ -44,7 +47,7 @@ def parse_edgelist(text: str) -> tuple[str, dict[str, int], list[str], list[tupl
             seen.add(lab)
             labels.append(lab)
 
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -59,7 +62,10 @@ def parse_edgelist(text: str) -> tuple[str, dict[str, int], list[str], list[tupl
         elif line.startswith("#"):
             continue
         else:
-            u, _, v = line.partition("\t")
+            ends = line.split("\t")
+            if len(ends) != 2 or not all(ends):
+                raise ValueError(f"line {number}: expected 'u<TAB>v', got {line!r}")
+            u, v = ends
             note(u)
             note(v)
             edges.append((u, v))
@@ -85,8 +91,6 @@ def render_cut(
 
 
 def parse_cut(text: str) -> StructureCut:
-    from .shapes import STRUCTURE
-
     mode = STRUCTURE
     members: list[CutMember] = []
     for line in text.splitlines():

@@ -53,7 +53,7 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_members <= 0 or self.max_candidates <= 0 or self.max_checks <= 0:
             raise ValueError("budget caps must be positive")
-        if self.time_cap_secs <= 0:
+        if not self.time_cap_secs > 0:  # NaN fails this too
             raise ValueError("time cap must be positive")
 
 

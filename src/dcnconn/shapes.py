@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import ParameterError
-from .graph import Graph
+from .graph import Graph, component_masks
 
 STRUCTURE = "structure"
 SUBSTRUCTURE = "substructure"
@@ -119,67 +119,36 @@ def _ids(g: Graph, member: CutMember) -> list[int]:
     return ids
 
 
-def _is_path_ids(g: Graph, ids: list[int]) -> bool:
-    return all(ids[i + 1] in g.neighbor_ids(ids[i]) for i in range(len(ids) - 1))
-
-
-def _is_star_ids(g: Graph, ids: list[int]) -> bool:
-    center = ids[0]
-    return all(leaf in g.neighbor_ids(center) for leaf in ids[1:])
-
-
 def is_shape(g: Graph, member: CutMember, mode: str) -> bool:
-    """Whether the member's vertex list realizes its claimed shape in g."""
+    """Whether the member's vertex list realizes its claimed shape in g.
+
+    A structure member lists exactly the shape's vertices; a substructure
+    member lists at most that many and realizes a connected subgraph of the
+    shape. Every connected subgraph of a star is a star with the same
+    center, of a path or cycle a path (or the cycle itself), and of K_s any
+    connected graph on at most s vertices.
+    """
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
     ids = _ids(g, member)
     shape = member.shape
     k = len(ids)
-
-    if shape.kind == "single":
-        return k == 1
-
-    if mode == STRUCTURE:
-        if shape.kind == "star":
-            return k == shape.size + 1 and _is_star_ids(g, ids)
-        if shape.kind == "path":
-            return k == shape.size and _is_path_ids(g, ids)
-        if shape.kind == "cycle":
-            return (
-                k == shape.size
-                and _is_path_ids(g, ids)
-                and ids[0] in g.neighbor_ids(ids[-1])
-            )
-        # clique
-        return k == shape.size and all(
-            b in g.neighbor_ids(a) for a, b in combinations(ids, 2)
-        )
-
-    # substructure: any connected subgraph of the shape
-    if shape.kind == "star":
-        if k == 1:
-            return True
-        return k <= shape.size + 1 and _is_star_ids(g, ids)
-    if shape.kind == "path":
-        return k <= shape.size and _is_path_ids(g, ids)
-    if shape.kind == "cycle":
-        if k == shape.size and _is_path_ids(g, ids) and ids[0] in g.neighbor_ids(ids[-1]):
-            return True
-        return k <= shape.size and _is_path_ids(g, ids)
-    # clique: any connected subgraph on <= s vertices embeds into K_s iff the
-    # vertex set is connected in g
-    if k > shape.size:
+    if k > shape.vertex_count or (mode == STRUCTURE and k < shape.vertex_count):
         return False
-    id_set = set(ids)
-    seen = {ids[0]}
-    stack = [ids[0]]
-    while stack:
-        x = stack.pop()
-        for nb in g.neighbor_ids(x):
-            if nb in id_set and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == k
+    adj = g.neighbor_ids
+    if shape.kind == "star":
+        return all(leaf in adj(ids[0]) for leaf in ids[1:])
+    if shape.kind == "clique":
+        if mode == STRUCTURE:
+            return all(b in adj(a) for a, b in combinations(ids, 2))
+        alive = 0
+        for v in ids:
+            alive |= 1 << v
+        return len(component_masks(g, alive)) == 1
+    # path, cycle and single: consecutive ids adjacent, a structure cycle closed
+    if shape.kind == "cycle" and mode == STRUCTURE and ids[0] not in adj(ids[-1]):
+        return False
+    return all(ids[i + 1] in adj(ids[i]) for i in range(k - 1))
 
 
 def _single_ids(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -234,9 +203,6 @@ def _sorted_neighbors(g: Graph) -> list[list[int]]:
 def _path_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     if k == 1:
         yield from _single_ids(g)
-        return
-    if k == 2:
-        yield from _edge_ids(g)
         return
     nbrs = _sorted_neighbors(g)
 

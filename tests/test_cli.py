@@ -283,3 +283,20 @@ def test_table_rejects_a_negative_or_nan_check_cap(capsys, tmp_path, cap):
     assert code == 2
     assert "--oracle-check-cap must be >= 0" in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("secs", ["-1", "nan"])
+def test_oracle_rejects_a_negative_or_nan_time_cap(capsys, secs):
+    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "star",
+                         "--t", "1", "--bound", "3", "--budget-secs", secs)
+    assert code == 2
+    assert "time cap must be positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind,flag", [("star", "t"), ("clique", "s"), ("path", "k"),
+                                       ("cycle", "k")])
+def test_shape_without_its_size_flag_is_named(capsys, kind, flag):
+    code, _, err = run(capsys, "oracle", "dcell", "--n", "4", "--shape", kind, "--bound", "1")
+    assert code == 2
+    assert f"error: --shape {kind} requires --{flag}" in err

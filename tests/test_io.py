@@ -1,3 +1,5 @@
+import pytest
+
 from dcnconn import ShapeSpec, star_cut_dcell, verify_cut
 from dcnconn.dcell import build_dcell
 from dcnconn.io import (
@@ -60,3 +62,14 @@ def test_csv_row(d14):
     row = report_csv_row("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1), STRUCTURE, 3, report)
     assert row == "dcell,m=1 n=4,K1_1,structure,3,3,5,2,1,pass"
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("a b\nb c", 1),
+    ("# graph custom\na\tb\nb\tc\td\n", 3),
+    ("a\tb\n\nc\t\td\n", 3),
+    ("a\tb\nb\t\n", 2),
+])
+def test_edgelist_rejects_a_line_that_is_not_two_tab_separated_labels(text, line):
+    with pytest.raises(ValueError, match=f"line {line}: expected 'u<TAB>v'"):
+        parse_edgelist(text)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dcnconn import (
     CutMember,
     ShapeSpec,
+    StructureCut,
     build_graph,
     components,
     delete_vertices,
@@ -15,7 +16,9 @@ from dcnconn import (
     line_graph,
     min_structure_cut,
     min_vertex_cut,
+    verify_cut,
 )
+from dcnconn.cuts import VerificationReport
 from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE
 
 
@@ -143,3 +146,53 @@ def test_deletion_keeps_surviving_edges(g):
     for u, v in h.edges():
         assert g.has_edge(u, v)
     assert h.edge_count == g.edge_count - g.degree(victim)
+
+
+def _reference_verify_cut(g, cut, shape, mode):
+    """`verify_cut` on a rebuilt graph: remove the union with
+    `delete_vertices` and read the split from `components`."""
+    for mem in cut.members:
+        for lab in mem.vertices:
+            if not g.has_vertex(lab):
+                raise ValueError(f"member vertex {lab!r} not in graph")
+    valid = []
+    for mem in cut.members:
+        try:
+            valid.append(is_shape(g, mem, mode))
+        except ValueError:
+            valid.append(False)
+    seen, overlap = set(), set()
+    for mem in cut.members:
+        for lab in mem.vertices:
+            if lab in seen:
+                overlap.add(lab)
+            seen.add(lab)
+    union = cut.vertex_union()
+    rest = delete_vertices(g, union)
+    comps = components(rest)
+    smallest = min(comps, key=lambda c: (len(c), sorted(c))) if comps else set()
+    return VerificationReport(
+        member_count=len(cut.members),
+        member_valid=tuple(valid),
+        overlap=bool(overlap),
+        overlap_vertices=tuple(sorted(overlap)),
+        removed_vertices=len(union),
+        remaining_vertices=rest.vertex_count,
+        component_count=len(comps),
+        component_sizes=tuple(sorted(len(c) for c in comps)),
+        smallest_component=tuple(sorted(smallest)),
+        passed=all(valid) and bool(valid) and (len(comps) >= 2 or rest.vertex_count <= 1),
+    )
+
+
+@given(st.one_of(graphs(), sparse_graphs()), st.data(),
+       st.sampled_from([ShapeSpec.single(), ShapeSpec.star(2), ShapeSpec.path(3),
+                        ShapeSpec.cycle(4), ShapeSpec.clique(3)]),
+       st.sampled_from([STRUCTURE, SUBSTRUCTURE]))
+@settings(max_examples=200, deadline=None)
+def test_verify_cut_matches_the_rebuilt_graph_reference(g, data, shape, mode):
+    ids = st.integers(0, g.vertex_count - 1)
+    members = data.draw(st.lists(st.lists(ids, min_size=1, max_size=5), max_size=5))
+    cut = StructureCut(
+        tuple(CutMember(shape, tuple(g.label_of(i) for i in m)) for m in members), mode)
+    assert verify_cut(g, cut, shape, mode) == _reference_verify_cut(g, cut, shape, mode)

@@ -447,3 +447,10 @@ class TestSizeBound:
                                            ShapeSpec.cycle(3)]))
         mode = data.draw(st.sampled_from(MODES))
         _check_size_bound_at_its_limit(g, shape, mode, nx.node_connectivity(nx.Graph(list(edges))))
+
+
+@pytest.mark.parametrize("secs", [0.0, -1.0, float("nan")])
+def test_budget_rejects_a_time_cap_that_is_not_positive(secs):
+    # NaN compares false both ways, so a cap of NaN would never trip
+    with pytest.raises(ValueError, match="time cap must be positive"):
+        SearchBudget(time_cap_secs=secs)

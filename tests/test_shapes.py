@@ -1,4 +1,5 @@
-from itertools import islice, zip_longest
+import random
+from itertools import combinations, islice, permutations, zip_longest
 from math import factorial
 
 import networkx as nx
@@ -10,6 +11,7 @@ from dcnconn import (
     CutMember,
     ShapeSpec,
     build_bcdc,
+    build_crossed_cube,
     build_dcell,
     build_graph,
     enumerate_shape_copies,
@@ -280,3 +282,125 @@ def test_b5_c8_prefix_read_by_the_table_matches_the_unpruned_dfs(b5):
     got = list(islice(enumerate_shape_copies(b5, shape, STRUCTURE), 30001))
     assert len(got) == 30001
     assert got == list(islice(_reference_cycle_ids(b5, 8), 30001))
+
+
+# --- is_shape against the kind-by-mode reference ------------------------------
+
+
+def _reference_is_shape(g, member, mode):
+    """`is_shape` spelled out per kind and mode, with its own traversal for
+    substructure cliques (the implementation before the single size test)."""
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode: {mode!r}")
+    ids = [g.id_of(v) for v in member.vertices]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate vertex in member: {member.vertices}")
+    if not ids:
+        raise ValueError("empty member")
+    shape = member.shape
+    k = len(ids)
+
+    def is_path():
+        return all(ids[i + 1] in g.neighbor_ids(ids[i]) for i in range(k - 1))
+
+    def is_star():
+        return all(leaf in g.neighbor_ids(ids[0]) for leaf in ids[1:])
+
+    if shape.kind == "single":
+        return k == 1
+    if mode == STRUCTURE:
+        if shape.kind == "star":
+            return k == shape.size + 1 and is_star()
+        if shape.kind == "path":
+            return k == shape.size and is_path()
+        if shape.kind == "cycle":
+            return k == shape.size and is_path() and ids[0] in g.neighbor_ids(ids[-1])
+        return k == shape.size and all(
+            b in g.neighbor_ids(a) for a, b in combinations(ids, 2))
+    if shape.kind == "star":
+        if k == 1:
+            return True
+        return k <= shape.size + 1 and is_star()
+    if shape.kind == "path":
+        return k <= shape.size and is_path()
+    if shape.kind == "cycle":
+        if k == shape.size and is_path() and ids[0] in g.neighbor_ids(ids[-1]):
+            return True
+        return k <= shape.size and is_path()
+    if k > shape.size:
+        return False
+    id_set = set(ids)
+    seen = {ids[0]}
+    stack = [ids[0]]
+    while stack:
+        x = stack.pop()
+        for nb in g.neighbor_ids(x):
+            if nb in id_set and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == k
+
+
+_SHAPES = (
+    [ShapeSpec.single()]
+    + [ShapeSpec.star(t) for t in range(1, 5)]
+    + [ShapeSpec.path(k) for k in range(1, 7)]
+    + [ShapeSpec.cycle(k) for k in range(3, 7)]
+    + [ShapeSpec.clique(s) for s in range(1, 6)]
+)
+
+_MEMBER_GRAPHS = {
+    "B3": lambda: build_bcdc(3),
+    "D14": lambda: build_dcell(1, 4),
+    "K5": lambda: _complete(5),
+    "CQ3": lambda: build_crossed_cube(3),
+}
+
+
+def _longer_tuples(g, rng, count):
+    """Tuples of 4-8 distinct ids: self-avoiding walks, the same walks
+    shuffled (connected sets in any order), and arbitrary id sets."""
+    n = g.vertex_count
+    out = []
+    for i in range(count):
+        size = rng.randint(4, min(8, n))
+        if i % 3 == 2:
+            out.append(tuple(rng.sample(range(n), size)))
+            continue
+        walk = [rng.randrange(n)]
+        while len(walk) < size:
+            fresh = [v for v in g.neighbor_ids(walk[-1]) if v not in walk]
+            if not fresh:
+                break
+            walk.append(rng.choice(sorted(fresh)))
+        if i % 3 == 1:
+            rng.shuffle(walk)
+        out.append(tuple(walk))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBER_GRAPHS))
+def test_is_shape_matches_the_reference(name):
+    g = _MEMBER_GRAPHS[name]()
+    rng = random.Random(name)
+    tuples = [ids for k in (1, 2, 3) for ids in permutations(range(g.vertex_count), k)]
+    tuples += _longer_tuples(g, rng, 600)
+    accepted = 0
+    for ids in tuples:
+        labels = tuple(g.label_of(i) for i in ids)
+        for shape in _SHAPES:
+            member = CutMember(shape, labels)
+            for mode in MODES:
+                want = _reference_is_shape(g, member, mode)
+                assert is_shape(g, member, mode) == want, (name, ids, shape.tag, mode)
+                accepted += want
+    assert accepted > len(tuples)  # both answers are exercised
+
+
+@given(_small_graphs(), st.data(), st.sampled_from(_SHAPES), st.sampled_from(MODES))
+@settings(max_examples=300, deadline=None)
+def test_is_shape_matches_the_reference_on_random_graphs(g, data, shape, mode):
+    n = g.vertex_count
+    ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 8), unique=True))
+    member = CutMember(shape, tuple(g.label_of(i) for i in ids))
+    assert is_shape(g, member, mode) == _reference_is_shape(g, member, mode)
