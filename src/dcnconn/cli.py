@@ -63,8 +63,8 @@ _SIZE_FLAGS = {"star": "t", "clique": "s", "path": "k", "cycle": "k", "single": 
 
 def _shape_from_args(args) -> ShapeSpec:
     kind = args.shape
-    if kind not in _SIZE_FLAGS:
-        raise ParameterError(f"unknown shape: {kind!r}")
+    if kind is None:  # argparse's choices admit only _SIZE_FLAGS' kinds otherwise
+        raise ParameterError("--shape is required")
     flag = _SIZE_FLAGS[kind]
     if flag is None:
         return ShapeSpec.single()
@@ -108,17 +108,15 @@ def cmd_cut(args) -> int:
     cut = structure_cut_for(args.family, params, shape, args.mode)
     g = _build_family(args.family, params, args.max_vertices)
     report = verify_cut(g, cut, shape, args.mode)
-    try:
-        predicted = predicted_kappa(args.family, params, shape, args.mode).value
-    except ParameterError:
-        predicted = None
+    # structure_cut_for accepted, so the formula covers this request too
+    predicted = predicted_kappa(args.family, params, shape, args.mode).value
     if args.out:
         _write_out(dio.render_cut(cut, args.family, params, shape), args.out)
     print(dio.CSV_HEADER)
     print(dio.report_csv_row(args.family, params, shape, args.mode, predicted, report))
     if not report.passed:
         return EXIT_FAIL
-    if predicted is not None and len(cut.members) != predicted:
+    if len(cut.members) != predicted:
         print(
             f"# constructed {len(cut.members)} members but formula predicts {predicted}",
             file=sys.stderr,
@@ -387,10 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, BuildBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except ValueError as exc:  # ParameterError and BuildBudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

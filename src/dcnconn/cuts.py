@@ -1,16 +1,23 @@
 """Explicit structure cuts, closed-form predicted values, cut verification.
 
+Each theorem's hypotheses are checked by one domain helper. `_branch`, the one
+family x kind x mode dispatch, runs it for both `predicted_kappa` and
+`structure_cut_for`, and each public constructor calls its own. Values and
+members are still computed apart.
+
 Every constructor builds its cut around the fixed base vertex the underlying
 argument uses: the all-zeros label for DCell, [0...0, 10...0] for B_n.
-Free leaf/filler choices are resolved deterministically: candidates sorted
-by label, smallest first, skipping vertices already used by the same member
-and always excluding the base vertex. Cuts may overlap in vertices; overlap
-is reported, never rejected.
+Free leaf/filler choices are resolved deterministically, smallest first: the
+B_n constructors sort candidates by label, the DCell ones take them in
+`dcell_neighbors`' digit-tuple order. Both skip vertices already used by the
+same member and always exclude the base vertex. Cuts may overlap in
+vertices; overlap is reported, never rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import bcdc as bc
 from . import dcell as dc
@@ -48,105 +55,119 @@ def predicted_kappa(
     family: str, params: dict[str, int], shape: ShapeSpec, mode: str
 ) -> PredictedValue:
     """Predicted structure/substructure connectivity for a family instance."""
+    branch = _branch(family, params, shape, mode)
+    n, size = params["n"], shape.size
+    echo = (("m", params["m"]), ("n", n)) if family == "dcell" else (("n", n),)
+    result = partial(PredictedValue, family=family, params=echo, shape=shape, mode=mode)
+    if branch == "dcell-star":
+        return result(_ceil(n - 1, 1 + size) + params["m"], branch,
+                      remainder=(n - 1) % (1 + size))
+    if branch == "dcell-clique":
+        return result(_ceil(n - 1, size) + params["m"], branch)
+    if branch == "bcdc-star":
+        if size == 1:
+            if n % 2 == 1:
+                return result(n - 1, "bcdc-star-t1-odd")
+            return result(n, "bcdc-star-t1-even")
+        r = (n - 1) % (1 + size)
+        if size <= n - 3 and r == 1:
+            return result((2 * n - 4) // (1 + size) + 1, "bcdc-star-r1", remainder=r)
+        return result(2 * _ceil(n - 1, 1 + size), "bcdc-star-general", remainder=r)
+    if branch != "bcdc-cycle":  # paths and substructure cycles
+        if size <= n - 1 and (n - 1) % size == 0:
+            return result((2 * n - 2) // size, branch + "-divides", remainder=0)
+        return result(_ceil(2 * n - 1, size), branch + "-general", remainder=(n - 1) % size)
+    r = (n - 1) % size
+    if size == 2 * n or (6 <= size <= n - 1 and 1 <= r <= size // 2 - 1):
+        return result(2 * _ceil(n - 1, size) - 1, "bcdc-cycle-low-remainder", remainder=r)
+    if size == n:
+        return result(3, "bcdc-cycle-equal-n", remainder=r)
+    return result(2 * _ceil(n - 1, size), "bcdc-cycle-general", remainder=r)
+
+
+# ---------------------------------------------------------------------------
+# Domains: the parameters each theorem covers, and the one dispatch
+
+
+def _dcell_star_domain(m: int, n: int, t: int) -> None:
+    dc._check_params(m, n)
+    if t == m + n - 1:
+        raise ParameterError(
+            f"t={t} equals m+n-1: the lower bound covers it but neither the formula "
+            f"nor a matching construction is established; use t <= m+n-2"
+        )
+    if not 1 <= t <= m + n - 2:
+        raise ParameterError(f"star leaf count must satisfy 1 <= t <= m+n-2={m + n - 2}")
+
+
+def _dcell_clique_domain(m: int, n: int, s: int) -> None:
+    dc._check_params(m, n)
+    if not 3 <= s <= n - 1:
+        raise ParameterError(f"clique size must satisfy 3 <= s <= n-1={n - 1}")
+
+
+def _bcdc_star_domain(n: int, t: int) -> None:
+    """Stars K_{1,t} in B_n, the single edge t = 1 included."""
+    if n < 4:
+        raise ParameterError(f"star cuts need n >= 4, got n={n}")
+    if not 1 <= t <= 2 * n - 3:
+        raise ParameterError(f"star leaf count must satisfy 1 <= t <= 2n-3={2 * n - 3}")
+
+
+def _bcdc_path_domain(n: int, k: int) -> None:
+    """Paths P_k in B_n, and substructure cycles C_k, whose cut is the path cut."""
+    if n < 4:
+        raise ParameterError(f"path-family cuts need n >= 4, got n={n}")
+    if not 4 <= k <= 2 * n - 1:
+        raise ParameterError(f"length must satisfy 4 <= k <= 2n-1={2 * n - 1}")
+
+
+def _bcdc_cycle_domain(n: int, k: int) -> None:
+    """Structure cycles C_k in B_n."""
+    if n < 5:
+        raise ParameterError(f"cycle cuts need n >= 5, got n={n}")
+    if not 6 <= k <= 2 * n:
+        msg = f"cycle length must satisfy 6 <= k <= 2n={2 * n}"
+        if 3 <= k <= 5:
+            msg += f"; no known construction for cycle length k={k}"
+        if (n, k) == (5, 5):
+            # The k=n branch does not extend below k=6 (it would give 3).
+            msg += ("; for n=5 the value is 4, certified by exhaustive search: no "
+                    "three 5-cycles cut B_5 (all 205,321,768 subsets of its 1072 copies "
+                    "checked) and a 4-member cut exists, so the minimum is 4")
+        raise ParameterError(msg)
+
+
+def _branch(family: str, params: dict[str, int], shape: ShapeSpec, mode: str) -> str:
+    """The branch of the theorem covering a request, after its domain check;
+    ParameterError for a request no theorem covers."""
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
+    kind, size = shape.kind, shape.size
     if family == "dcell":
-        return _predicted_dcell(params, shape, mode)
+        m, n = params["m"], params["n"]
+        if kind == "star":
+            _dcell_star_domain(m, n, size)
+            return "dcell-star"
+        if kind == "clique":
+            if mode != STRUCTURE:
+                raise ParameterError("no substructure formula or construction for DCell cliques")
+            _dcell_clique_domain(m, n, size)
+            return "dcell-clique"
+        raise ParameterError(f"no DCell formula or construction for shape {shape.tag}")
     if family == "bcdc":
-        return _predicted_bcdc(params, shape, mode)
+        n = params["n"]
+        if kind == "star":
+            _bcdc_star_domain(n, size)
+            return "bcdc-star"
+        if kind == "path" or (kind == "cycle" and mode == SUBSTRUCTURE):
+            _bcdc_path_domain(n, size)
+            return "bcdc-path" if kind == "path" else "bcdc-cycle-substructure"
+        if kind == "cycle":
+            _bcdc_cycle_domain(n, size)
+            return "bcdc-cycle"
+        raise ParameterError(f"no BCDC formula or construction for shape {shape.tag}")
     raise ParameterError(f"unknown family: {family!r}")
-
-
-def _predicted_dcell(params: dict[str, int], shape: ShapeSpec, mode: str) -> PredictedValue:
-    m, n = params["m"], params["n"]
-    if m < 0 or n < 2:
-        raise ParameterError(f"need m >= 0 and n >= 2, got m={m}, n={n}")
-    echo = (("m", m), ("n", n))
-    if shape.kind == "star":
-        t = shape.size
-        if t == m + n - 1:
-            raise ParameterError(
-                f"t={t} equals m+n-1: the lower bound covers it but the formula "
-                f"is only established for t <= m+n-2"
-            )
-        if not 1 <= t <= m + n - 2:
-            raise ParameterError(f"star leaf count must satisfy 1 <= t <= m+n-2={m + n - 2}")
-        r = (n - 1) % (1 + t)
-        return PredictedValue(
-            _ceil(n - 1, 1 + t) + m, "dcell-star", "dcell", echo, shape, mode, r
-        )
-    if shape.kind == "clique":
-        if mode != STRUCTURE:
-            raise ParameterError("no substructure formula exists for DCell clique cuts")
-        s = shape.size
-        if not 3 <= s <= n - 1:
-            raise ParameterError(f"clique size must satisfy 3 <= s <= n-1={n - 1}")
-        return PredictedValue(_ceil(n - 1, s) + m, "dcell-clique", "dcell", echo, shape, mode)
-    raise ParameterError(f"no DCell formula branch for shape {shape.tag}")
-
-
-def _predicted_bcdc(params: dict[str, int], shape: ShapeSpec, mode: str) -> PredictedValue:
-    n = params["n"]
-    echo = (("n", n),)
-    if shape.kind == "star":
-        t = shape.size
-        if t == 1:
-            if n % 2 == 1 and n >= 5:
-                return PredictedValue(n - 1, "bcdc-star-t1-odd", "bcdc", echo, shape, mode)
-            if n % 2 == 0 and n >= 4:
-                return PredictedValue(n, "bcdc-star-t1-even", "bcdc", echo, shape, mode)
-            raise ParameterError("single-edge cut value needs odd n >= 5 or even n >= 4")
-        if n < 4:
-            raise ParameterError(f"star cut values need n >= 4, got n={n}")
-        if not 2 <= t <= 2 * n - 3:
-            raise ParameterError(f"star leaf count must satisfy 2 <= t <= 2n-3={2 * n - 3}")
-        r = (n - 1) % (1 + t)
-        if 2 <= t <= n - 3 and r == 1:
-            return PredictedValue(
-                (2 * n - 4) // (1 + t) + 1, "bcdc-star-r1", "bcdc", echo, shape, mode, r
-            )
-        return PredictedValue(
-            2 * _ceil(n - 1, 1 + t), "bcdc-star-general", "bcdc", echo, shape, mode, r
-        )
-    if shape.kind == "path" or (shape.kind == "cycle" and mode == SUBSTRUCTURE):
-        k = shape.size
-        if n < 4:
-            raise ParameterError(f"path-family cut values need n >= 4, got n={n}")
-        if not 4 <= k <= 2 * n - 1:
-            raise ParameterError(f"length must satisfy 4 <= k <= 2n-1={2 * n - 1}")
-        branch = "bcdc-path" if shape.kind == "path" else "bcdc-cycle-substructure"
-        if k <= n - 1 and (n - 1) % k == 0:
-            return PredictedValue(
-                (2 * n - 2) // k, branch + "-divides", "bcdc", echo, shape, mode, 0
-            )
-        return PredictedValue(
-            _ceil(2 * n - 1, k), branch + "-general", "bcdc", echo, shape, mode,
-            (n - 1) % k,
-        )
-    if shape.kind == "cycle":
-        k = shape.size
-        if n < 5:
-            raise ParameterError(f"cycle cut values need n >= 5, got n={n}")
-        if not 6 <= k <= 2 * n:
-            msg = f"cycle length must satisfy 6 <= k <= 2n={2 * n}"
-            if (n, k) == (5, 5):
-                # The k=n branch does not extend below k=6: exhaustive search
-                # over all <=3-member subsets of the 1072 C_5 copies of B_5
-                # shows none cuts it, and a verified 4-member cut exists.
-                msg += "; for n=5, k=5 the value is 4, certified by exhaustive search"
-            raise ParameterError(msg)
-        r = (n - 1) % k
-        if k == 2 * n or (6 <= k <= n - 1 and 1 <= r <= k // 2 - 1):
-            return PredictedValue(
-                2 * _ceil(n - 1, k) - 1, "bcdc-cycle-low-remainder", "bcdc", echo,
-                shape, mode, r,
-            )
-        if k == n:
-            return PredictedValue(3, "bcdc-cycle-equal-n", "bcdc", echo, shape, mode, r)
-        return PredictedValue(
-            2 * _ceil(n - 1, k), "bcdc-cycle-general", "bcdc", echo, shape, mode, r
-        )
-    raise ParameterError(f"no BCDC formula branch for shape {shape.tag}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +185,7 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
     ceil((n-1)/(1+t)) stars cover the level-0 clique neighbors, one star per
     weight-one neighbor covers the m outside links.
     """
-    if m < 0 or n < 2:
-        raise ParameterError(f"need m >= 0 and n >= 2, got m={m}, n={n}")
-    if t == m + n - 1:
-        raise ParameterError(
-            f"t={t} equals m+n-1: the lower bound covers it but no matching "
-            f"construction is established; use t <= m+n-2"
-        )
-    if not 1 <= t <= m + n - 2:
-        raise ParameterError(f"star leaf count must satisfy 1 <= t <= m+n-2={m + n - 2}")
+    _dcell_star_domain(m, n, t)
     shape = ShapeSpec.star(t)
     u_digits = (0,) * (m + 1)
     u_label = dc.label_str(u_digits)
@@ -216,10 +229,7 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
 
 def clique_cut_dcell(m: int, n: int, s: int) -> StructureCut:
     """Clique cut of D(m,n) isolating the all-zeros vertex."""
-    if m < 0 or n < 2:
-        raise ParameterError(f"need m >= 0 and n >= 2, got m={m}, n={n}")
-    if not 3 <= s <= n - 1:
-        raise ParameterError(f"clique size must satisfy 3 <= s <= n-1={n - 1}")
+    _dcell_clique_domain(m, n, s)
     shape = ShapeSpec.clique(s)
     members: list[CutMember] = []
     q, r = divmod(n - 1, s)
@@ -289,8 +299,7 @@ class _BnCutHelper:
 
 def k11_cut_bcdc(n: int) -> StructureCut:
     """Single-edge cut of B_n isolating the base vertex (n-1 or n members)."""
-    if n < 4:
-        raise ParameterError(f"single-edge cuts need n >= 4, got n={n}")
+    _bcdc_star_domain(n, 1)
     h = _BnCutHelper(n)
     shape = ShapeSpec.star(1)
     v_members: list[CutMember] = []
@@ -310,10 +319,9 @@ def k11_cut_bcdc(n: int) -> StructureCut:
 
 def star_cut_bcdc(n: int, t: int) -> StructureCut:
     """Star cut of B_n isolating the base vertex, for 2 <= t <= 2n-3."""
-    if n < 4:
-        raise ParameterError(f"star cuts need n >= 4, got n={n}")
-    if not 2 <= t <= 2 * n - 3:
-        raise ParameterError(f"star leaf count must satisfy 2 <= t <= 2n-3={2 * n - 3}")
+    if t == 1:
+        raise ParameterError("the single-edge (t=1) star cut is built by k11_cut_bcdc")
+    _bcdc_star_domain(n, t)
     h = _BnCutHelper(n)
     shape = ShapeSpec.star(t)
     members: list[CutMember] = []
@@ -356,10 +364,7 @@ def star_cut_bcdc(n: int, t: int) -> StructureCut:
 
 def path_cut_bcdc(n: int, k: int) -> StructureCut:
     """Path cut of B_n isolating the base vertex, for 4 <= k <= 2n-1."""
-    if n < 4:
-        raise ParameterError(f"path cuts need n >= 4, got n={n}")
-    if not 4 <= k <= 2 * n - 1:
-        raise ParameterError(f"path length must satisfy 4 <= k <= 2n-1={2 * n - 1}")
+    _bcdc_path_domain(n, k)
     h = _BnCutHelper(n)
     shape = ShapeSpec.path(k)
     pv = [h.vv(i) for i in range(n - 1)]
@@ -409,16 +414,7 @@ def substructure_cycle_cut_bcdc(n: int, k: int) -> StructureCut:
 
 def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
     """Cycle cut of B_n isolating the base vertex, for 6 <= k <= 2n."""
-    if n < 5:
-        raise ParameterError(f"cycle cuts need n >= 5, got n={n}")
-    if k in (3, 4, 5):
-        msg = f"no known construction for cycle length k={k}"
-        if (n, k) == (5, 5):
-            msg += (": no three 5-cycles cut B_5 (exhaustively checked over all "
-                    "205,321,768 subsets of its 1072 copies); the minimum is 4")
-        raise ParameterError(msg)
-    if not 6 <= k <= 2 * n:
-        raise ParameterError(f"cycle length must satisfy 6 <= k <= 2n={2 * n}")
+    _bcdc_cycle_domain(n, k)
     h = _BnCutHelper(n)
     shape = ShapeSpec.cycle(k)
     cpv = [h.vv(1), h.vv(0)] + [h.vv(i) for i in range(2, n - 1)]
@@ -610,32 +606,18 @@ def structure_cut_for(
     reuse the structure construction except for BCDC cycles, which have their
     own (path-based) substructure construction.
     """
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode: {mode!r}")
-    if family == "dcell":
-        m, n = params["m"], params["n"]
-        if shape.kind == "star":
-            cut = star_cut_dcell(m, n, shape.size)
-        elif shape.kind == "clique":
-            if mode != STRUCTURE:
-                raise ParameterError("no substructure construction for DCell clique cuts")
-            cut = clique_cut_dcell(m, n, shape.size)
-        else:
-            raise ParameterError(f"no DCell construction for shape {shape.tag}")
-    elif family == "bcdc":
-        n = params["n"]
-        if shape.kind == "star":
-            cut = k11_cut_bcdc(n) if shape.size == 1 else star_cut_bcdc(n, shape.size)
-        elif shape.kind == "path":
-            cut = path_cut_bcdc(n, shape.size)
-        elif shape.kind == "cycle":
-            if mode == SUBSTRUCTURE:
-                return substructure_cycle_cut_bcdc(n, shape.size)
-            cut = cycle_cut_bcdc(n, shape.size)
-        else:
-            raise ParameterError(f"no BCDC construction for shape {shape.tag}")
+    branch = _branch(family, params, shape, mode)
+    n, size = params["n"], shape.size
+    if branch == "dcell-star":
+        cut = star_cut_dcell(params["m"], n, size)
+    elif branch == "dcell-clique":
+        cut = clique_cut_dcell(params["m"], n, size)
+    elif branch == "bcdc-star":
+        cut = k11_cut_bcdc(n) if size == 1 else star_cut_bcdc(n, size)
+    elif branch == "bcdc-path":
+        cut = path_cut_bcdc(n, size)
+    elif branch == "bcdc-cycle-substructure":
+        cut = substructure_cycle_cut_bcdc(n, size)
     else:
-        raise ParameterError(f"unknown family: {family!r}")
-    if mode == SUBSTRUCTURE:
-        return StructureCut(cut.members, SUBSTRUCTURE)
-    return cut
+        cut = cycle_cut_bcdc(n, size)
+    return StructureCut(cut.members, mode)

@@ -128,7 +128,7 @@ def report_csv_row(
     params: dict[str, int],
     shape: ShapeSpec,
     mode: str,
-    predicted: int | None,
+    predicted: int,
     report: VerificationReport,
 ) -> str:
     min_comp = report.component_sizes[0] if report.component_sizes else 0
@@ -139,7 +139,7 @@ def report_csv_row(
             params_str(params),
             shape.tag,
             mode,
-            "" if predicted is None else predicted,
+            predicted,
             report.member_count,
             report.removed_vertices,
             report.component_count,

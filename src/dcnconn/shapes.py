@@ -180,9 +180,6 @@ def _clique_ids(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
     if s == 1:
         yield from _single_ids(g)
         return
-    if s == 2:
-        yield from _edge_ids(g)
-        return
 
     def extend(base: tuple[int, ...], common: frozenset[int]) -> Iterator[tuple[int, ...]]:
         for w in sorted(common):

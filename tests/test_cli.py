@@ -300,3 +300,13 @@ def test_shape_without_its_size_flag_is_named(capsys, kind, flag):
     code, _, err = run(capsys, "oracle", "dcell", "--n", "4", "--shape", kind, "--bound", "1")
     assert code == 2
     assert f"error: --shape {kind} requires --{flag}" in err
+
+
+@pytest.mark.parametrize("argv", [("cut", "dcell", "--n", "4"),
+                                  ("oracle", "dcell", "--n", "4", "--bound", "1")],
+                         ids=["cut", "oracle"])
+def test_missing_shape_is_named(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error: --shape is required" in err
+    assert out == ""

@@ -118,6 +118,38 @@ class TestPredictedKappa:
         assert dict(pv.params) == {"n": 5}
 
 
+def _accepts(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ParameterError:
+        return False
+    return True
+
+
+def test_formula_and_construction_accept_the_same_requests():
+    """predicted_kappa rejects exactly when structure_cut_for rejects (so cmd_cut
+    can read the formula for every cut it builds), on DCell m -1..2, n 1..7 and
+    BCDC n 2..9 with every kind at sizes 1..16 in both modes and an unknown one.
+    The one listed gap: B_9 C_6 has a value but no construction (remainder 2
+    needs an 8-vertex pattern and no second bridge dimension exists)."""
+    requests = [("dcell", {"m": m, "n": n}) for m in range(-1, 3) for n in range(1, 8)]
+    requests += [("bcdc", {"n": n}) for n in range(2, 10)]
+    shapes = [ShapeSpec.single()] + [
+        ShapeSpec(kind, size)
+        for kind in ("star", "clique", "path", "cycle")
+        for size in range(3 if kind == "cycle" else 1, 17)
+    ]
+    gaps = []
+    for family, params in requests:
+        for shape in shapes:
+            for mode in (STRUCTURE, SUBSTRUCTURE, "bogus"):
+                formula = _accepts(predicted_kappa, family, params, shape, mode)
+                cut = _accepts(structure_cut_for, family, params, shape, mode)
+                if formula != cut:
+                    gaps.append((family, params, shape.tag, mode, formula, cut))
+    assert gaps == [("bcdc", {"n": 9}, "C6", STRUCTURE, True, False)]
+
+
 class TestDcellCuts:
     def test_star_m0(self):
         g = build_dcell(0, 5)
@@ -216,6 +248,9 @@ class TestBcdcCuts:
             star_cut_bcdc(3, 2)
         with pytest.raises(ParameterError, match="2n-3"):
             star_cut_bcdc(5, 8)
+        # the single edge has its own constructor
+        with pytest.raises(ParameterError, match="k11_cut_bcdc"):
+            star_cut_bcdc(5, 1)
 
     def test_path_counts(self):
         for n, k, want in [(5, 4, 2), (5, 9, 1), (6, 4, 3), (4, 4, 2), (4, 7, 1)]:

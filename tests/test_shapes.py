@@ -96,6 +96,8 @@ def test_k4_triangle_count(k4):
 def test_b4_edge_copy_count(b4):
     copies = list(enumerate_shape_copies(b4, ShapeSpec.star(1), STRUCTURE))
     assert len(copies) == 96  # = n(n-1)2^{n-1} edges at n=4
+    # K_2 copies are the same edge stream, in the same order
+    assert list(enumerate_shape_copies(b4, ShapeSpec.clique(2), STRUCTURE)) == copies
 
 
 def test_b5_star2_copy_count(b5):

@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library."""
+"""The library imports nothing outside the standard library, and every name a
+library module imports is used."""
 
 import ast
 import sys
@@ -28,7 +29,36 @@ def test_module_imports_only_the_standard_library(path):
     assert _outside_imports(path) == []
 
 
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    # __init__.py imports only to re-export
+    assert _unused_imports(path) == []
+
+
 def test_the_check_sees_a_third_party_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nfrom . import graph\nimport networkx\nfrom hypothesis import given\n")
     assert _outside_imports(probe) == ["probe.py:3 networkx", "probe.py:4 hypothesis"]
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport os.path\nimport sys as system\n"
+                     "from . import graph\nfrom .errors import ParameterError\n\n"
+                     "def f(g: graph.Graph) -> str:\n    return os.sep\n")
+    assert _unused_imports(probe) == ["probe.py:3 system", "probe.py:5 ParameterError"]
