@@ -33,7 +33,7 @@ from .search import (
     min_structure_cut,
     size_bound,
 )
-from .shapes import MODES, STRUCTURE, CutMember, ShapeSpec, StructureCut
+from .shapes import MODES, STRUCTURE, ShapeSpec, StructureCut
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -111,7 +111,7 @@ def cmd_cut(args) -> int:
     # structure_cut_for accepted, so the formula covers this request too
     predicted = predicted_kappa(args.family, params, shape, args.mode).value
     if args.out:
-        _write_out(dio.render_cut(cut, args.family, params, shape), args.out)
+        _write_out(dio.render_cut(cut, args.family, params), args.out)
     print(dio.CSV_HEADER)
     print(dio.report_csv_row(args.family, params, shape, args.mode, predicted, report))
     if not report.passed:
@@ -149,12 +149,11 @@ def cmd_oracle(args) -> int:
     progress = _progress_printer(args.progress)
 
     if args.g_extra is not None:
-        call, shape = f"g_extra_connectivity(h={args.g_extra})", ShapeSpec.single()
+        call = f"g_extra_connectivity(h={args.g_extra})"
         res = g_extra_connectivity(g, args.g_extra, budget, jobs=jobs, progress=progress)
         if res.witness is not None:
             res.witness = StructureCut(
-                tuple(CutMember(shape, (lab,)) for lab in res.witness), args.mode
-            )
+                ShapeSpec.single(), tuple((lab,) for lab in res.witness), args.mode)
     else:
         shape = _shape_from_args(args)
         if args.prove_min:
@@ -167,19 +166,16 @@ def cmd_oracle(args) -> int:
                 witness = structure_cut_for(args.family, params, shape, args.mode)
             res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs,
                               progress=progress)
-        elif args.bound is not None:
+        else:
             call = f"exists_cut_of_size(bound={args.bound})"
             res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs,
                                      progress=progress)
-        else:
-            raise ParameterError(
-                "oracle needs one of --prove-min, --certify, --bound, --g-extra")
 
     print(f"{call} status={res.status} value={res.value} "
           f"lower_bound_proven={res.lower_bound_proven} copies={res.copies} "
           f"checks={res.checks} {res.note}".rstrip())
     if res.witness is not None:
-        sys.stdout.write(dio.render_cut(res.witness, args.family, params, shape))
+        sys.stdout.write(dio.render_cut(res.witness, args.family, params))
     if res.status in (YES, NO, "certified"):
         return EXIT_OK
     return EXIT_BUDGET if res.status == BUDGET else EXIT_FAIL
@@ -316,7 +312,6 @@ def _add_common(p: argparse.ArgumentParser, family_choices=("dcell", "bcdc", "cq
     p.add_argument("--n", type=int, required=True, help="ports (dcell) or dimension (bcdc/cq)")
     p.add_argument("--max-vertices", type=int, default=dc.DEFAULT_MAX_VERTICES)
     p.add_argument("--seed", type=int, default=None, help="accepted and ignored (deterministic)")
-    p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
@@ -358,18 +353,20 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p, family_choices=("dcell", "bcdc", "cq"))
     _add_shape_args(p)
     _add_budget_args(p)
-    p.add_argument("--prove-min", action="store_true")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--certify", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
+    one_mode = p.add_mutually_exclusive_group(required=True)
+    one_mode.add_argument("--prove-min", action="store_true")
+    one_mode.add_argument("--bound", type=int, default=None)
+    one_mode.add_argument("--certify", type=int, default=None)
+    one_mode.add_argument("--g-extra", type=int, default=None)
     p.add_argument("--witness-from-constructor", action="store_true")
-    p.add_argument("--g-extra", type=int, default=None)
     p.add_argument("--progress", action="store_true",
                    help="print subset counters to stderr during the scan")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("table", help="reproduce the predicted-value table")
     _add_budget_args(p)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle", choices=("auto", "off"), default="auto")
     p.add_argument("--oracle-check-cap", type=float, default=300_000,

@@ -27,7 +27,6 @@ from .shapes import (
     MODES,
     STRUCTURE,
     SUBSTRUCTURE,
-    CutMember,
     ShapeSpec,
     StructureCut,
     is_shape,
@@ -189,13 +188,13 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
     shape = ShapeSpec.star(t)
     u_digits = (0,) * (m + 1)
     u_label = dc.label_str(u_digits)
-    members: list[CutMember] = []
+    members: list[tuple[str, ...]] = []
 
     q, r = divmod(n - 1, t + 1)
     for i in range(1, q + 1):
         c = (i - 1) * (t + 1) + 1
         vertices = [_dc_value_label(m, c)] + [_dc_value_label(m, c + k) for k in range(1, t + 1)]
-        members.append(CutMember(shape, tuple(vertices)))
+        members.append(tuple(vertices))
     if r:
         center_value = n - 1
         lo = max(1, n - t - 1)
@@ -211,7 +210,7 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
                     used.add(lab)
                     if len(leaves) == t:
                         break
-        members.append(CutMember(shape, (_dc_value_label(m, center_value), *leaves)))
+        members.append((_dc_value_label(m, center_value), *leaves))
 
     for j in range(1, m + 1):
         center_digits = tuple(1 if pos == m - j else 0 for pos in range(m + 1))
@@ -223,24 +222,20 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
                 leaves.append(lab)
             if len(leaves) == t:
                 break
-        members.append(CutMember(shape, (center, *leaves)))
-    return StructureCut(tuple(members), STRUCTURE)
+        members.append((center, *leaves))
+    return StructureCut(shape, tuple(members), STRUCTURE)
 
 
 def clique_cut_dcell(m: int, n: int, s: int) -> StructureCut:
     """Clique cut of D(m,n) isolating the all-zeros vertex."""
     _dcell_clique_domain(m, n, s)
     shape = ShapeSpec.clique(s)
-    members: list[CutMember] = []
+    members: list[tuple[str, ...]] = []
     q, r = divmod(n - 1, s)
     for i in range(1, q + 1):
-        members.append(
-            CutMember(shape, tuple(_dc_value_label(m, (i - 1) * s + 1 + k) for k in range(s)))
-        )
+        members.append(tuple(_dc_value_label(m, (i - 1) * s + 1 + k) for k in range(s)))
     if r:
-        members.append(
-            CutMember(shape, tuple(_dc_value_label(m, k) for k in range(n - s, n)))
-        )
+        members.append(tuple(_dc_value_label(m, k) for k in range(n - s, n)))
     for j in range(1, m + 1):
         vertices = []
         for k in range(s):
@@ -248,8 +243,8 @@ def clique_cut_dcell(m: int, n: int, s: int) -> StructureCut:
             digits[m - j] = 1
             digits[m] = k
             vertices.append(dc.label_str(tuple(digits)))
-        members.append(CutMember(shape, tuple(vertices)))
-    return StructureCut(tuple(members), STRUCTURE)
+        members.append(tuple(vertices))
+    return StructureCut(shape, tuple(members), STRUCTURE)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +297,19 @@ def k11_cut_bcdc(n: int) -> StructureCut:
     _bcdc_star_domain(n, 1)
     h = _BnCutHelper(n)
     shape = ShapeSpec.star(1)
-    v_members: list[CutMember] = []
-    w_members: list[CutMember] = []
+    v_members: list[tuple[str, ...]] = []
+    w_members: list[tuple[str, ...]] = []
     full = (n - 2) // 2
     for j in range(full):
-        v_members.append(CutMember(shape, (h.vv(2 * j), h.vv(2 * j + 1))))
-        w_members.append(CutMember(shape, (h.ww(2 * j), h.ww(2 * j + 1))))
+        v_members.append((h.vv(2 * j), h.vv(2 * j + 1)))
+        w_members.append((h.ww(2 * j), h.ww(2 * j + 1)))
     if n % 2 == 1:
-        v_members.append(CutMember(shape, (h.vv(n - 3), h.vv(n - 2))))
-        w_members.append(CutMember(shape, (h.ww(n - 3), h.ww(n - 2))))
+        v_members.append((h.vv(n - 3), h.vv(n - 2)))
+        w_members.append((h.ww(n - 3), h.ww(n - 2)))
     else:
-        v_members.append(CutMember(shape, (h.vv(n - 2), h.second(h.v, n - 2, n - 1))))
-        w_members.append(CutMember(shape, (h.ww(n - 2), h.second(h.w, n - 2, n - 1))))
-    return StructureCut(tuple(v_members + w_members), STRUCTURE)
+        v_members.append((h.vv(n - 2), h.second(h.v, n - 2, n - 1)))
+        w_members.append((h.ww(n - 2), h.second(h.w, n - 2, n - 1)))
+    return StructureCut(shape, tuple(v_members + w_members), STRUCTURE)
 
 
 def star_cut_bcdc(n: int, t: int) -> StructureCut:
@@ -324,7 +319,7 @@ def star_cut_bcdc(n: int, t: int) -> StructureCut:
     _bcdc_star_domain(n, t)
     h = _BnCutHelper(n)
     shape = ShapeSpec.star(t)
-    members: list[CutMember] = []
+    members: list[tuple[str, ...]] = []
 
     if t >= n - 2:
         # two big stars centered on [v,v^0] and [w,w^0]
@@ -334,22 +329,20 @@ def star_cut_bcdc(n: int, t: int) -> StructureCut:
             leaves += h.fillers(
                 bc.bn_vertex_neighbors(center), t - (n - 2), used
             )
-            members.append(CutMember(shape, (center, *leaves)))
-        return StructureCut(tuple(members), STRUCTURE)
+            members.append((center, *leaves))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     q, r = divmod(n - 1, t + 1)
     for own in (h.vv, h.ww):
         for i in range(1, q + 1):
             base = (i - 1) * (t + 1)
-            members.append(
-                CutMember(shape, tuple(own(base + k) for k in range(t + 1)))
-            )
+            members.append(tuple(own(base + k) for k in range(t + 1)))
     if r == 1:
         center = h.bridge(n - 2)
         leaves = [h.vv(n - 2), h.ww(n - 2)]
         used = set(leaves) | {center}
         leaves += h.fillers(bc.bn_vertex_neighbors(center), t - 2, used)
-        members.append(CutMember(shape, (center, *leaves)))
+        members.append((center, *leaves))
     elif r >= 2:
         for own in (h.vv, h.ww):
             center = own(n - 2)
@@ -358,8 +351,8 @@ def star_cut_bcdc(n: int, t: int) -> StructureCut:
             leaves += h.fillers(
                 bc.bn_vertex_neighbors(center), t - r + 1, used
             )
-            members.append(CutMember(shape, (center, *leaves)))
-    return StructureCut(tuple(members), STRUCTURE)
+            members.append((center, *leaves))
+    return StructureCut(shape, tuple(members), STRUCTURE)
 
 
 def path_cut_bcdc(n: int, k: int) -> StructureCut:
@@ -372,7 +365,7 @@ def path_cut_bcdc(n: int, k: int) -> StructureCut:
 
     if k == 2 * n - 1:
         member = pv + [h.bridge(n - 2)] + list(reversed(pw))
-        return StructureCut((CutMember(shape, tuple(member)),), STRUCTURE)
+        return StructureCut(shape, (tuple(member),), STRUCTURE)
 
     if k >= n:
         members = []
@@ -381,15 +374,15 @@ def path_cut_bcdc(n: int, k: int) -> StructureCut:
             tail = [bc.bn_label(x, bc.dim_neighbor(x, i)) for i in range(n - 2)]
             tail.append(bc.bn_label(x, bc.dim_neighbor(x, n - 1)))
             ext = own_list + tail
-            members.append(CutMember(shape, tuple(ext[:k])))
-        return StructureCut(tuple(members), STRUCTURE)
+            members.append(tuple(ext[:k]))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     if (n - 1) % k == 0:
         members = []
         for own_list in (pv, pw):
             for j in range((n - 1) // k):
-                members.append(CutMember(shape, tuple(own_list[j * k : (j + 1) * k])))
-        return StructureCut(tuple(members), STRUCTURE)
+                members.append(tuple(own_list[j * k : (j + 1) * k]))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     # k does not divide n-1: blocks along the length-(3n-2) path
     y = bc.dim_neighbor(h.w, 0)
@@ -397,19 +390,14 @@ def path_cut_bcdc(n: int, k: int) -> StructureCut:
     tail += [bc.bn_label(y, bc.dim_neighbor(y, i)) for i in range(1, n - 1)]
     p3 = pv + [h.bridge(n - 2)] + list(reversed(pw)) + tail
     count = _ceil(2 * n - 1, k)
-    members = [
-        CutMember(shape, tuple(p3[j * k : (j + 1) * k])) for j in range(count)
-    ]
-    return StructureCut(tuple(members), STRUCTURE)
+    members = tuple(tuple(p3[j * k : (j + 1) * k]) for j in range(count))
+    return StructureCut(shape, members, STRUCTURE)
 
 
 def substructure_cycle_cut_bcdc(n: int, k: int) -> StructureCut:
     """The path cut re-tagged as a substructure cycle cut (paths are connected
     subgraphs of cycles)."""
-    base = path_cut_bcdc(n, k)
-    shape = ShapeSpec.cycle(k)
-    members = tuple(CutMember(shape, mem.vertices) for mem in base.members)
-    return StructureCut(members, SUBSTRUCTURE)
+    return StructureCut(ShapeSpec.cycle(k), path_cut_bcdc(n, k).members, SUBSTRUCTURE)
 
 
 def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
@@ -422,7 +410,7 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
 
     if k == 2 * n:
         member = [h.bridge(1)] + cpv + [h.bridge(n - 2)] + list(reversed(cpw))
-        return StructureCut((CutMember(shape, tuple(member)),), STRUCTURE)
+        return StructureCut(shape, (tuple(member),), STRUCTURE)
 
     if n + 1 <= k <= 2 * n - 1:
         members = []
@@ -435,8 +423,8 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
                 for i in [0, n - 1] + list(range(2, n - 2))
             ]
             cyc += h.fillers(pool, k - n - 1, set(cyc))
-            members.append(CutMember(shape, tuple(cyc)))
-        return StructureCut(tuple(members), STRUCTURE)
+            members.append(tuple(cyc))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     if k == n:
         members = []
@@ -447,37 +435,33 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
                 bc.bn_label(x3, bc.dim_neighbor(x3, 1)),
                 bc.bn_label(bc.dim_neighbor(x3, 1), x1),
             ]
-            members.append(CutMember(shape, tuple(cyc)))
+            members.append(tuple(cyc))
         c3 = [h.vv(n - 2), h.bridge(n - 2), h.ww(n - 2), h.ww(1), h.bridge(1), h.vv(1)]
         pool = [h.vv(i) for i in range(2, n - 1)]
         c3 += h.fillers(pool, k - 6, set(c3))
-        members.append(CutMember(shape, tuple(c3)))
-        return StructureCut(tuple(members), STRUCTURE)
+        members.append(tuple(c3))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     # 6 <= k <= n-1 (so n >= 7): dimension blocks plus remainder members
     q, r = divmod(n - 1, k)
     members = []
     for own in (h.vv, h.ww):
         for i in range(1, q + 1):
-            members.append(
-                CutMember(shape, tuple(own((i - 1) * k + j) for j in range(k)))
-            )
+            members.append(tuple(own((i - 1) * k + j) for j in range(k)))
     if r == 0:
-        return StructureCut(tuple(members), STRUCTURE)
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     run = list(range(n - r - 1, n - 1))  # uncovered dimensions, both sides
     if 1 <= r <= k // 2 - 1:
-        members.append(_mixed_cycle_member(h, shape, k, r, run))
-        return StructureCut(tuple(members), STRUCTURE)
+        members.append(_mixed_cycle_member(h, k, r, run))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     if r >= k - 2:
         # clique cycles: uncovered run plus k-r low-dimension overlap vertices
         pads = [d for d in range(n - 1) if d not in run][: k - r]
         for own in (h.vv, h.ww):
-            members.append(
-                CutMember(shape, tuple(own(d) for d in pads + run))
-            )
-        return StructureCut(tuple(members), STRUCTURE)
+            members.append(tuple(own(d) for d in pads + run))
+        return StructureCut(shape, tuple(members), STRUCTURE)
 
     # floor(k/2) <= r <= k-3: per-side cycles through [x^{n-2}, x^{n-2,1}]
     pools = {h.v: list(range(0, n - 2)), h.w: list(range(1, n - 2))}
@@ -491,13 +475,11 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
         ]
         cyc += h.fillers(pool, k - r - 3, set(cyc) | set(bridge_pair))
         cyc += bridge_pair
-        members.append(CutMember(shape, tuple(cyc)))
-    return StructureCut(tuple(members), STRUCTURE)
+        members.append(tuple(cyc))
+    return StructureCut(shape, tuple(members), STRUCTURE)
 
 
-def _mixed_cycle_member(
-    h: _BnCutHelper, shape: ShapeSpec, k: int, r: int, run: list[int]
-) -> CutMember:
+def _mixed_cycle_member(h: _BnCutHelper, k: int, r: int, run: list[int]) -> tuple[str, ...]:
     """One cycle covering the uncovered dimension run on both sides."""
     n = h.n
     if k - 2 * r - 4 >= 0:
@@ -507,7 +489,7 @@ def _mixed_cycle_member(
         cyc += [h.vv(d) for d in run]
         cyc += [h.bridge(n - 2)]
         cyc += [h.ww(d) for d in reversed(run)]
-        return CutMember(shape, tuple(cyc))
+        return tuple(cyc)
     # tight variant: two bridges flanking the runs; needs a second bridge
     # dimension inside the run
     cands = [d for d in run[:-1] if d % 2 == 1]
@@ -524,7 +506,7 @@ def _mixed_cycle_member(
     cyc += [h.ww(n - 2)] + [h.ww(d) for d in reversed(others_v)]
     cyc += [h.ww(d) for d in pads]
     cyc += [h.ww(i_star), h.bridge(i_star)]
-    return CutMember(shape, tuple(cyc))
+    return tuple(cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -548,24 +530,25 @@ class VerificationReport:
 def verify_cut(g: Graph, cut: StructureCut, shape: ShapeSpec, mode: str) -> VerificationReport:
     """Check member shapes, remove the union, and report the split.
 
-    Pass requires every member valid and the remainder disconnected or at
-    most a single vertex. Shape failures are report entries, not exceptions;
+    A member is valid when the cut's shape is `shape` and the member is that
+    shape in `mode`. Pass requires every member valid and the remainder
+    disconnected or at most a single vertex. Shape failures are report entries, not exceptions;
     unknown vertices are a precondition violation and raise.
     """
     for mem in cut.members:
-        for lab in mem.vertices:
+        for lab in mem:
             if not g.has_vertex(lab):
                 raise ValueError(f"member vertex {lab!r} not in graph")
     valid = []
     for mem in cut.members:
         try:
-            valid.append(is_shape(g, mem, mode))
+            valid.append(cut.shape == shape and is_shape(g, shape, mem, mode))
         except ValueError:
             valid.append(False)
     seen: set[str] = set()
     overlap_verts: set[str] = set()
     for mem in cut.members:
-        for lab in mem.vertices:
+        for lab in mem:
             if lab in seen:
                 overlap_verts.add(lab)
             seen.add(lab)
@@ -620,4 +603,4 @@ def structure_cut_for(
         cut = substructure_cycle_cut_bcdc(n, size)
     else:
         cut = cycle_cut_bcdc(n, size)
-    return StructureCut(cut.members, mode)
+    return StructureCut(cut.shape, cut.members, mode)

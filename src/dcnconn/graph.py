@@ -104,12 +104,17 @@ class Graph:
     def degree(self, label: str) -> int:
         return len(self._adj[self.id_of(label)])
 
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Edges as label pairs, ordered by (id of u, id of v) with u < v."""
+    def edge_ids(self) -> Iterator[tuple[int, int]]:
+        """Edges as id pairs (u, v) with u < v, ordered by (u, v)."""
         for u in range(len(self._labels)):
             for v in sorted(self._adj[u]):
                 if v > u:
-                    yield (self._labels[u], self._labels[v])
+                    yield (u, v)
+
+    def edges(self) -> Iterator[tuple[str, str]]:
+        """Edges as label pairs, in `edge_ids` order."""
+        for u, v in self.edge_ids():
+            yield (self._labels[u], self._labels[v])
 
     def edge_label_set(self) -> set[frozenset[str]]:
         return {frozenset(e) for e in self.edges()}
@@ -226,11 +231,7 @@ def line_graph(g: Graph) -> Graph:
     endpoint label first; vertices adjacent iff the underlying edges share
     an endpoint.
     """
-    edge_ids: list[tuple[int, int]] = []
-    for u in range(g.vertex_count):
-        for v in sorted(g.neighbor_ids(u)):
-            if v > u:
-                edge_ids.append((u, v))
+    edge_ids = list(g.edge_ids())
     labels = []
     for u, v in edge_ids:
         lu, lv = g.label_of(u), g.label_of(v)
@@ -303,11 +304,9 @@ def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[tuple[int,
 
     for v in range(n):
         add_arc(2 * v, 2 * v + 1, 1)
-    for u in range(n):
-        for v in sorted(g.neighbor_ids(u)):
-            if v > u:
-                add_arc(2 * u + 1, 2 * v, n)
-                add_arc(2 * v + 1, 2 * u, n)
+    for u, v in g.edge_ids():
+        add_arc(2 * u + 1, 2 * v, n)
+        add_arc(2 * v + 1, 2 * u, n)
     return arc_to, arc_cap, arc_adj
 
 

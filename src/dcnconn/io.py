@@ -3,15 +3,15 @@
 Edge-list format: first line `# graph <family> <params>`, then one
 `u<TAB>v` line per edge in deterministic order; degree-0 vertices (never
 produced by these families) appear as `# isolated u` lines. Cut files carry
-one member per line, `<shape-tag>: v1,v2,...`, star center first, path and
-cycle members in traversal order.
+one member per line, `<shape-tag>: v1,v2,...`, the cut's one tag on every
+line, star center first, path and cycle members in traversal order.
 """
 
 from __future__ import annotations
 
 from .cuts import VerificationReport
 from .graph import Graph
-from .shapes import STRUCTURE, CutMember, ShapeSpec, StructureCut
+from .shapes import STRUCTURE, ShapeSpec, StructureCut
 
 CSV_HEADER = (
     "family,params,shape,mode,predicted,members,"
@@ -81,32 +81,38 @@ def render_dot(g: Graph, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_cut(
-    cut: StructureCut, family: str, params: dict[str, int], shape: ShapeSpec
-) -> str:
-    lines = [f"# cut {family} {params_str(params)} shape={shape.tag} mode={cut.mode}"]
-    for member in cut.members:
-        lines.append(f"{member.shape.tag}: " + ",".join(member.vertices))
+def render_cut(cut: StructureCut, family: str, params: dict[str, int]) -> str:
+    tag = cut.shape.tag
+    lines = [f"# cut {family} {params_str(params)} shape={tag} mode={cut.mode}"]
+    lines += [f"{tag}: " + ",".join(member) for member in cut.members]
     return "\n".join(lines) + "\n"
 
 
 def parse_cut(text: str) -> StructureCut:
-    mode = STRUCTURE
-    members: list[CutMember] = []
-    for line in text.splitlines():
+    """The cut a cut file holds. Its shape is the header's `shape=` tag, or
+    the first member's tag when there is no header; a member line with
+    another tag is rejected, naming its line number."""
+    mode, tag = STRUCTURE, None
+    members: list[tuple[str, ...]] = []
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line:
-            continue
         if line.startswith("# cut "):
-            for token in line.split():
-                if token.startswith("mode="):
-                    mode = token[len("mode="):]
+            for key, _, value in (token.partition("=") for token in line.split()):
+                if key == "mode":
+                    mode = value
+                elif key == "shape":
+                    tag = value
             continue
-        if line.startswith("#"):
+        if not line or line.startswith("#"):
             continue
-        tag, _, verts = line.partition(":")
-        members.append(CutMember(_shape_from_tag(tag.strip()), tuple(verts.strip().split(","))))
-    return StructureCut(tuple(members), mode)
+        member_tag, _, verts = (part.strip() for part in line.partition(":"))
+        tag = tag or member_tag
+        if member_tag != tag:
+            raise ValueError(f"line {number}: member tag {member_tag!r} differs from shape {tag!r}")
+        members.append(tuple(verts.split(",")))
+    if tag is None:
+        raise ValueError("the cut file names no shape")
+    return StructureCut(_shape_from_tag(tag), tuple(members), mode)
 
 
 def _shape_from_tag(tag: str) -> ShapeSpec:

@@ -35,7 +35,7 @@ from math import comb
 
 from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
-from .shapes import CutMember, ShapeSpec, StructureCut, enumerate_shape_copies
+from .shapes import ShapeSpec, StructureCut, enumerate_shape_copies
 
 YES = "yes"
 NO = "no"
@@ -236,8 +236,8 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
     """The cut made of the copies at the ascending indices `found`; the
     enumeration order is deterministic, so it stops at the last of them."""
     copies = islice(enumerate_shape_copies(g, shape, mode), found[-1] + 1)
-    return StructureCut(tuple(CutMember(shape, tuple(g.label_of(v) for v in ids))
-                              for i, ids in enumerate(copies) if i in found), mode)
+    return StructureCut(shape, tuple(tuple(g.label_of(v) for v in ids)
+                                     for i, ids in enumerate(copies) if i in found), mode)
 
 
 def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, top: int, budget: SearchBudget,

@@ -1,12 +1,12 @@
 """Fault shapes (stars, paths, cycles, cliques, singletons) over a host graph.
 
-A cut member is an ordered vertex list claiming a shape: stars list the
-center first, paths and cycles list traversal order, cliques any order.
-`is_shape` validates a member in structure mode (the list realizes exactly
-the shape) or substructure mode (the list realizes a connected subgraph of
-the shape). `enumerate_shape_copies` streams the vertex-id tuple of every
-accepted member once, in a canonical deterministic order, which the
-exhaustive oracle relies on.
+A cut is one shape, one mode and its members, ordered vertex label tuples:
+stars list the center first, paths and cycles traversal order, cliques any
+order. `is_shape` validates a member against a shape in structure mode (the
+list realizes exactly the shape) or substructure mode (a connected subgraph).
+`enumerate_shape_copies` streams the vertex-id tuple of every accepted
+member once, in a canonical deterministic order, which the exhaustive
+oracle relies on.
 
 Paths and cycles are grown depth-first from each start in id order, over
 neighbours in id order. A path is kept when its first id is below its last,
@@ -93,34 +93,31 @@ class ShapeSpec:
 
 
 @dataclass(frozen=True)
-class CutMember:
-    shape: ShapeSpec
-    vertices: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class StructureCut:
-    members: tuple[CutMember, ...]
+    """Members that each claim `shape` in `mode`, as vertex label tuples."""
+
+    shape: ShapeSpec
+    members: tuple[tuple[str, ...], ...]
     mode: str
 
     def vertex_union(self) -> set[str]:
         out: set[str] = set()
         for m in self.members:
-            out.update(m.vertices)
+            out.update(m)
         return out
 
 
-def _ids(g: Graph, member: CutMember) -> list[int]:
-    ids = [g.id_of(v) for v in member.vertices]
+def _ids(g: Graph, member: tuple[str, ...]) -> list[int]:
+    ids = [g.id_of(v) for v in member]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate vertex in member: {member.vertices}")
+        raise ValueError(f"duplicate vertex in member: {member}")
     if not ids:
         raise ValueError("empty member")
     return ids
 
 
-def is_shape(g: Graph, member: CutMember, mode: str) -> bool:
-    """Whether the member's vertex list realizes its claimed shape in g.
+def is_shape(g: Graph, shape: ShapeSpec, member: tuple[str, ...], mode: str) -> bool:
+    """Whether the member's vertex list realizes `shape` in g.
 
     A structure member lists exactly the shape's vertices; a substructure
     member lists at most that many and realizes a connected subgraph of the
@@ -131,7 +128,6 @@ def is_shape(g: Graph, member: CutMember, mode: str) -> bool:
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
     ids = _ids(g, member)
-    shape = member.shape
     k = len(ids)
     if k > shape.vertex_count or (mode == STRUCTURE and k < shape.vertex_count):
         return False
@@ -156,18 +152,11 @@ def _single_ids(g: Graph) -> Iterator[tuple[int, ...]]:
         yield (v,)
 
 
-def _edge_ids(g: Graph) -> Iterator[tuple[int, ...]]:
-    for u in range(g.vertex_count):
-        for v in sorted(g.neighbor_ids(u)):
-            if v > u:
-                yield (u, v)
-
-
 def _star_ids(g: Graph, t: int) -> Iterator[tuple[int, ...]]:
     # K_{1,1} is symmetric: canonical center = smaller endpoint (one copy per
     # edge); for t >= 2 the center is structurally distinguished.
     if t == 1:
-        yield from _edge_ids(g)
+        yield from g.edge_ids()
         return
     for c in range(g.vertex_count):
         nbrs = sorted(g.neighbor_ids(c))
@@ -299,7 +288,7 @@ def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tu
     endpoint is the center); path = smaller endpoint first; cycle = rotation
     from the minimum id toward the smaller second id; clique = sorted ids.
     Order is deterministic and stable across runs. A copy `ids` is the member
-    `CutMember(shape, tuple(g.label_of(i) for i in ids))`.
+    `tuple(g.label_of(i) for i in ids)`.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")

@@ -8,7 +8,7 @@ from dcnconn import (
     build_dcell,
     build_graph,
 )
-from dcnconn.shapes import STRUCTURE, CutMember
+from dcnconn.shapes import STRUCTURE
 
 
 @pytest.fixture(scope="session")
@@ -39,14 +39,12 @@ def b5_c5_witness():
     kappa(B_5; C_5) = 4.
     """
     return StructureCut(
-        tuple(
-            CutMember(ShapeSpec.cycle(5), verts)
-            for verts in (
-                ("00000|00010", "00010|00011", "00010|00110", "00010|01010", "00010|10010"),
-                ("00000|00100", "00000|01000", "01000|11000", "10000|11000", "00000|10000"),
-                ("00001|00011", "00010|00011", "00011|00101", "00011|01001", "00011|10001"),
-                ("00001|00111", "00001|01011", "01011|11001", "10011|11001", "00001|10011"),
-            )
+        ShapeSpec.cycle(5),
+        (
+            ("00000|00010", "00010|00011", "00010|00110", "00010|01010", "00010|10010"),
+            ("00000|00100", "00000|01000", "01000|11000", "10000|11000", "00000|10000"),
+            ("00001|00011", "00010|00011", "00011|00101", "00011|01001", "00011|10001"),
+            ("00001|00111", "00001|01011", "01011|11001", "10011|11001", "00001|10011"),
         ),
         STRUCTURE,
     )

@@ -310,3 +310,35 @@ def test_missing_shape_is_named(capsys, argv):
     assert code == 2
     assert "error: --shape is required" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("--shape", "star", "--t", "1", "--bound", "1", "--prove-min"),
+    ("--g-extra", "1", "--certify", "2"),
+    ("--shape", "star", "--t", "1", "--certify", "3", "--bound", "2"),
+], ids=["bound+prove-min", "g-extra+certify", "certify+bound"])
+def test_oracle_with_two_modes_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "dcell", "--m", "1", "--n", "4", *argv, "--jobs", "1"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "not allowed with argument" in out.err
+    assert out.out == ""
+
+
+def test_oracle_without_a_mode_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "dcell", "--m", "1", "--n", "4", "--shape", "star", "--t", "1"])
+    assert exc.value.code == 2
+    assert "one of the arguments --prove-min --bound --certify --g-extra is required" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "3"),
+                                  ("cut", "dcell", "--n", "4", "--shape", "star", "--t", "1")],
+                         ids=["gen", "cut"])
+def test_jobs_is_not_an_option_of_gen_or_cut(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 5" in capsys.readouterr().err

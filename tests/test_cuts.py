@@ -17,7 +17,7 @@ from dcnconn import (
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
 from dcnconn.errors import ParameterError
-from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE, CutMember, is_shape
+from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE, is_shape
 
 
 def kappa(family, params, shape, mode=STRUCTURE):
@@ -226,7 +226,7 @@ class TestBcdcCuts:
             base = "0" * n + "|" + "1" + "0" * (n - 1)
             assert report.smallest_component == (base,)
             for member in cut.members:
-                assert g.has_edge(*member.vertices)
+                assert g.has_edge(*member)
 
     def test_k11_other_side_vertex(self, b4):
         cut = k11_cut_bcdc(4)
@@ -317,29 +317,38 @@ class TestBcdcCuts:
         cut = substructure_cycle_cut_bcdc(5, 4)
         assert len(cut.members) == 2
         assert cut.mode == SUBSTRUCTURE
-        assert all(m.shape == ShapeSpec.cycle(4) for m in cut.members)
+        assert cut.shape == ShapeSpec.cycle(4)
         report = verify_cut(b5, cut, ShapeSpec.cycle(4), SUBSTRUCTURE)
         assert report.passed
         for member in cut.members:
-            assert is_shape(b5, member, SUBSTRUCTURE)
+            assert is_shape(b5, ShapeSpec.cycle(4), member, SUBSTRUCTURE)
 
 
 class TestVerifyCut:
     def test_empty_cut_fails(self, b3):
-        report = verify_cut(b3, StructureCut((), STRUCTURE), ShapeSpec.star(1), STRUCTURE)
+        cut = StructureCut(ShapeSpec.star(1), (), STRUCTURE)
+        report = verify_cut(b3, cut, ShapeSpec.star(1), STRUCTURE)
         assert not report.passed
 
     def test_invalid_member_reported_not_raised(self, b3):
         far = b3.labels[0], b3.labels[-1]
-        member = CutMember(ShapeSpec.star(1), far)
-        report = verify_cut(b3, StructureCut((member,), STRUCTURE), ShapeSpec.star(1), STRUCTURE)
+        cut = StructureCut(ShapeSpec.star(1), (far,), STRUCTURE)
+        report = verify_cut(b3, cut, ShapeSpec.star(1), STRUCTURE)
         assert report.member_valid == (False,)
         assert not report.passed
 
+    def test_a_cut_of_another_shape_fails(self, b4):
+        cut = k11_cut_bcdc(4)
+        assert verify_cut(b4, cut, ShapeSpec.star(1), STRUCTURE).passed
+        for mode in (STRUCTURE, SUBSTRUCTURE):
+            report = verify_cut(b4, cut, ShapeSpec.single(), mode)
+            assert report.member_valid == (False,) * len(cut.members)
+            assert not report.passed
+
     def test_unknown_vertex_raises(self, b3):
-        member = CutMember(ShapeSpec.star(1), ("zzz", b3.labels[0]))
+        cut = StructureCut(ShapeSpec.star(1), (("zzz", b3.labels[0]),), STRUCTURE)
         with pytest.raises(ValueError, match="not in graph"):
-            verify_cut(b3, StructureCut((member,), STRUCTURE), ShapeSpec.star(1), STRUCTURE)
+            verify_cut(b3, cut, ShapeSpec.star(1), STRUCTURE)
 
     def test_structure_cut_for_dispatch(self, b5):
         cut = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.star(1), SUBSTRUCTURE)

@@ -48,12 +48,34 @@ def test_dot_output(d14):
 
 def test_cut_file_roundtrip(d14):
     cut = star_cut_dcell(1, 4, 1)
-    text = render_cut(cut, "dcell", {"m": 1, "n": 4}, ShapeSpec.star(1))
+    text = render_cut(cut, "dcell", {"m": 1, "n": 4})
     assert text.splitlines()[0] == "# cut dcell m=1 n=4 shape=K1_1 mode=structure"
     assert text.splitlines()[1].startswith("K1_1: ")
     back = parse_cut(text)
     assert back.mode == "structure"
+    assert back.shape == ShapeSpec.star(1)
     assert back.members == cut.members
+
+
+def test_cut_file_without_a_header_takes_the_first_member_tag():
+    back = parse_cut("C4: a,b,c,d\nC4: e,f,g,h\n")
+    assert (back.shape, back.mode) == (ShapeSpec.cycle(4), STRUCTURE)
+    assert back.members == (("a", "b", "c", "d"), ("e", "f", "g", "h"))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("# cut dcell m=1 n=4 shape=K1_1 mode=structure\nK1_1: a,b\nK1: c\n", 3),
+    ("# cut dcell m=1 n=4 shape=K1 mode=structure\nK1_1: a,b\n", 2),
+    ("\nP3: a,b,c\nP4: d,e,f,g\n", 3),
+])
+def test_cut_file_rejects_a_member_tag_other_than_the_shape(text, line):
+    with pytest.raises(ValueError, match=f"line {line}: member tag"):
+        parse_cut(text)
+
+
+def test_cut_file_without_a_shape_is_rejected():
+    with pytest.raises(ValueError, match="names no shape"):
+        parse_cut("# a comment\n")
 
 
 def test_csv_row(d14):

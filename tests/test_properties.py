@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnconn import (
-    CutMember,
     ShapeSpec,
     StructureCut,
     build_graph,
@@ -124,7 +123,7 @@ def test_enumeration_canonical_and_valid(g, kind, size):
         assert len(set(copies)) == len(copies)
         assert copies == list(enumerate_shape_copies(g, shape, mode))
         for ids in copies:
-            assert is_shape(g, CutMember(shape, tuple(g.label_of(i) for i in ids)), mode)
+            assert is_shape(g, shape, tuple(g.label_of(i) for i in ids), mode)
 
 
 @given(connected_graphs(max_vertices=7), st.integers(1, 3))
@@ -150,20 +149,23 @@ def test_deletion_keeps_surviving_edges(g):
 
 def _reference_verify_cut(g, cut, shape, mode):
     """`verify_cut` on a rebuilt graph: remove the union with
-    `delete_vertices` and read the split from `components`."""
+    `delete_vertices` and read the split from `components`. A cut of another
+    shape than the requested one has no valid member."""
     for mem in cut.members:
-        for lab in mem.vertices:
+        for lab in mem:
             if not g.has_vertex(lab):
                 raise ValueError(f"member vertex {lab!r} not in graph")
     valid = []
     for mem in cut.members:
         try:
-            valid.append(is_shape(g, mem, mode))
+            valid.append(is_shape(g, shape, mem, mode))
         except ValueError:
             valid.append(False)
+    if cut.shape != shape:
+        valid = [False] * len(valid)
     seen, overlap = set(), set()
     for mem in cut.members:
-        for lab in mem.vertices:
+        for lab in mem:
             if lab in seen:
                 overlap.add(lab)
             seen.add(lab)
@@ -185,14 +187,15 @@ def _reference_verify_cut(g, cut, shape, mode):
     )
 
 
-@given(st.one_of(graphs(), sparse_graphs()), st.data(),
-       st.sampled_from([ShapeSpec.single(), ShapeSpec.star(2), ShapeSpec.path(3),
-                        ShapeSpec.cycle(4), ShapeSpec.clique(3)]),
+_VERIFY_SHAPES = st.sampled_from([ShapeSpec.single(), ShapeSpec.star(2), ShapeSpec.path(3),
+                                  ShapeSpec.cycle(4), ShapeSpec.clique(3)])
+
+
+@given(st.one_of(graphs(), sparse_graphs()), st.data(), _VERIFY_SHAPES, _VERIFY_SHAPES,
        st.sampled_from([STRUCTURE, SUBSTRUCTURE]))
 @settings(max_examples=200, deadline=None)
-def test_verify_cut_matches_the_rebuilt_graph_reference(g, data, shape, mode):
+def test_verify_cut_matches_the_rebuilt_graph_reference(g, data, cut_shape, shape, mode):
     ids = st.integers(0, g.vertex_count - 1)
     members = data.draw(st.lists(st.lists(ids, min_size=1, max_size=5), max_size=5))
-    cut = StructureCut(
-        tuple(CutMember(shape, tuple(g.label_of(i) for i in m)) for m in members), mode)
+    cut = StructureCut(cut_shape, tuple(tuple(g.label_of(i) for i in m) for m in members), mode)
     assert verify_cut(g, cut, shape, mode) == _reference_verify_cut(g, cut, shape, mode)

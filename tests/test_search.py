@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnconn import (
-    CutMember,
     SearchBudget,
     ShapeSpec,
     StructureCut,
@@ -53,8 +52,9 @@ class TestExists:
         first = next(c for c in combinations(list(copies), 3) if not is_connected(
             delete_vertices(d14, {d14.label_of(i) for ids in c for i in ids})))
         res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
+        assert res.witness.shape == ShapeSpec.star(1)
         assert res.witness.members == tuple(
-            CutMember(ShapeSpec.star(1), tuple(d14.label_of(i) for i in ids)) for ids in first)
+            tuple(d14.label_of(i) for i in ids) for ids in first)
 
     def test_bound_zero_vacuous(self, b3):
         res = exists_cut_of_size(b3, ShapeSpec.cycle(4), STRUCTURE, 0)
@@ -248,12 +248,12 @@ def _d14_cut(members: int) -> StructureCut:
     """The first `members` members of the constructed 3-member K_{1,1} cut of D_{1,4}."""
     from dcnconn import star_cut_dcell
 
-    return StructureCut(star_cut_dcell(1, 4, 1).members[:members], STRUCTURE)
+    return StructureCut(K11, star_cut_dcell(1, 4, 1).members[:members], STRUCTURE)
 
 
 # three edges at one vertex of D_{1,4}: valid members whose removal leaves it connected
 _NOT_A_CUT = StructureCut(
-    tuple(CutMember(K11, ("0.0", leaf)) for leaf in ("0.1", "0.2", "0.3")), STRUCTURE
+    K11, tuple(("0.0", leaf) for leaf in ("0.1", "0.2", "0.3")), STRUCTURE
 )
 
 BOUND_CASES = [
@@ -338,8 +338,8 @@ def _isolating_witness(g, shape, mode, size):
         if chosen is not None:
             chosen += [c for c in usable if c not in chosen][:size - len(chosen)]
             if len(chosen) == size:
-                return StructureCut(tuple(CutMember(shape, tuple(g.label_of(v) for v in c))
-                                          for c in chosen), mode)
+                return StructureCut(shape, tuple(tuple(g.label_of(v) for v in c)
+                                                 for c in chosen), mode)
     return None
 
 
@@ -414,23 +414,33 @@ class TestSizeBound:
         res = certify_min(b4, K11, STRUCTURE, 3, witness=four)
         assert (res.status, res.value, res.lower_bound_proven, res.checks) == ("refuted", 3, 2, 0)
         assert res.note == f"{rule}; witness has 4 members, expected 3"
-        three = StructureCut(four.members[:3], STRUCTURE)
+        three = StructureCut(K11, four.members[:3], STRUCTURE)
         res = certify_min(b4, K11, STRUCTURE, 3, witness=three)
         assert (res.status, res.lower_bound_proven) == ("refuted", 2)
         assert res.note == f"{rule}; witness failed verification"
+
+    def test_bound_never_certifies_a_witness_of_another_shape(self):
+        # 2 x 1 < kappa(D_{1,5}) = 5 settles sizes 1..2 of K_1, but the witness
+        # is three K_{1,1} stars: its members are not single vertices
+        from dcnconn import star_cut_dcell
+
+        d15 = build_dcell(1, 5)
+        res = certify_min(d15, ShapeSpec.single(), STRUCTURE, 3, witness=star_cut_dcell(1, 5, 1))
+        assert (res.status, res.value, res.lower_bound_proven, res.checks) == ("refuted", 3, 2, 0)
+        assert res.note == "size bound: 2 x 1 vertices < kappa 5; witness failed verification"
 
     def test_bound_stops_at_kappa_below_the_min_degree(self):
         # min degree 4 but kappa 2, and the edge 0-1 alone is a cut, so
         # 1 x 2 vertices settles nothing
         g = _two_k5(("0", "5"), ("1", "6"))
         assert size_bound(g, K11, 1) and not size_bound(g, K11, 2)
-        two = StructureCut((CutMember(K11, ("0", "1")), CutMember(K11, ("2", "3"))), STRUCTURE)
+        two = StructureCut(K11, (("0", "1"), ("2", "3")), STRUCTURE)
         res = certify_min(g, K11, STRUCTURE, 2, witness=two)
         assert (res.status, res.value, res.note) == ("refuted", 1, "found a cut of 1 members")
 
     def test_bound_keeps_the_disconnected_graph_error(self):
         g = _two_k5()  # min degree 4 > 1 x 2, so only connectivity stops the bound
-        witness = StructureCut((CutMember(K11, ("0", "1")),), STRUCTURE)
+        witness = StructureCut(K11, (("0", "1"),), STRUCTURE)
         with pytest.raises(ValueError, match="the structure-cut oracles require a connected graph"):
             certify_min(g, K11, STRUCTURE, 2, witness=witness)
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dcnconn import (
-    CutMember,
     ShapeSpec,
     build_bcdc,
     build_crossed_cube,
@@ -43,49 +42,48 @@ def test_shape_param_bounds():
 
 
 def test_star_in_k4_both_modes(k4):
-    member = CutMember(ShapeSpec.star(2), ("a", "b", "c"))
-    assert is_shape(k4, member, STRUCTURE)
-    assert is_shape(k4, member, SUBSTRUCTURE)
+    member = ("a", "b", "c")
+    assert is_shape(k4, ShapeSpec.star(2), member, STRUCTURE)
+    assert is_shape(k4, ShapeSpec.star(2), member, SUBSTRUCTURE)
 
 
 def test_no_triangle_in_c5(c5):
-    member = CutMember(ShapeSpec.clique(3), ("0", "1", "2"))
-    assert not is_shape(c5, member, STRUCTURE)
+    assert not is_shape(c5, ShapeSpec.clique(3), ("0", "1", "2"), STRUCTURE)
 
 
 def test_any_edge_is_k11_in_b3(b3):
     u, v = next(iter(b3.edges()))
-    assert is_shape(b3, CutMember(ShapeSpec.star(1), (u, v)), STRUCTURE)
+    assert is_shape(b3, ShapeSpec.star(1), (u, v), STRUCTURE)
 
 
 def test_duplicate_vertex_rejected(k4):
     with pytest.raises(ValueError, match="duplicate"):
-        is_shape(k4, CutMember(ShapeSpec.star(1), ("a", "a")), STRUCTURE)
+        is_shape(k4, ShapeSpec.star(1), ("a", "a"), STRUCTURE)
 
 
 def test_structure_star_needs_exact_leaf_count(k4):
-    member = CutMember(ShapeSpec.star(3), ("a", "b", "c"))
-    assert not is_shape(k4, member, STRUCTURE)
-    assert is_shape(k4, member, SUBSTRUCTURE)
+    member = ("a", "b", "c")
+    assert not is_shape(k4, ShapeSpec.star(3), member, STRUCTURE)
+    assert is_shape(k4, ShapeSpec.star(3), member, SUBSTRUCTURE)
 
 
 def test_substructure_accepts_k1(k4):
     for shape in (ShapeSpec.star(2), ShapeSpec.path(3), ShapeSpec.cycle(4), ShapeSpec.clique(3)):
-        assert is_shape(k4, CutMember(shape, ("a",)), SUBSTRUCTURE)
+        assert is_shape(k4, shape, ("a",), SUBSTRUCTURE)
 
 
 def test_substructure_cycle_accepts_paths(c5):
-    member = CutMember(ShapeSpec.cycle(5), ("0", "1", "2"))
-    assert is_shape(c5, member, SUBSTRUCTURE)
-    full = CutMember(ShapeSpec.cycle(5), ("0", "1", "2", "3", "4"))
-    assert is_shape(c5, full, SUBSTRUCTURE)
-    assert is_shape(c5, full, STRUCTURE)
+    c = ShapeSpec.cycle(5)
+    assert is_shape(c5, c, ("0", "1", "2"), SUBSTRUCTURE)
+    full = ("0", "1", "2", "3", "4")
+    assert is_shape(c5, c, full, SUBSTRUCTURE)
+    assert is_shape(c5, c, full, STRUCTURE)
 
 
 def test_substructure_clique_needs_connected(k4, c5):
     # 0 and 2 are non-adjacent in C5: not a connected subgraph of K_2
-    assert not is_shape(c5, CutMember(ShapeSpec.clique(2), ("0", "2")), SUBSTRUCTURE)
-    assert is_shape(c5, CutMember(ShapeSpec.clique(3), ("0", "1", "2")), SUBSTRUCTURE)
+    assert not is_shape(c5, ShapeSpec.clique(2), ("0", "2"), SUBSTRUCTURE)
+    assert is_shape(c5, ShapeSpec.clique(3), ("0", "1", "2"), SUBSTRUCTURE)
 
 
 def test_k4_triangle_count(k4):
@@ -120,8 +118,8 @@ def test_enumerated_copies_pass_is_shape(k4, b3):
         for shape in (ShapeSpec.star(2), ShapeSpec.path(4), ShapeSpec.cycle(4), ShapeSpec.clique(3)):
             for mode in (STRUCTURE, SUBSTRUCTURE):
                 for ids in enumerate_shape_copies(g, shape, mode):
-                    member = CutMember(shape, tuple(g.label_of(i) for i in ids))
-                    assert is_shape(g, member, mode)
+                    member = tuple(g.label_of(i) for i in ids)
+                    assert is_shape(g, shape, member, mode)
 
 
 def test_path_copies_canonical(c5):
@@ -289,17 +287,16 @@ def test_b5_c8_prefix_read_by_the_table_matches_the_unpruned_dfs(b5):
 # --- is_shape against the kind-by-mode reference ------------------------------
 
 
-def _reference_is_shape(g, member, mode):
+def _reference_is_shape(g, shape, member, mode):
     """`is_shape` spelled out per kind and mode, with its own traversal for
     substructure cliques (the implementation before the single size test)."""
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
-    ids = [g.id_of(v) for v in member.vertices]
+    ids = [g.id_of(v) for v in member]
     if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate vertex in member: {member.vertices}")
+        raise ValueError(f"duplicate vertex in member: {member}")
     if not ids:
         raise ValueError("empty member")
-    shape = member.shape
     k = len(ids)
 
     def is_path():
@@ -391,10 +388,9 @@ def test_is_shape_matches_the_reference(name):
     for ids in tuples:
         labels = tuple(g.label_of(i) for i in ids)
         for shape in _SHAPES:
-            member = CutMember(shape, labels)
             for mode in MODES:
-                want = _reference_is_shape(g, member, mode)
-                assert is_shape(g, member, mode) == want, (name, ids, shape.tag, mode)
+                want = _reference_is_shape(g, shape, labels, mode)
+                assert is_shape(g, shape, labels, mode) == want, (name, ids, shape.tag, mode)
                 accepted += want
     assert accepted > len(tuples)  # both answers are exercised
 
@@ -404,5 +400,5 @@ def test_is_shape_matches_the_reference(name):
 def test_is_shape_matches_the_reference_on_random_graphs(g, data, shape, mode):
     n = g.vertex_count
     ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 8), unique=True))
-    member = CutMember(shape, tuple(g.label_of(i) for i in ids))
-    assert is_shape(g, member, mode) == _reference_is_shape(g, member, mode)
+    member = tuple(g.label_of(i) for i in ids)
+    assert is_shape(g, shape, member, mode) == _reference_is_shape(g, shape, member, mode)

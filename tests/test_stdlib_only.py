@@ -1,5 +1,6 @@
-"""The library imports nothing outside the standard library, and every name a
-library module imports is used."""
+"""The library imports nothing outside the standard library, every name a
+library module imports is used, and every parameter of a library function is
+read."""
 
 import ast
 import sys
@@ -62,3 +63,35 @@ def test_the_check_sees_an_unused_import(tmp_path):
                      "from . import graph\nfrom .errors import ParameterError\n\n"
                      "def f(g: graph.Graph) -> str:\n    return os.sep\n")
     assert _unused_imports(probe) == ["probe.py:3 system", "probe.py:5 ParameterError"]
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    """Parameters a function body never reads; `self` and dunder methods are
+    exempt. A read inside a nested function counts."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = filter(None, [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg])
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [f"{path.name}:{node.lineno} {node.name}({p.arg})" for p in params
+                if p.arg != "self" and p.arg not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unused_parameters(path) == []
+
+
+def test_the_check_sees_an_unused_parameter(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class C:\n    def __init__(self, x):\n        pass\n\n"
+                     "    def m(self, a, b):\n        return a\n\n\n"
+                     "def f(g, *args, shape, **kw):\n    def inner():\n        return g\n"
+                     "    return inner, kw\n")
+    assert sorted(_unused_parameters(probe)) == ["probe.py:5 m(b)", "probe.py:9 f(args)",
+                                                 "probe.py:9 f(shape)"]
