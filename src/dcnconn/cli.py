@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -31,7 +32,6 @@ from .search import (
     exists_cut_of_size,
     g_extra_connectivity,
     min_structure_cut,
-    size_bound,
 )
 from .shapes import MODES, STRUCTURE, ShapeSpec, StructureCut
 
@@ -125,51 +125,41 @@ def cmd_cut(args) -> int:
     return EXIT_OK
 
 
-def _progress_printer(enabled: bool):
-    if not enabled:
-        return None
-    state = {"size": None, "last": 0}
-
-    def report(size: int, checks: int, total: int) -> None:
-        if size != state["size"]:  # checks count from 0 again at each size
-            state["size"], state["last"] = size, 0
-        if checks - state["last"] >= 100_000:
-            state["last"] = checks
-            print(f"progress: size={size} subsets examined={checks:,} / {total:,}",
-                  file=sys.stderr)
-
-    return report
-
-
 def cmd_oracle(args) -> int:
+    if args.witness_from_constructor and args.certify is None:
+        raise ParameterError("--witness-from-constructor needs --certify")
+    if args.g_extra is not None:
+        ignored = [f"--{flag}" for flag in ("shape", "t", "s", "k", "mode")
+                   if getattr(args, flag) not in (None, STRUCTURE)]
+        if ignored:
+            raise ParameterError(f"--g-extra takes no {', '.join(ignored)}")
     params = _family_params(args.family, args)
     g = _build_family(args.family, params, args.max_vertices)
     budget = _budget_from_args(args)
     jobs = args.jobs or os.cpu_count() or 1
-    progress = _progress_printer(args.progress)
+    if args.progress:
+        logging.basicConfig(level=logging.INFO, format="progress: %(message)s")
 
     if args.g_extra is not None:
         call = f"g_extra_connectivity(h={args.g_extra})"
-        res = g_extra_connectivity(g, args.g_extra, budget, jobs=jobs, progress=progress)
+        res = g_extra_connectivity(g, args.g_extra, budget, jobs=jobs)
         if res.witness is not None:
             res.witness = StructureCut(
-                ShapeSpec.single(), tuple((lab,) for lab in res.witness), args.mode)
+                ShapeSpec.single(), tuple((lab,) for lab in res.witness), STRUCTURE)
     else:
         shape = _shape_from_args(args)
         if args.prove_min:
             call = "min_structure_cut"
-            res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs, progress=progress)
+            res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs)
         elif args.certify is not None:
             call = f"certify_min(value={args.certify})"
             witness = None
             if args.witness_from_constructor:
                 witness = structure_cut_for(args.family, params, shape, args.mode)
-            res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs,
-                              progress=progress)
+            res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
         else:
             call = f"exists_cut_of_size(bound={args.bound})"
-            res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs,
-                                     progress=progress)
+            res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs)
 
     print(f"{call} status={res.status} value={res.value} "
           f"lower_bound_proven={res.lower_bound_proven} copies={res.copies} "
@@ -255,13 +245,11 @@ def cmd_table(args) -> int:
         oracle_status = "skipped"
         if args.oracle != "off" and predicted >= 1:
             # a row with more copies than the scan estimate admits reads
-            # skipped, unless the size bound settles it without a copy (the
-            # budget's candidate cap must still be positive)
+            # skipped, unless the size bound settles it without a copy
             copy_cap = _copy_cap(predicted, args.oracle_check_cap, budget.max_candidates)
-            if copy_cap or size_bound(g, shape, predicted):
-                row_budget = replace(budget, max_candidates=max(copy_cap, 1))
-                res = certify_min(g, shape, mode, predicted, row_budget, cut, jobs=jobs)
-                oracle_status = "skipped" if res.note == "candidate cap reached" else res.status
+            res = certify_min(g, shape, mode, predicted, replace(budget, max_candidates=copy_cap),
+                              cut, jobs=jobs)
+            oracle_status = "skipped" if res.note == "candidate cap reached" else res.status
 
         ok = report.passed and len(cut.members) == predicted and oracle_status in (
             "certified",
@@ -361,7 +349,7 @@ def make_parser() -> argparse.ArgumentParser:
     one_mode.add_argument("--g-extra", type=int, default=None)
     p.add_argument("--witness-from-constructor", action="store_true")
     p.add_argument("--progress", action="store_true",
-                   help="print subset counters to stderr during the scan")
+                   help="log subset counters to stderr during the scan")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("table", help="reproduce the predicted-value table")

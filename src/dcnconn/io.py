@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cuts import VerificationReport
 from .graph import Graph
-from .shapes import STRUCTURE, ShapeSpec, StructureCut
+from .shapes import MODES, STRUCTURE, ShapeSpec, StructureCut
 
 CSV_HEADER = (
     "family,params,shape,mode,predicted,members,"
@@ -99,6 +99,8 @@ def parse_cut(text: str) -> StructureCut:
         if line.startswith("# cut "):
             for key, _, value in (token.partition("=") for token in line.split()):
                 if key == "mode":
+                    if value not in MODES:
+                        raise ValueError(f"line {number}: unknown mode {value!r}")
                     mode = value
                 elif key == "shape":
                     tag = value

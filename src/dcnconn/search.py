@@ -3,15 +3,17 @@
 The oracles never answer "no" heuristically: a "no" means every candidate
 subset was enumerated. Tripping any budget cap converts the answer into a
 partial result carrying the bound proven so far. Every oracle answers with
-one `OracleResult`; the three structure-cut oracles share one path from the
-copies through the scan to the witness, `_shape_oracle`. Subsets are scanned in
+one `OracleResult`, and all four share one path from the copies through the
+scan to the witness, `_shape_oracle`, with one hit rule, `_separates`:
+g-extra connectivity scans the single-vertex copies. Subsets are scanned in
 canonical lexicographic order over copy indices by one kernel, `_scan_range`,
 which covers the subsets whose leading index lies in a range: the serial scan
 is one range, a pool of workers takes one task per leading index. One size
 loop, `_scan_sizes`, reads the kernel results in leading-index order and
 settles them as the serial scan would, so the witness is the
 lexicographically first one and `checks` (the length of the lexicographic
-prefix the answer rests on) is the same for every worker count.
+prefix the answer rests on) is the same for every worker count. Progress
+goes to the `dcnconn.search` logger at INFO, from the parent process only.
 
 `certify_min` with a witness first tries the size bound, which settles the
 refutation of sizes 1..value-1 without enumerating a copy when
@@ -27,6 +29,7 @@ bound does not reach every size below the value, scan as before, so
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from dataclasses import dataclass, replace
@@ -35,12 +38,15 @@ from math import comb
 
 from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
-from .shapes import ShapeSpec, StructureCut, enumerate_shape_copies
+from .shapes import STRUCTURE, ShapeSpec, StructureCut, enumerate_shape_copies
 
 YES = "yes"
 NO = "no"
 BUDGET = "budget_exceeded"
 NO_CUT = "no_cut_exists"
+
+log = logging.getLogger(__name__)
+_LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,8 @@ class SearchBudget:
     time_cap_secs: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.max_members <= 0 or self.max_candidates <= 0 or self.max_checks <= 0:
-            raise ValueError("budget caps must be positive")
+        if self.max_members <= 0 or self.max_checks <= 0 or self.max_candidates < 0:
+            raise ValueError("budget caps must be positive (the candidate cap may be 0)")
         if not self.time_cap_secs > 0:  # NaN fails this too
             raise ValueError("time cap must be positive")
 
@@ -83,44 +89,47 @@ class OracleResult:
 # --- the scan ---------------------------------------------------------------
 
 
-def _cuts_after_removal(tables, full: int, removed: int) -> bool:
+def _separates(tables, full: int, removed: int, h: int) -> bool:
+    """Does removing `removed` from the vertices `full` leave at most one
+    vertex, or at least two components, every one of more than `h` vertices?
+
+    Structure cuts ask it with h = 0. A g-extra scan removes at most n-2 of
+    the n vertices, because its sizes run to n-2, so at least two vertices
+    are left and the first clause never fires for it. A rest that stays
+    connected costs one bit count, one flood and one compare. `flood_mask` is
+    looked up in this module, where a tracer may wrap it.
+    """
     alive = full & ~removed
-    count = alive.bit_count()
-    if count <= 1:
+    if alive.bit_count() <= 1:
         return True
-    seed = alive & -alive
-    return flood_mask(tables, alive, seed) != alive
-
-
-def _extra_after_removal(tables, full: int, removed: int, h: int) -> bool:
-    alive = full & ~removed
-    if alive == 0:
+    comp = flood_mask(tables, alive, alive & -alive)
+    if comp == alive:
         return False
-    comps = 0
-    rest = alive
-    while rest:
-        seed = rest & -rest
-        comp = flood_mask(tables, alive, seed)
-        if comp.bit_count() < h + 1:
-            return False
-        comps += 1
-        rest &= ~comp
-    return comps >= 2
+    rest = alive ^ comp
+    while comp.bit_count() > h:
+        if not rest:
+            return True
+        comp = flood_mask(tables, alive, rest & -rest)
+        rest ^= comp
+    return False
 
 
-def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float, progress=None):
+def _log_progress(size: int, checks: int, n: int) -> None:
+    log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
+
+
+def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
-    `ctx` is (neighbour tables, full mask, unit masks, mode, h): a subset
-    removes the union of its unit masks, and mode "cut" asks that the rest be
-    disconnected, mode "extra" also that every component exceed h vertices.
+    `ctx` is (neighbour tables, full mask, unit masks, h): a subset hits when
+    removing the union of its unit masks `_separates` the graph.
     Returns (first hitting subset or None, checks made, note); the note names
     the cap that stopped the scan with subsets left to check: time past
     `t_end` (tested every 8192 checks), or `cap` checks made. Both caps are
     tested before a subset, so a range that ends as a cap trips is complete
-    and carries no note.
+    and carries no note. Progress is logged every `_LOG_EVERY` checks.
     """
-    tables, full, unit_masks, mode, h = ctx
+    tables, full, unit_masks, h = ctx
     n = len(unit_masks)
     count = comb(n - lo, size) - comb(n - hi, size)
     checks = 0
@@ -128,19 +137,15 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float, progre
         if checks % 8192 == 0 and checks:
             if time.monotonic() > t_end:
                 return None, checks, "time cap reached"
-            if progress is not None:
-                progress(size, checks, comb(n, size))
+            if checks % _LOG_EVERY == 0:
+                _log_progress(size, checks, n)
         if checks >= cap:
             return None, checks, "check cap reached"
         removed = 0
         for i in combo:
             removed |= unit_masks[i]
-        if mode == "cut":
-            hit = _cuts_after_removal(tables, full, removed)
-        else:
-            hit = _extra_after_removal(tables, full, removed, h)
         checks += 1
-        if hit:
+        if _separates(tables, full, removed, h):
             return combo, checks, ""
     return None, checks, ""
 
@@ -151,6 +156,7 @@ _worker_ctx: tuple = ()  # a pool worker's scan context, set once by _pool_init
 def _pool_init(ctx) -> None:
     global _worker_ctx
     _worker_ctx = ctx
+    logging.disable(logging.INFO)  # a task counts from its own leading index
 
 
 def _pool_task(task):
@@ -158,7 +164,7 @@ def _pool_task(task):
     return _scan_range(_worker_ctx, size, lead, lead + 1, cap, t_end)
 
 
-def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> OracleResult:
+def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     """Scan each size in turn until a subset hits or a cap trips.
 
     Returns the result with the hitting subset's indices as the witness:
@@ -173,7 +179,8 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> O
     (never above `budget.max_checks`, the same for every job count while no
     time cap trips), and any note from a task stops the scan. Work that
     workers do past that point is not counted. The time cap is tested between
-    results, only while subsets are left to check.
+    results, only while subsets are left to check. Results are logged at least
+    `_LOG_EVERY` checks apart, counting from 0 at each size.
     """
     n = len(ctx[2])  # the number of unit masks
     t_end = time.monotonic() + budget.time_cap_secs
@@ -182,7 +189,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> O
     pool = None
     try:
         for size in sizes:
-            start = total
+            start = logged = total
             cap = budget.max_checks - start
             if jobs > 1 and size >= 2 and n > size:
                 if pool is None:
@@ -193,7 +200,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> O
                 tasks = [(size, lead, cap, t_end) for lead in range(n - size + 1)]
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
-                results = [_scan_range(ctx, size, 0, n, cap, t_end, progress)]
+                results = [_scan_range(ctx, size, 0, n, cap, t_end)]
             for witness, checks, note in results:
                 left = budget.max_checks - total
                 if witness is not None and checks <= left:
@@ -204,8 +211,9 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> O
                     total += checks
                 if note:
                     return OracleResult(BUDGET, None, size - 1, None, total, n, note)
-                if progress is not None:
-                    progress(size, total - start, comb(n, size))
+                if total - logged >= _LOG_EVERY:
+                    logged = total
+                    _log_progress(size, total - start, n)
                 if total < whole and time.monotonic() > t_end:
                     return OracleResult(BUDGET, None, size - 1, None, total, n, "time cap reached")
     finally:
@@ -217,21 +225,6 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int, progress=None) -> O
 # --- public oracles ---------------------------------------------------------
 
 
-def _collect_copies(g: Graph, shape: ShapeSpec, mode: str, budget: SearchBudget):
-    """The scan context over the vertex sets of the copies of `shape` in `g`,
-    or None once there are more than `budget.max_candidates`. Only the masks
-    are kept: `_cut_of` rebuilds the few copies a witness needs."""
-    unit_masks: list[int] = []
-    for ids in enumerate_shape_copies(g, shape, mode):
-        if len(unit_masks) == budget.max_candidates:
-            return None
-        m = 0
-        for i in ids:
-            m |= 1 << i
-        unit_masks.append(m)
-    return g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, "cut", 0
-
-
 def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
     """The cut made of the copies at the ascending indices `found`; the
     enumeration order is deterministic, so it stops at the last of them."""
@@ -240,21 +233,25 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
                                      for i, ids in enumerate(copies) if i in found), mode)
 
 
-def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, top: int, budget: SearchBudget,
-                  jobs: int, progress=None) -> OracleResult:
-    """Scan the copies of `shape` for a cut of 1..`top` members, never more
-    members than there are copies: YES with the first cut as the witness, NO,
-    or BUDGET. With `top` 0 nothing is enumerated: the empty set never cuts a
-    connected graph."""
+def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: SearchBudget,
+                  jobs: int, h: int = 0) -> OracleResult:
+    """Scan the unions of `sizes` copies of `shape`, never more than there are
+    copies, for one that `_separates` g with `h`: YES with the first as the
+    witness, NO, or BUDGET. With no size of 1 or more nothing is enumerated:
+    the empty set never cuts a connected graph."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
-    if top < 1:
+    if sizes.stop <= 1:
         return OracleResult(NO, None, 0, None, 0, 0)
-    ctx = _collect_copies(g, shape, mode, budget)
-    if ctx is None:
+    # only the masks are kept: `_cut_of` rebuilds the few copies a witness needs
+    bits = [1 << i for i in range(g.vertex_count)]
+    copies = islice(enumerate_shape_copies(g, shape, mode), budget.max_candidates + 1)
+    unit_masks = [sum(map(bits.__getitem__, ids)) for ids in copies]
+    if len(unit_masks) > budget.max_candidates:
         return OracleResult(BUDGET, None, 0, None, 0, budget.max_candidates,
                             "candidate cap reached")
-    res = _scan_sizes(ctx, range(1, min(top, len(ctx[2])) + 1), budget, jobs, progress)
+    ctx = g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h
+    res = _scan_sizes(ctx, range(sizes.start, min(sizes.stop, len(unit_masks) + 1)), budget, jobs)
     if res.witness is not None:
         res.witness = _cut_of(g, shape, mode, res.witness)
     return res
@@ -267,12 +264,11 @@ def exists_cut_of_size(
     size_bound: int,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-    progress=None,
 ) -> OracleResult:
     """Is there a cut of at most `size_bound` members? Exhaustive when "no"."""
     if size_bound < 0:
         raise ValueError("size bound must be >= 0")
-    return _shape_oracle(g, shape, mode, size_bound, budget or SearchBudget(), jobs, progress)
+    return _shape_oracle(g, shape, mode, range(1, size_bound + 1), budget or SearchBudget(), jobs)
 
 
 def min_structure_cut(
@@ -281,11 +277,10 @@ def min_structure_cut(
     mode: str,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-    progress=None,
 ) -> OracleResult:
     """Smallest cut size, by increasing subset size from 1; witness verified."""
     budget = budget or SearchBudget()
-    res = _shape_oracle(g, shape, mode, budget.max_members, budget, jobs, progress)
+    res = _shape_oracle(g, shape, mode, range(1, budget.max_members + 1), budget, jobs)
     if res.status == YES:
         if not verify_cut(g, res.witness, shape, mode).passed:
             raise AssertionError("oracle witness failed independent verification")
@@ -320,7 +315,6 @@ def certify_min(
     budget: SearchBudget | None = None,
     witness: StructureCut | None = None,
     jobs: int = 1,
-    progress=None,
 ) -> OracleResult:
     """Certify a predicted minimum: refute sizes 1..value-1, then verify a
     witness of size value (supplied, e.g. a constructed cut, or searched at
@@ -336,8 +330,7 @@ def certify_min(
     if bound:
         res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
     else:
-        res = _shape_oracle(g, shape, mode, value - (witness is not None), budget, jobs,
-                            progress)
+        res = _shape_oracle(g, shape, mode, range(1, value + (witness is None)), budget, jobs)
     if res.status == BUDGET:
         return replace(res, value=value)
     if res.status == YES and res.value < value:
@@ -361,25 +354,23 @@ def g_extra_connectivity(
     h: int,
     budget: SearchBudget | None = None,
     jobs: int = 1,
-    progress=None,
 ) -> OracleResult:
     """Minimum |S| with g-S disconnected and every component > h vertices.
 
-    Exhaustive over raw vertex subsets, so `copies` is the vertex count; for
-    h >= 1 sizes start at the classical connectivity (any such cut is in
-    particular a vertex cut). The witness is the tuple of the cut's labels.
+    Exhaustive over the single-vertex copies, so `copies` is the vertex
+    count; for h >= 1 sizes start at the classical connectivity (any such cut
+    is in particular a vertex cut). The witness is the tuple of the cut's labels.
     """
     if not is_connected(g):
         raise ValueError("g_extra_connectivity requires a connected graph")
     if h < 0:
         raise ValueError("h must be >= 0")
-    budget = budget or SearchBudget()
-    n = g.vertex_count
-    ctx = (g.neighbor_tables, (1 << n) - 1, [1 << i for i in range(n)], "extra", h)
     start = 1 if h == 0 else min_vertex_cut(g)
-    res = _scan_sizes(ctx, range(start, n - 1), budget, jobs, progress)
+    res = _shape_oracle(g, ShapeSpec.single(), STRUCTURE, range(start, g.vertex_count - 1),
+                        budget or SearchBudget(), jobs, h)
     if res.status == YES:
-        return replace(res, status="certified", witness=tuple(g.label_of(i) for i in res.witness))
+        return replace(res, status="certified",
+                       witness=tuple(label for (label,) in res.witness.members))
     if res.status == NO:
         return replace(res, status=NO_CUT, note="no qualifying separation exists")
     return res

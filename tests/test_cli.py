@@ -1,11 +1,16 @@
+import logging
+import os
+import re
+import subprocess
+import sys
 from itertools import islice
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from dcnconn import build_bcdc, build_dcell, predicted_kappa
-from dcnconn.cli import _default_grid, _progress_printer, main
+from dcnconn import build_bcdc, build_dcell, predicted_kappa, search
+from dcnconn.cli import _default_grid, main
 from dcnconn.shapes import enumerate_shape_copies
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -125,6 +130,35 @@ def test_oracle_certify_with_constructor(capsys):
     assert "status=certified" in out
 
 
+def test_witness_from_constructor_needs_certify(capsys):
+    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "star",
+                         "--t", "1", "--bound", "1", "--witness-from-constructor")
+    assert code == 2
+    assert "--witness-from-constructor needs --certify" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--shape", "cycle"], "--shape"),
+    (["--t", "1"], "--t"),
+    (["--s", "3"], "--s"),
+    (["--k", "4"], "--k"),
+    (["--mode", "substructure", "--shape", "cycle"], "--shape, --mode"),
+])
+def test_g_extra_rejects_shape_and_mode_flags(capsys, flags, named):
+    code, out, err = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0", *flags)
+    assert code == 2
+    assert f"--g-extra takes no {named}\n" in err
+    assert out == ""
+
+
+def test_g_extra_witness_is_written_in_structure_mode(capsys):
+    code, out, _ = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0",
+                       "--mode", "structure", "--jobs", "1")
+    assert code == 0
+    assert out.splitlines()[1] == "# cut bcdc n=3 shape=K1 mode=structure"
+
+
 def test_oracle_budget_exit3(capsys):
     code, out, _ = run(
         capsys, "oracle", "bcdc", "--n", "4", "--shape", "star", "--t", "1",
@@ -157,13 +191,34 @@ def test_oracle_prints_one_report_line(capsys, argv, call):
     assert code == (0 if fields[1] in ("status=yes", "status=no", "status=certified") else 1)
 
 
-def test_progress_printer_restarts_at_each_size(capsys):
-    report = _progress_printer(True)
-    report(6, 851_968, 906_192)
-    report(7, 100_000, 4_272_048)
-    err = capsys.readouterr().err
-    assert "size=6 subsets examined=851,968" in err
-    assert "size=7 subsets examined=100,000" in err
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_progress_restarts_at_each_size(capsys, caplog, monkeypatch, jobs):
+    # B_3 has 12 vertices: sizes 1..3 leave it connected, size 4 cuts
+    monkeypatch.setattr(search, "_LOG_EVERY", 1)
+    with caplog.at_level(logging.INFO, logger="dcnconn.search"):
+        code, out, _ = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0", "--progress",
+                           "--jobs", jobs)
+    assert code == 0 and "value=4" in out
+    last = {}
+    for record in caplog.records:
+        size, examined, total = re.fullmatch(r"size=(\d) subsets examined=([\d,]+) / ([\d,]+)",
+                                             record.getMessage()).groups()
+        assert total == f"{comb(12, int(size)):,}"
+        last[size] = examined
+    assert last == {"1": "12", "2": "66", "3": "220"}
+
+
+def test_progress_goes_to_stderr():
+    code = ("import sys; from dcnconn import search; from dcnconn.cli import main; "
+            "search._LOG_EVERY = 1; sys.exit(main(sys.argv[1:]))")
+    path = [str(Path(search.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code, "oracle", "bcdc", "--n", "3",
+                           "--g-extra", "0", "--progress", "--jobs", "2"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert "progress: size=2 subsets examined=66 / 66\n" in proc.stderr
+    assert "progress" not in proc.stdout
 
 
 def test_table_quick(capsys, tmp_path):

@@ -73,6 +73,11 @@ def test_cut_file_rejects_a_member_tag_other_than_the_shape(text, line):
         parse_cut(text)
 
 
+def test_cut_file_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="line 2: unknown mode 'bogus'"):
+        parse_cut("\n# cut dcell m=1 n=4 shape=K1_1 mode=bogus\nK1_1: a,b\n")
+
+
 def test_cut_file_without_a_shape_is_rejected():
     with pytest.raises(ValueError, match="names no shape"):
         parse_cut("# a comment\n")

@@ -1,3 +1,5 @@
+import logging
+import re
 import time
 
 import pytest
@@ -10,6 +12,8 @@ from dcnconn import (
     StructureCut,
     build_graph,
     certify_min,
+    components,
+    delete_vertices,
     enumerate_shape_copies,
     exists_cut_of_size,
     g_extra_connectivity,
@@ -18,6 +22,7 @@ from dcnconn import (
     star_cut_bcdc,
     verify_cut,
 )
+from dcnconn import search
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
 from dcnconn.search import BUDGET, NO, NO_CUT, YES, size_bound
@@ -160,13 +165,29 @@ class TestCertify:
         res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 4, witness=cut)
         assert res.status == "refuted"
 
-    def test_certify_scan_reports_each_size_to_progress(self, d14):
-        # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness
-        calls = []
-        res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3,
-                          progress=lambda *args: calls.append(args))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_certify_scan_logs_each_size(self, d14, caplog, monkeypatch, jobs):
+        # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness;
+        # a pool logs each task's result, counting from 0 again at each size
+        monkeypatch.setattr(search, "_LOG_EVERY", 1)
+        with caplog.at_level(logging.INFO, logger="dcnconn.search"):
+            res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
         assert res.status == "certified"
-        assert calls == [(1, 40, 40), (2, 780, 780)]
+        records = [_progress_record(r.getMessage()) for r in caplog.records]
+        if jobs == 1:
+            assert records == [(1, 40, 40), (2, 780, 780)]
+        else:
+            by_size = [[r for r in records if r[0] == size] for size in (1, 2)]
+            assert by_size[0] == [(1, 40, 40)]
+            assert by_size[1][0] == (2, 39, 780) and by_size[1][-1] == (2, 780, 780)
+            assert [r[1] for r in by_size[1]] == sorted({r[1] for r in by_size[1]})
+
+
+def _progress_record(message: str) -> tuple[int, int, int]:
+    """(size, subsets examined, subsets of that size) from a progress record."""
+    size, examined, total = re.fullmatch(
+        r"size=(\d+) subsets examined=([\d,]+) / ([\d,]+)", message).groups()
+    return int(size), int(examined.replace(",", "")), int(total.replace(",", ""))
 
 
 class TestGExtra:
@@ -230,7 +251,7 @@ class TestJobsParity:
         # empty unit masks never cut K_5; the deadline has passed before the scan
         from dcnconn.search import _scan_range
 
-        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, "cut", 0)
+        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0)
         assert _scan_range(ctx, 1, 0, units, 10**6, time.monotonic() - 1) == want
 
     def test_certify_without_witness_counts_one_scan(self, d14):
@@ -457,6 +478,39 @@ class TestSizeBound:
                                            ShapeSpec.cycle(3)]))
         mode = data.draw(st.sampled_from(MODES))
         _check_size_bound_at_its_limit(g, shape, mode, nx.node_connectivity(nx.Graph(list(edges))))
+
+
+def test_a_zero_candidate_cap_enumerates_no_copy(d14):
+    # the size bound (3 x 1 vertices < kappa 4) needs no copy; a scan needs one
+    single = ShapeSpec.single()
+    isolate = StructureCut(single, tuple((v,) for v in d14.neighbors("0.0")), STRUCTURE)
+    bound = certify_min(d14, single, STRUCTURE, 4, SearchBudget(max_candidates=0), isolate)
+    assert (bound.status, bound.copies, bound.checks) == ("certified", 0, 0)
+    scan = exists_cut_of_size(d14, K11, STRUCTURE, 2, SearchBudget(max_candidates=0))
+    assert (scan.status, scan.note, scan.checks) == (BUDGET, "candidate cap reached", 0)
+
+
+def test_budget_rejects_a_negative_candidate_cap():
+    with pytest.raises(ValueError, match="the candidate cap may be 0"):
+        SearchBudget(max_candidates=-1)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_separates_agrees_with_components(data):
+    # reference: delete the vertices, then count and size the components
+    n = data.draw(st.integers(2, 9))
+    edges = {(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if data.draw(st.booleans())}
+    g = build_graph([str(v) for v in range(n)], [(str(u), str(v)) for u, v in edges])
+    left = data.draw(st.sampled_from([0, 1, *range(2, n + 1)]))
+    kept = data.draw(st.permutations(range(n)))[:left]
+    removed = [v for v in range(n) if v not in kept]
+    h = data.draw(st.sampled_from([0, 1, 2]))
+    comps = components(delete_vertices(g, [g.label_of(v) for v in removed]))
+    want = left <= 1 or (len(comps) >= 2 and all(len(c) > h for c in comps))
+    mask = sum(1 << v for v in removed)
+    assert search._separates(g.neighbor_tables, (1 << n) - 1, mask, h) == want
 
 
 @pytest.mark.parametrize("secs", [0.0, -1.0, float("nan")])

@@ -1,6 +1,6 @@
 """The library imports nothing outside the standard library, every name a
-library module imports is used, and every parameter of a library function is
-read."""
+library module imports is used, every parameter of a library function is
+read, and only the CLI writes to the terminal."""
 
 import ast
 import sys
@@ -95,3 +95,34 @@ def test_the_check_sees_an_unused_parameter(tmp_path):
                      "    return inner, kw\n")
     assert sorted(_unused_parameters(probe)) == ["probe.py:5 m(b)", "probe.py:9 f(args)",
                                                  "probe.py:9 f(shape)"]
+
+
+def _terminal_writes(path: Path) -> list[str]:
+    """Calls of `print` and uses of `sys.stdout` or `sys.stderr`. Progress
+    goes through `logging`, so only the CLI writes to the terminal."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            out.append(f"{path.name}:{node.lineno} print")
+        elif (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            out.append(f"{path.name}:{node.lineno} sys.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            out += [f"{path.name}:{node.lineno} sys.{alias.name}" for alias in node.names
+                    if alias.name in ("stdout", "stderr")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "cli.py"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_writes_to_the_terminal(path):
+    assert _terminal_writes(path) == []
+
+
+def test_the_check_sees_a_terminal_write(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("import sys\nfrom sys import stderr\n\n\ndef f(log):\n"
+                     "    log.info('quiet')\n    print('loud')\n    sys.stdout.write('x')\n"
+                     "    return sys.stderr, stderr, sys.argv\n")
+    assert sorted(_terminal_writes(probe)) == ["probe.py:2 sys.stderr", "probe.py:7 print",
+                                               "probe.py:8 sys.stdout", "probe.py:9 sys.stderr"]
