@@ -65,6 +65,11 @@ def _cross_partner(u: str, k: int) -> str:
     return "".join(bits)
 
 
+def _cross_edges(k: int) -> list[tuple[str, str]]:
+    """CQ_k's cross edges (0u, 1v), one for each u of CQ_{k-1} in order."""
+    return [("0" + u, "1" + _cross_partner(u, k)) for u in _all_bits(k - 1)]
+
+
 def build_crossed_cube(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """CQ_n by the recursion: CQ_1 = K_2, then two prefixed halves joined by
     the pair-related cross edges."""
@@ -74,16 +79,10 @@ def build_crossed_cube(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
         raise BuildBudgetError(
             f"CQ_{n} requires {2**n} vertices, budget is {max_vertices}"
         )
-    verts = ["0", "1"]
     edges = [("0", "1")]
     for k in range(2, n + 1):
-        prev_verts = verts
-        prev_edges = edges
-        verts = ["0" + v for v in prev_verts] + ["1" + v for v in prev_verts]
-        edges = [("0" + a, "0" + b) for a, b in prev_edges]
-        edges += [("1" + a, "1" + b) for a, b in prev_edges]
-        edges += [("0" + u, "1" + _cross_partner(u, k)) for u in prev_verts]
-    verts.sort()
+        edges = [(p + a, p + b) for p in "01" for a, b in edges] + _cross_edges(k)
+    verts = _all_bits(n)
     index = {v: i for i, v in enumerate(verts)}
     return Graph(verts, [(index[a], index[b]) for a, b in edges])
 
@@ -105,10 +104,11 @@ def parse_bn_label(label: str) -> tuple[str, str]:
 def build_bcdc(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     """B_n per the recursive definition.
 
-    B_2 is the 4-cycle on [00,01],[00,10],[01,11],[10,11]. B_n consists of
+    B_1 is the single vertex [0,1], the one edge of CQ_1. B_n consists of
     the 0- and 1-prefixed copies of B_{n-1} plus the independent set S_n of
     CQ_n cross edges, a cross vertex [c,d] joining every copy vertex that
-    contains c (0 side) or d (1 side).
+    contains c (0 side) or d (1 side); so B_2 is the 4-cycle on
+    [00,01],[00,10],[01,11],[10,11].
     """
     if n < 2:
         raise ParameterError(f"BCDC needs n >= 2, got {n}")
@@ -116,34 +116,19 @@ def build_bcdc(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
         raise BuildBudgetError(
             f"B_{n} requires {n * 2 ** (n - 1)} vertices, budget is {max_vertices}"
         )
-    verts: list[tuple[str, str]] = [("00", "01"), ("00", "10"), ("01", "11"), ("10", "11")]
+    verts: list[tuple[str, str]] = [("0", "1")]
     edges: list[tuple[tuple[str, str], tuple[str, str]]] = []
-    for i, p in enumerate(verts):
-        for q in verts[i + 1 :]:
-            if p[0] in q or p[1] in q:
-                edges.append((p, q))
-
-    for k in range(3, n + 1):
-        half0 = [("0" + a, "0" + b) for a, b in verts]
-        half1 = [("1" + a, "1" + b) for a, b in verts]
-        cross = [("0" + u, "1" + _cross_partner(u, k)) for u in _all_bits(k - 1)]
-        new_edges = [(("0" + a, "0" + b), ("0" + c, "0" + d)) for (a, b), (c, d) in edges]
-        new_edges += [(("1" + a, "1" + b), ("1" + c, "1" + d)) for (a, b), (c, d) in edges]
-        incident0: dict[str, list[tuple[str, str]]] = {}
-        incident1: dict[str, list[tuple[str, str]]] = {}
-        for p in half0:
-            incident0.setdefault(p[0], []).append(p)
-            incident0.setdefault(p[1], []).append(p)
-        for p in half1:
-            incident1.setdefault(p[0], []).append(p)
-            incident1.setdefault(p[1], []).append(p)
-        for s in cross:
-            c, d = s
-            for p in incident0.get(c, []):
-                new_edges.append((s, p))
-            for p in incident1.get(d, []):
-                new_edges.append((s, p))
-        verts = half0 + half1 + cross
+    for k in range(2, n + 1):
+        halves = [(x + a, x + b) for x in "01" for a, b in verts]
+        cross = _cross_edges(k)
+        new_edges = [((x + a, x + b), (x + c, x + d)) for x in "01" for (a, b), (c, d) in edges]
+        incident: dict[str, list[tuple[str, str]]] = {}  # CQ vertex -> copy vertices at it
+        for p in halves:
+            for end in p:
+                incident.setdefault(end, []).append(p)
+        for c, d in cross:
+            new_edges += [((c, d), p) for p in incident[c] + incident[d]]
+        verts = halves + cross
         edges = new_edges
 
     labels = sorted(bn_label(a, b) for a, b in verts)

@@ -83,12 +83,21 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _budget_from_args(args) -> SearchBudget:
+    # table has no --max-members: certify_min scans only the sizes below its value
     return SearchBudget(
-        max_members=args.max_members,
+        max_members=getattr(args, "max_members", SearchBudget.max_members),
         max_candidates=args.max_candidates,
         max_checks=args.max_checks,
         time_cap_secs=args.budget_secs,
     )
+
+
+def _jobs_from_args(args) -> int:
+    if args.jobs is None:
+        return os.cpu_count() or 1
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def cmd_gen(args) -> int:
@@ -133,10 +142,10 @@ def cmd_oracle(args) -> int:
                    if getattr(args, flag) not in (None, STRUCTURE)]
         if ignored:
             raise ParameterError(f"--g-extra takes no {', '.join(ignored)}")
+    jobs = _jobs_from_args(args)
     params = _family_params(args.family, args)
     g = _build_family(args.family, params, args.max_vertices)
     budget = _budget_from_args(args)
-    jobs = args.jobs or os.cpu_count() or 1
     if args.progress:
         logging.basicConfig(level=logging.INFO, format="progress: %(message)s")
 
@@ -220,7 +229,7 @@ def cmd_table(args) -> int:
     if not args.oracle_check_cap >= 0:  # NaN fails this too
         raise ParameterError(f"--oracle-check-cap must be >= 0, got {args.oracle_check_cap}")
     budget = _budget_from_args(args)
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = _jobs_from_args(args)
     rows_out = [dio.CSV_HEADER + ",oracle"]
     manifest_cases = []
     counts = {"pass": 0, "fail": 0, "rejected": 0, "skipped": 0}
@@ -312,7 +321,6 @@ def _add_shape_args(p: argparse.ArgumentParser) -> None:
 
 def _add_budget_args(p: argparse.ArgumentParser) -> None:
     default = SearchBudget()
-    p.add_argument("--max-members", type=int, default=default.max_members)
     p.add_argument("--max-candidates", type=int, default=default.max_candidates)
     p.add_argument("--max-checks", type=int, default=default.max_checks)
     p.add_argument("--budget-secs", type=float, default=default.time_cap_secs)
@@ -341,6 +349,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p, family_choices=("dcell", "bcdc", "cq"))
     _add_shape_args(p)
     _add_budget_args(p)
+    p.add_argument("--max-members", type=int, default=SearchBudget.max_members)
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
     one_mode = p.add_mutually_exclusive_group(required=True)
     one_mode.add_argument("--prove-min", action="store_true")

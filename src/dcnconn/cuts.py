@@ -7,10 +7,10 @@ members are still computed apart.
 
 Every constructor builds its cut around the fixed base vertex the underlying
 argument uses: the all-zeros label for DCell, [0...0, 10...0] for B_n.
-Free leaf/filler choices are resolved deterministically, smallest first: the
-B_n constructors sort candidates by label, the DCell ones take them in
-`dcell_neighbors`' digit-tuple order. Both skip vertices already used by the
-same member and always exclude the base vertex. Cuts may overlap in
+Free leaf/filler choices are resolved deterministically by `_first_free`: the
+first candidates, in order, that the same member has not used and that are
+not the base vertex. The B_n constructors sort candidates by label, the DCell
+ones take them in `dcell_neighbors`' digit-tuple order. Cuts may overlap in
 vertices; overlap is reported, never rejected.
 """
 
@@ -169,6 +169,14 @@ def _branch(family: str, params: dict[str, int], shape: ShapeSpec, mode: str) ->
     raise ParameterError(f"unknown family: {family!r}")
 
 
+def _first_free(candidates: list[str], count: int, taken: set[str]) -> list[str]:
+    """The first `count` candidates not in `taken`, in candidate order."""
+    free = [lab for lab in candidates if lab not in taken][:count]
+    if len(free) < count:
+        raise ParameterError(f"only {len(free)} of {count} free vertices available")
+    return free
+
+
 # ---------------------------------------------------------------------------
 # DCell cuts
 
@@ -176,6 +184,10 @@ def _branch(family: str, params: dict[str, int], shape: ShapeSpec, mode: str) ->
 def _dc_value_label(m: int, value: int) -> str:
     """Label 0...0<value>: all digits zero except x_0."""
     return dc.label_str((0,) * m + (value,))
+
+
+def _dc_neighbor_labels(digits: tuple[int, ...], m: int, n: int) -> list[str]:
+    return [dc.label_str(cand) for cand in dc.dcell_neighbors(digits, m, n)]
 
 
 def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
@@ -196,33 +208,18 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
         vertices = [_dc_value_label(m, c)] + [_dc_value_label(m, c + k) for k in range(1, t + 1)]
         members.append(tuple(vertices))
     if r:
-        center_value = n - 1
-        lo = max(1, n - t - 1)
-        leaves = [_dc_value_label(m, k) for k in range(lo, n - 1)]
-        if len(leaves) < t:
-            # t > n-2: top up with the center's smallest non-clique neighbors
-            center_digits = (0,) * m + (center_value,)
-            used = set(leaves) | {u_label, _dc_value_label(m, center_value)}
-            for cand in dc.dcell_neighbors(center_digits, m, n):
-                lab = dc.label_str(cand)
-                if lab not in used:
-                    leaves.append(lab)
-                    used.add(lab)
-                    if len(leaves) == t:
-                        break
-        members.append((_dc_value_label(m, center_value), *leaves))
+        center_digits = (0,) * m + (n - 1,)
+        center = dc.label_str(center_digits)
+        leaves = [_dc_value_label(m, k) for k in range(max(1, n - t - 1), n - 1)]
+        # for t > n-2, top up with the center's first non-clique neighbors
+        taken = set(leaves) | {u_label, center}
+        leaves += _first_free(_dc_neighbor_labels(center_digits, m, n), t - len(leaves), taken)
+        members.append((center, *leaves))
 
     for j in range(1, m + 1):
         center_digits = tuple(1 if pos == m - j else 0 for pos in range(m + 1))
-        center = dc.label_str(center_digits)
-        leaves = []
-        for cand in dc.dcell_neighbors(center_digits, m, n):
-            lab = dc.label_str(cand)
-            if lab != u_label:
-                leaves.append(lab)
-            if len(leaves) == t:
-                break
-        members.append((center, *leaves))
+        leaves = _first_free(_dc_neighbor_labels(center_digits, m, n), t, {u_label})
+        members.append((dc.label_str(center_digits), *leaves))
     return StructureCut(shape, tuple(members), STRUCTURE)
 
 
@@ -279,17 +276,8 @@ class _BnCutHelper:
         return bc.bn_label(xi, bc.dim_neighbor(xi, j))
 
     def fillers(self, pool: list[str], count: int, used: set[str]) -> list[str]:
-        """Deterministic free choices: sorted, skip used, exclude u."""
-        if count <= 0:
-            return []
-        out = []
-        for lab in sorted(pool):
-            if lab not in used and lab != self.u:
-                out.append(lab)
-                used.add(lab)
-                if len(out) == count:
-                    return out
-        raise ParameterError(f"only {len(out)} of {count} filler vertices available")
+        """The first free pool vertices by label."""
+        return _first_free(sorted(pool), count, used | {self.u})
 
 
 def k11_cut_bcdc(n: int) -> StructureCut:
@@ -533,26 +521,25 @@ def verify_cut(g: Graph, cut: StructureCut, shape: ShapeSpec, mode: str) -> Veri
     A member is valid when the cut's shape is `shape` and the member is that
     shape in `mode`. Pass requires every member valid and the remainder
     disconnected or at most a single vertex. Shape failures are report entries, not exceptions;
-    unknown vertices are a precondition violation and raise.
+    unknown vertices and an unknown mode are a precondition violation and raise.
     """
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode: {mode!r}")
+    union: set[str] = set()
+    overlap_verts: set[str] = set()
     for mem in cut.members:
         for lab in mem:
             if not g.has_vertex(lab):
                 raise ValueError(f"member vertex {lab!r} not in graph")
+            if lab in union:
+                overlap_verts.add(lab)
+            union.add(lab)
     valid = []
     for mem in cut.members:
         try:
             valid.append(cut.shape == shape and is_shape(g, shape, mem, mode))
         except ValueError:
             valid.append(False)
-    seen: set[str] = set()
-    overlap_verts: set[str] = set()
-    for mem in cut.members:
-        for lab in mem:
-            if lab in seen:
-                overlap_verts.add(lab)
-            seen.add(lab)
-    union = cut.vertex_union()
     n = g.vertex_count
     alive = (1 << n) - 1
     for lab in union:

@@ -90,45 +90,36 @@ def render_cut(cut: StructureCut, family: str, params: dict[str, int]) -> str:
 
 def parse_cut(text: str) -> StructureCut:
     """The cut a cut file holds. Its shape is the header's `shape=` tag, or
-    the first member's tag when there is no header; a member line with
-    another tag is rejected, naming its line number."""
-    mode, tag = STRUCTURE, None
+    the first member's tag when there is no header; a malformed or unknown
+    tag, an unknown mode and a member line with another tag are rejected,
+    naming the line number."""
+    mode, tag, shape = STRUCTURE, None, None
     members: list[tuple[str, ...]] = []
     for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if line.startswith("# cut "):
-            for key, _, value in (token.partition("=") for token in line.split()):
-                if key == "mode":
-                    if value not in MODES:
-                        raise ValueError(f"line {number}: unknown mode {value!r}")
-                    mode = value
-                elif key == "shape":
-                    tag = value
-            continue
-        if not line or line.startswith("#"):
-            continue
-        member_tag, _, verts = (part.strip() for part in line.partition(":"))
-        tag = tag or member_tag
-        if member_tag != tag:
-            raise ValueError(f"line {number}: member tag {member_tag!r} differs from shape {tag!r}")
+        try:
+            if line.startswith("# cut "):
+                for key, _, value in (token.partition("=") for token in line.split()):
+                    if key == "mode":
+                        if value not in MODES:
+                            raise ValueError(f"unknown mode {value!r}")
+                        mode = value
+                    elif key == "shape":
+                        tag, shape = value, ShapeSpec.from_tag(value)
+                continue
+            if not line or line.startswith("#"):
+                continue
+            member_tag, _, verts = (part.strip() for part in line.partition(":"))
+            if tag is None:
+                tag, shape = member_tag, ShapeSpec.from_tag(member_tag)
+            if member_tag != tag:
+                raise ValueError(f"member tag {member_tag!r} differs from shape {tag!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
         members.append(tuple(verts.split(",")))
-    if tag is None:
+    if shape is None:
         raise ValueError("the cut file names no shape")
-    return StructureCut(_shape_from_tag(tag), tuple(members), mode)
-
-
-def _shape_from_tag(tag: str) -> ShapeSpec:
-    if tag == "K1":
-        return ShapeSpec.single()
-    if tag.startswith("K1_"):
-        return ShapeSpec.star(int(tag[3:]))
-    if tag.startswith("P"):
-        return ShapeSpec.path(int(tag[1:]))
-    if tag.startswith("C"):
-        return ShapeSpec.cycle(int(tag[1:]))
-    if tag.startswith("K"):
-        return ShapeSpec.clique(int(tag[1:]))
-    raise ValueError(f"unknown shape tag: {tag!r}")
+    return StructureCut(shape, tuple(members), mode)
 
 
 def report_csv_row(

@@ -1,4 +1,4 @@
-"""Fault shapes (stars, paths, cycles, cliques, singletons) over a host graph.
+"""Fault shapes (stars, paths, cycles, cliques, K_1 among them) over a host graph.
 
 A cut is one shape, one mode and its members, ordered vertex label tuples:
 stars list the center first, paths and cycles traversal order, cliques any
@@ -40,13 +40,13 @@ MODES = (STRUCTURE, SUBSTRUCTURE)
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """One of Star(t), Path(k), Cycle(k), Clique(s), Single."""
+    """One of Star(t), Path(k), Cycle(k), Clique(s); a single vertex is Clique(1)."""
 
     kind: str
     size: int
 
     def __post_init__(self) -> None:
-        bounds = {"star": 1, "path": 1, "cycle": 3, "clique": 1, "single": 1}
+        bounds = {"star": 1, "path": 1, "cycle": 3, "clique": 1}
         if self.kind not in bounds:
             raise ParameterError(f"unknown shape kind: {self.kind!r}")
         if self.size < bounds[self.kind]:
@@ -72,12 +72,19 @@ class ShapeSpec:
 
     @staticmethod
     def single() -> "ShapeSpec":
-        return ShapeSpec("single", 1)
+        return ShapeSpec.clique(1)
+
+    @staticmethod
+    def from_tag(tag: str) -> "ShapeSpec":
+        """The shape whose `tag` is `tag`."""
+        for prefix, kind in (("K1_", "star"), ("P", "path"), ("C", "cycle"), ("K", "clique")):
+            size = tag[len(prefix):]
+            if tag.startswith(prefix) and size.isdecimal():
+                return ShapeSpec(kind, int(size))
+        raise ParameterError(f"unknown shape tag: {tag!r}")
 
     @property
     def tag(self) -> str:
-        if self.kind == "single":
-            return "K1"
         if self.kind == "star":
             return f"K1_{self.size}"
         if self.kind == "path":
@@ -141,7 +148,7 @@ def is_shape(g: Graph, shape: ShapeSpec, member: tuple[str, ...], mode: str) -> 
         for v in ids:
             alive |= 1 << v
         return len(component_masks(g, alive)) == 1
-    # path, cycle and single: consecutive ids adjacent, a structure cycle closed
+    # path and cycle: consecutive ids adjacent, a structure cycle closed
     if shape.kind == "cycle" and mode == STRUCTURE and ids[0] not in adj(ids[-1]):
         return False
     return all(ids[i + 1] in adj(ids[i]) for i in range(k - 1))
@@ -292,10 +299,6 @@ def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tu
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
-
-    if shape.kind == "single":
-        yield from _single_ids(g)
-        return
 
     if mode == STRUCTURE:
         if shape.kind == "star":

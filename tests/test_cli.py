@@ -389,6 +389,34 @@ def test_oracle_without_a_mode_exits_2(capsys):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ("oracle", "bcdc", "--n", "3", "--shape", "star", "--t", "1", "--bound", "1"),
+    ("table", "--oracle", "off"),
+], ids=["oracle", "table"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_is_rejected(capsys, tmp_path, argv, jobs):
+    out_file = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--jobs", jobs, *(
+        ("--out", str(out_file)) if argv[0] == "table" else ()))
+    assert code == 2
+    assert f"error: --jobs must be >= 1, got {jobs}" in err
+    assert out == "" and not out_file.exists()
+
+
+def test_table_has_no_max_members_and_records_the_default(capsys, tmp_path):
+    import json
+
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--oracle", "off", "--max-members", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-members 3" in capsys.readouterr().err
+    manifest = tmp_path / "manifest.json"
+    code, _, _ = run(capsys, "table", "--oracle", "off", "--out", str(tmp_path / "t.csv"),
+                     "--manifest", str(manifest))
+    assert code == 0
+    assert json.loads(manifest.read_text())["budget"]["max_members"] == 8
+
+
 @pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "3"),
                                   ("cut", "dcell", "--n", "4", "--shape", "star", "--t", "1")],
                          ids=["gen", "cut"])

@@ -307,6 +307,18 @@ class TestBcdcCuts:
             assert report.passed and len(cut.members) == pred, shape.tag
             assert len(report.smallest_component) == 1
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_every_cycle_cut_verifies(self, n):
+        # B_10 with k = 6 and 7 and B_11 with k = 6 reach the remainder
+        # branches r >= k-2 and floor(k/2) <= r <= k-3 and the tight mixed
+        # member, which n <= 7 never reaches
+        g = build_bcdc(n)
+        for k in range(6, 2 * n + 1):
+            cut = cycle_cut_bcdc(n, k)
+            report = verify_cut(g, cut, ShapeSpec.cycle(k), STRUCTURE)
+            assert report.passed, k
+            assert len(cut.members) == kappa("bcdc", {"n": n}, ShapeSpec.cycle(k)), k
+
     def test_b9_k6_display_gap_rejected(self):
         # remainder 2 with k=6 needs an 8-vertex pattern; no second bridge
         # dimension exists, so the constructor refuses instead of guessing
@@ -349,6 +361,11 @@ class TestVerifyCut:
         cut = StructureCut(ShapeSpec.star(1), (("zzz", b3.labels[0]),), STRUCTURE)
         with pytest.raises(ValueError, match="not in graph"):
             verify_cut(b3, cut, ShapeSpec.star(1), STRUCTURE)
+
+    def test_unknown_mode_raises(self, d14):
+        cut = star_cut_dcell(1, 4, 1)
+        with pytest.raises(ParameterError, match="unknown mode: 'bogus'"):
+            verify_cut(d14, cut, ShapeSpec.star(1), "bogus")
 
     def test_structure_cut_for_dispatch(self, b5):
         cut = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.star(1), SUBSTRUCTURE)

@@ -1,6 +1,7 @@
 import pytest
 
-from dcnconn import ShapeSpec, star_cut_dcell, verify_cut
+from dcnconn import ShapeSpec, StructureCut, star_cut_dcell, structure_cut_for, verify_cut
+from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
 from dcnconn.io import (
     CSV_HEADER,
@@ -11,7 +12,7 @@ from dcnconn.io import (
     render_edgelist,
     report_csv_row,
 )
-from dcnconn.shapes import STRUCTURE
+from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE
 
 
 def test_edgelist_roundtrip(d14):
@@ -81,6 +82,38 @@ def test_cut_file_rejects_an_unknown_mode():
 def test_cut_file_without_a_shape_is_rejected():
     with pytest.raises(ValueError, match="names no shape"):
         parse_cut("# a comment\n")
+
+
+@pytest.mark.parametrize("family,params,shape", [
+    ("dcell", {"m": 1, "n": 4}, ShapeSpec.clique(1)),
+    ("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1)),
+    ("dcell", {"m": 1, "n": 5}, ShapeSpec.clique(3)),
+    ("bcdc", {"n": 5}, ShapeSpec.star(2)),
+    ("bcdc", {"n": 5}, ShapeSpec.path(4)),
+    ("bcdc", {"n": 5}, ShapeSpec.cycle(6)),
+], ids=lambda x: x.tag if isinstance(x, ShapeSpec) else None)
+@pytest.mark.parametrize("mode", [STRUCTURE, SUBSTRUCTURE])
+def test_every_kind_survives_a_cut_file(family, params, shape, mode):
+    g = build_dcell(params["m"], params["n"]) if family == "dcell" else build_bcdc(params["n"])
+    if shape == ShapeSpec.clique(1):  # no constructor: K_1 members are the neighbours of 0.0
+        members = tuple((v,) for v in g.neighbors("0.0"))
+    else:  # a structure cut is a substructure cut too
+        members = structure_cut_for(family, params, shape, STRUCTURE).members
+    cut = StructureCut(shape, members, mode)
+    back = parse_cut(render_cut(cut, family, params))
+    assert back == cut
+    assert verify_cut(g, back, shape, mode).passed
+
+
+@pytest.mark.parametrize("text,line,what", [
+    ("# cut dcell m=1 n=4 shape=P mode=structure\nP3: a,b,c\n", 1, "unknown shape tag: 'P'"),
+    ("\nK1_x: a,b\n", 2, "unknown shape tag: 'K1_x'"),
+    ("# cut bcdc n=5 shape=Q7 mode=structure\n", 1, "unknown shape tag: 'Q7'"),
+    ("# header\nC2: a,b\n", 2, "cycle parameter must be >= 3"),
+])
+def test_cut_file_tag_errors_name_the_line(text, line, what):
+    with pytest.raises(ValueError, match=f"^line {line}: {what}"):
+        parse_cut(text)
 
 
 def test_csv_row(d14):

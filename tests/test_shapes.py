@@ -41,6 +41,26 @@ def test_shape_param_bounds():
     assert ShapeSpec.star(2).vertex_count == 3
 
 
+def test_a_single_vertex_is_k1():
+    assert ShapeSpec.single() == ShapeSpec.clique(1)
+    assert ShapeSpec.single().tag == "K1"
+    with pytest.raises(ParameterError, match="unknown shape kind"):
+        ShapeSpec("single", 1)
+
+
+@pytest.mark.parametrize("shape", [ShapeSpec.clique(1), ShapeSpec.clique(12), ShapeSpec.star(1),
+                                   ShapeSpec.star(12), ShapeSpec.path(1), ShapeSpec.cycle(3)],
+                         ids=lambda shape: shape.tag)
+def test_from_tag_inverts_tag(shape):
+    assert ShapeSpec.from_tag(shape.tag) == shape
+
+
+@pytest.mark.parametrize("tag", ["", "K", "P", "K1_", "K1_x", "Q7", "C-3", "P 4"])
+def test_from_tag_rejects_a_malformed_tag(tag):
+    with pytest.raises(ParameterError, match="unknown shape tag"):
+        ShapeSpec.from_tag(tag)
+
+
 def test_star_in_k4_both_modes(k4):
     member = ("a", "b", "c")
     assert is_shape(k4, ShapeSpec.star(2), member, STRUCTURE)
