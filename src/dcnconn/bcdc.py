@@ -10,9 +10,7 @@ the generic line graph; the two must agree label for label.
 from __future__ import annotations
 
 from .errors import BuildBudgetError, ParameterError
-from .graph import Graph, line_graph
-
-DEFAULT_MAX_VERTICES = 100_000
+from .graph import DEFAULT_MAX_VERTICES, Graph, line_graph
 
 # x ~ y on 2-bit blocks; the relation is a bijection, so the image is a map.
 _PAIR_MAP = {"00": "00", "10": "10", "01": "11", "11": "01"}

@@ -22,7 +22,7 @@ from . import dcell as dc
 from . import io as dio
 from .cuts import predicted_kappa, structure_cut_for, verify_cut
 from .errors import BuildBudgetError, ParameterError
-from .graph import Graph
+from .graph import DEFAULT_MAX_VERTICES, Graph
 from .search import (
     BUDGET,
     NO,
@@ -53,25 +53,16 @@ def _build_family(family: str, params: dict[str, int], cap: int) -> Graph:
 
 def _family_params(family: str, args) -> dict[str, int]:
     if family == "dcell":
-        return {"m": args.m, "n": args.n}
+        return {"m": 0 if args.m is None else args.m, "n": args.n}
+    if args.m is not None:
+        raise ParameterError(f"--m is the DCell level; {family} takes no --m")
     return {"n": args.n}
 
 
-# shape kind -> the flag carrying its size (a single vertex has none)
-_SIZE_FLAGS = {"star": "t", "clique": "s", "path": "k", "cycle": "k", "single": None}
-
-
 def _shape_from_args(args) -> ShapeSpec:
-    kind = args.shape
-    if kind is None:  # argparse's choices admit only _SIZE_FLAGS' kinds otherwise
+    if args.shape is None:
         raise ParameterError("--shape is required")
-    flag = _SIZE_FLAGS[kind]
-    if flag is None:
-        return ShapeSpec.single()
-    size = getattr(args, flag)
-    if size is None:
-        raise ParameterError(f"--shape {kind} requires --{flag}")
-    return ShapeSpec(kind, size)
+    return ShapeSpec.from_tag(args.shape)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -83,9 +74,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _budget_from_args(args) -> SearchBudget:
-    # table has no --max-members: certify_min scans only the sizes below its value
     return SearchBudget(
-        max_members=getattr(args, "max_members", SearchBudget.max_members),
         max_candidates=args.max_candidates,
         max_checks=args.max_checks,
         time_cap_secs=args.budget_secs,
@@ -138,14 +127,18 @@ def cmd_oracle(args) -> int:
     if args.witness_from_constructor and args.certify is None:
         raise ParameterError("--witness-from-constructor needs --certify")
     if args.g_extra is not None:
-        ignored = [f"--{flag}" for flag in ("shape", "t", "s", "k", "mode")
+        ignored = [f"--{flag}" for flag in ("shape", "mode")
                    if getattr(args, flag) not in (None, STRUCTURE)]
         if ignored:
             raise ParameterError(f"--g-extra takes no {', '.join(ignored)}")
+    else:
+        shape = _shape_from_args(args)
     jobs = _jobs_from_args(args)
     params = _family_params(args.family, args)
-    g = _build_family(args.family, params, args.max_vertices)
     budget = _budget_from_args(args)
+    if args.prove_min is not None:  # only min_structure_cut reads the member cap
+        budget = replace(budget, max_members=args.prove_min)
+    g = _build_family(args.family, params, args.max_vertices)
     if args.progress:
         logging.basicConfig(level=logging.INFO, format="progress: %(message)s")
 
@@ -155,20 +148,18 @@ def cmd_oracle(args) -> int:
         if res.witness is not None:
             res.witness = StructureCut(
                 ShapeSpec.single(), tuple((lab,) for lab in res.witness), STRUCTURE)
+    elif args.prove_min is not None:
+        call = "min_structure_cut"
+        res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs)
+    elif args.certify is not None:
+        call = f"certify_min(value={args.certify})"
+        witness = None
+        if args.witness_from_constructor:
+            witness = structure_cut_for(args.family, params, shape, args.mode)
+        res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
     else:
-        shape = _shape_from_args(args)
-        if args.prove_min:
-            call = "min_structure_cut"
-            res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs)
-        elif args.certify is not None:
-            call = f"certify_min(value={args.certify})"
-            witness = None
-            if args.witness_from_constructor:
-                witness = structure_cut_for(args.family, params, shape, args.mode)
-            res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
-        else:
-            call = f"exists_cut_of_size(bound={args.bound})"
-            res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs)
+        call = f"exists_cut_of_size(bound={args.bound})"
+        res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs)
 
     print(f"{call} status={res.status} value={res.value} "
           f"lower_bound_proven={res.lower_bound_proven} copies={res.copies} "
@@ -243,7 +234,7 @@ def cmd_table(args) -> int:
             predicted = predicted_kappa(family, params, shape, mode).value
             cut = structure_cut_for(family, params, shape, mode)
             if key not in graphs:
-                graphs[key] = _build_family(family, params, dc.DEFAULT_MAX_VERTICES)
+                graphs[key] = _build_family(family, params, DEFAULT_MAX_VERTICES)
             g = graphs[key]
             report = verify_cut(g, cut, shape, mode)
         except (ParameterError, BuildBudgetError) as exc:
@@ -305,17 +296,13 @@ def cmd_table(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, family_choices=("dcell", "bcdc", "cq")) -> None:
     p.add_argument("family", choices=family_choices)
-    p.add_argument("--m", type=int, default=0, help="DCell level")
+    p.add_argument("--m", type=int, default=None, help="DCell level (dcell only, default 0)")
     p.add_argument("--n", type=int, required=True, help="ports (dcell) or dimension (bcdc/cq)")
-    p.add_argument("--max-vertices", type=int, default=dc.DEFAULT_MAX_VERTICES)
-    p.add_argument("--seed", type=int, default=None, help="accepted and ignored (deterministic)")
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
 
 
 def _add_shape_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shape", choices=tuple(_SIZE_FLAGS))
-    p.add_argument("--t", type=int, default=None, help="star leaf count")
-    p.add_argument("--s", type=int, default=None, help="clique size")
-    p.add_argument("--k", type=int, default=None, help="path/cycle length")
+    p.add_argument("--shape", help="shape tag: K1_t (star), Pk (path), Ck (cycle), Ks (clique)")
     p.add_argument("--mode", choices=MODES, default=STRUCTURE)
 
 
@@ -333,26 +320,26 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a topology file")
+    p = sub.add_parser("gen", help="generate a topology file", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--format", choices=("edgelist", "dot"), default="edgelist")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("cut", help="construct and verify a structure cut")
+    p = sub.add_parser("cut", help="construct and verify a structure cut", allow_abbrev=False)
     _add_common(p, family_choices=("dcell", "bcdc"))
     _add_shape_args(p)
     p.add_argument("--out", default=None, help="write the cut file here")
     p.set_defaults(func=cmd_cut)
 
-    p = sub.add_parser("oracle", help="exhaustive search certification")
+    p = sub.add_parser("oracle", help="exhaustive search certification", allow_abbrev=False)
     _add_common(p, family_choices=("dcell", "bcdc", "cq"))
     _add_shape_args(p)
     _add_budget_args(p)
-    p.add_argument("--max-members", type=int, default=SearchBudget.max_members)
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
     one_mode = p.add_mutually_exclusive_group(required=True)
-    one_mode.add_argument("--prove-min", action="store_true")
+    one_mode.add_argument("--prove-min", nargs="?", type=int, const=SearchBudget.max_members,
+                          metavar="M", help="search sizes 1..M (default M: %(const)s)")
     one_mode.add_argument("--bound", type=int, default=None)
     one_mode.add_argument("--certify", type=int, default=None)
     one_mode.add_argument("--g-extra", type=int, default=None)
@@ -361,10 +348,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="log subset counters to stderr during the scan")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("table", help="reproduce the predicted-value table")
+    p = sub.add_parser("table", help="reproduce the predicted-value table", allow_abbrev=False)
     _add_budget_args(p)
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle", choices=("auto", "off"), default="auto")
     p.add_argument("--oracle-check-cap", type=float, default=300_000,
                    help="skip oracle certification when the scan estimate exceeds this")

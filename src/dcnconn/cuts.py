@@ -17,7 +17,6 @@ vertices; overlap is reported, never rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from . import bcdc as bc
 from . import dcell as dc
@@ -43,10 +42,6 @@ class PredictedValue:
 
     value: int
     branch: str
-    family: str
-    params: tuple[tuple[str, int], ...]
-    shape: ShapeSpec
-    mode: str
     remainder: int | None = None
 
 
@@ -56,32 +51,31 @@ def predicted_kappa(
     """Predicted structure/substructure connectivity for a family instance."""
     branch = _branch(family, params, shape, mode)
     n, size = params["n"], shape.size
-    echo = (("m", params["m"]), ("n", n)) if family == "dcell" else (("n", n),)
-    result = partial(PredictedValue, family=family, params=echo, shape=shape, mode=mode)
     if branch == "dcell-star":
-        return result(_ceil(n - 1, 1 + size) + params["m"], branch,
-                      remainder=(n - 1) % (1 + size))
+        return PredictedValue(_ceil(n - 1, 1 + size) + params["m"], branch,
+                              remainder=(n - 1) % (1 + size))
     if branch == "dcell-clique":
-        return result(_ceil(n - 1, size) + params["m"], branch)
+        return PredictedValue(_ceil(n - 1, size) + params["m"], branch)
     if branch == "bcdc-star":
         if size == 1:
             if n % 2 == 1:
-                return result(n - 1, "bcdc-star-t1-odd")
-            return result(n, "bcdc-star-t1-even")
+                return PredictedValue(n - 1, "bcdc-star-t1-odd")
+            return PredictedValue(n, "bcdc-star-t1-even")
         r = (n - 1) % (1 + size)
         if size <= n - 3 and r == 1:
-            return result((2 * n - 4) // (1 + size) + 1, "bcdc-star-r1", remainder=r)
-        return result(2 * _ceil(n - 1, 1 + size), "bcdc-star-general", remainder=r)
+            return PredictedValue((2 * n - 4) // (1 + size) + 1, "bcdc-star-r1", remainder=r)
+        return PredictedValue(2 * _ceil(n - 1, 1 + size), "bcdc-star-general", remainder=r)
     if branch != "bcdc-cycle":  # paths and substructure cycles
         if size <= n - 1 and (n - 1) % size == 0:
-            return result((2 * n - 2) // size, branch + "-divides", remainder=0)
-        return result(_ceil(2 * n - 1, size), branch + "-general", remainder=(n - 1) % size)
+            return PredictedValue((2 * n - 2) // size, branch + "-divides", remainder=0)
+        return PredictedValue(_ceil(2 * n - 1, size), branch + "-general",
+                              remainder=(n - 1) % size)
     r = (n - 1) % size
     if size == 2 * n or (6 <= size <= n - 1 and 1 <= r <= size // 2 - 1):
-        return result(2 * _ceil(n - 1, size) - 1, "bcdc-cycle-low-remainder", remainder=r)
+        return PredictedValue(2 * _ceil(n - 1, size) - 1, "bcdc-cycle-low-remainder", remainder=r)
     if size == n:
-        return result(3, "bcdc-cycle-equal-n", remainder=r)
-    return result(2 * _ceil(n - 1, size), "bcdc-cycle-general", remainder=r)
+        return PredictedValue(3, "bcdc-cycle-equal-n", remainder=r)
+    return PredictedValue(2 * _ceil(n - 1, size), "bcdc-cycle-general", remainder=r)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import BuildBudgetError, ParameterError
-from .graph import Graph
-
-DEFAULT_MAX_VERTICES = 100_000
+from .graph import DEFAULT_MAX_VERTICES, Graph
 
 # t_{m,n} doubles its digit count per level; reject beyond this rather than
 # grinding on astronomically large integers.

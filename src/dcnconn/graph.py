@@ -30,6 +30,9 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 from typing import Iterator
 
+# the vertex budget of every topology builder
+DEFAULT_MAX_VERTICES = 100_000
+
 
 class Graph:
     """Immutable undirected simple graph."""

@@ -35,7 +35,7 @@ def parse_edgelist(text: str) -> tuple[str, dict[str, int], list[str], list[tupl
     """Returns (family, params, labels, edges). Labels keep first-seen order.
 
     Rejects a data line that is not two non-empty labels joined by one tab,
-    naming its line number."""
+    and a header parameter that is not an integer, naming its line number."""
     family = ""
     params: dict[str, int] = {}
     labels: list[str] = []
@@ -56,7 +56,10 @@ def parse_edgelist(text: str) -> tuple[str, dict[str, int], list[str], list[tupl
             family = rest[0]
             for kv in rest[1:]:
                 k, _, v = kv.partition("=")
-                params[k] = int(v)
+                try:
+                    params[k] = int(v)
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from exc
         elif line.startswith("# isolated "):
             note(line[len("# isolated "):].strip())
         elif line.startswith("#"):

@@ -76,12 +76,15 @@ class ShapeSpec:
 
     @staticmethod
     def from_tag(tag: str) -> "ShapeSpec":
-        """The shape whose `tag` is `tag`."""
+        """The shape whose `tag` is `tag`; any other spelling of it (`C05`,
+        non-ASCII digits) is rejected."""
         for prefix, kind in (("K1_", "star"), ("P", "path"), ("C", "cycle"), ("K", "clique")):
             size = tag[len(prefix):]
             if tag.startswith(prefix) and size.isdecimal():
-                return ShapeSpec(kind, int(size))
-        raise ParameterError(f"unknown shape tag: {tag!r}")
+                shape = ShapeSpec(kind, int(size))
+                if shape.tag == tag:
+                    return shape
+        raise ParameterError(f"unknown shape tag: {tag!r} (the tags are K1_t, Pk, Ck and Ks)")
 
     @property
     def tag(self) -> str:

@@ -1,6 +1,7 @@
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 from itertools import islice
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from dcnconn import build_bcdc, build_dcell, predicted_kappa, search
-from dcnconn.cli import _default_grid, main
+from dcnconn import ShapeSpec, build_bcdc, build_dcell, predicted_kappa, search
+from dcnconn.cli import _default_grid, main, make_parser
+from dcnconn.search import SearchBudget
 from dcnconn.shapes import enumerate_shape_copies
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -44,7 +46,7 @@ def test_gen_cq2_edges(capsys):
 
 def test_gen_deterministic(capsys):
     _, first, _ = run(capsys, "gen", "bcdc", "--n", "4")
-    _, second, _ = run(capsys, "gen", "bcdc", "--n", "4", "--seed", "7")
+    _, second, _ = run(capsys, "gen", "bcdc", "--n", "4")
     assert first == second
 
 
@@ -64,7 +66,7 @@ def test_gen_budget_rejected(capsys):
 def test_cut_dcell_star(capsys, tmp_path):
     out_file = tmp_path / "cut.txt"
     code, out, _ = run(
-        capsys, "cut", "dcell", "--m", "1", "--n", "4", "--shape", "star", "--t", "1",
+        capsys, "cut", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1",
         "--out", str(out_file),
     )
     assert code == 0
@@ -74,25 +76,25 @@ def test_cut_dcell_star(capsys, tmp_path):
 
 def test_cut_bcdc_cycle_k5_rejected(capsys):
     # exhaustive search refuted the 3-member cut; the CLI reports the truth
-    code, _, err = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "cycle", "--k", "5")
+    code, _, err = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "C5")
     assert code == 2
     assert "minimum is 4" in err
 
 
 def test_cut_bcdc_cycle_k6(capsys):
-    code, out, _ = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "cycle", "--k", "6")
+    code, out, _ = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "C6")
     assert code == 0
     assert ",C6,structure,2,2," in out
 
 
 def test_cut_out_of_range_exit2(capsys):
-    code, _, err = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "cycle", "--k", "4")
+    code, _, err = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "C4")
     assert code == 2
     assert "no known construction" in err
 
 
 def test_cut_star_range_named(capsys):
-    code, _, err = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "star", "--t", "8")
+    code, _, err = run(capsys, "cut", "bcdc", "--n", "5", "--shape", "K1_8")
     assert code == 2
     assert "2n-3" in err
 
@@ -100,7 +102,7 @@ def test_cut_star_range_named(capsys):
 def test_oracle_prove_min_dcell_clique(capsys):
     code, out, _ = run(
         capsys, "oracle", "dcell", "--m", "0", "--n", "5",
-        "--shape", "clique", "--s", "3", "--prove-min", "--jobs", "1",
+        "--shape", "K3", "--prove-min", "--jobs", "1",
     )
     assert code == 0
     assert "value=2" in out
@@ -115,7 +117,7 @@ def test_oracle_g_extra_b3(capsys):
 def test_oracle_bound_no(capsys):
     code, out, _ = run(
         capsys, "oracle", "dcell", "--m", "1", "--n", "4",
-        "--shape", "star", "--t", "1", "--bound", "2", "--jobs", "1",
+        "--shape", "K1_1", "--bound", "2", "--jobs", "1",
     )
     assert code == 0
     assert "status=no" in out
@@ -123,7 +125,7 @@ def test_oracle_bound_no(capsys):
 
 def test_oracle_certify_with_constructor(capsys):
     code, out, _ = run(
-        capsys, "oracle", "bcdc", "--n", "4", "--shape", "path", "--k", "7",
+        capsys, "oracle", "bcdc", "--n", "4", "--shape", "P7",
         "--certify", "1", "--witness-from-constructor", "--jobs", "1",
     )
     assert code == 0
@@ -131,19 +133,19 @@ def test_oracle_certify_with_constructor(capsys):
 
 
 def test_witness_from_constructor_needs_certify(capsys):
-    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "star",
-                         "--t", "1", "--bound", "1", "--witness-from-constructor")
+    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1",
+                         "--bound", "1", "--witness-from-constructor")
     assert code == 2
     assert "--witness-from-constructor needs --certify" in err
     assert out == ""
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--shape", "cycle"], "--shape"),
-    (["--t", "1"], "--t"),
-    (["--s", "3"], "--s"),
-    (["--k", "4"], "--k"),
-    (["--mode", "substructure", "--shape", "cycle"], "--shape, --mode"),
+    (["--shape", "C5"], "--shape"),
+    (["--mode", "substructure"], "--mode"),
+    (["--shape", "K1"], "--shape"),
+    (["--shape", "K1_1", "--mode", "structure"], "--shape"),
+    (["--mode", "substructure", "--shape", "C5"], "--shape, --mode"),
 ])
 def test_g_extra_rejects_shape_and_mode_flags(capsys, flags, named):
     code, out, err = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0", *flags)
@@ -161,7 +163,7 @@ def test_g_extra_witness_is_written_in_structure_mode(capsys):
 
 def test_oracle_budget_exit3(capsys):
     code, out, _ = run(
-        capsys, "oracle", "bcdc", "--n", "4", "--shape", "star", "--t", "1",
+        capsys, "oracle", "bcdc", "--n", "4", "--shape", "K1_1",
         "--prove-min", "--max-checks", "10", "--jobs", "1",
     )
     assert code == 3
@@ -178,9 +180,9 @@ def test_oracle_g_extra_without_separation_exits_1(capsys):
 
 @pytest.mark.parametrize("argv, call", [
     (["--g-extra", "0"], "g_extra_connectivity(h=0)"),
-    (["--shape", "star", "--t", "1", "--prove-min"], "min_structure_cut"),
-    (["--shape", "star", "--t", "1", "--certify", "3"], "certify_min(value=3)"),
-    (["--shape", "star", "--t", "1", "--bound", "2"], "exists_cut_of_size(bound=2)"),
+    (["--shape", "K1_1", "--prove-min"], "min_structure_cut"),
+    (["--shape", "K1_1", "--certify", "3"], "certify_min(value=3)"),
+    (["--shape", "K1_1", "--bound", "2"], "exists_cut_of_size(bound=2)"),
 ])
 def test_oracle_prints_one_report_line(capsys, argv, call):
     code, out, _ = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", *argv, "--jobs", "1")
@@ -260,7 +262,7 @@ def test_table_summary_counts_skipped_rows(capsys, tmp_path):
 def test_table_deterministic_output(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "table", "--oracle", "off", "--out", str(a))
-    run(capsys, "table", "--oracle", "off", "--out", str(b), "--seed", "3")
+    run(capsys, "table", "--oracle", "off", "--out", str(b))
     assert a.read_text() == b.read_text()
 
 
@@ -342,19 +344,77 @@ def test_table_rejects_a_negative_or_nan_check_cap(capsys, tmp_path, cap):
 
 @pytest.mark.parametrize("secs", ["-1", "nan"])
 def test_oracle_rejects_a_negative_or_nan_time_cap(capsys, secs):
-    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "star",
-                         "--t", "1", "--bound", "3", "--budget-secs", secs)
+    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1",
+                         "--bound", "3", "--budget-secs", secs)
     assert code == 2
     assert "time cap must be positive" in err
     assert out == ""
 
 
-@pytest.mark.parametrize("kind,flag", [("star", "t"), ("clique", "s"), ("path", "k"),
-                                       ("cycle", "k")])
-def test_shape_without_its_size_flag_is_named(capsys, kind, flag):
-    code, _, err = run(capsys, "oracle", "dcell", "--n", "4", "--shape", kind, "--bound", "1")
+@pytest.mark.parametrize("tag", ["star", "clique", "path", "cycle", "single", "C05", "P007",
+                                 "K01", "K1_02", "K\u0661"])
+@pytest.mark.parametrize("command", ["cut", "oracle"])
+def test_shape_takes_only_its_tag(capsys, command, tag):
+    # a shape kind word, a leading zero and a non-ASCII digit are not tags
+    code, out, err = run(capsys, command, "dcell", "--n", "4", "--shape", tag,
+                         *(("--bound", "1") if command == "oracle" else ()))
     assert code == 2
-    assert f"error: --shape {kind} requires --{flag}" in err
+    assert f"error: unknown shape tag: {tag!r} (the tags are K1_t, Pk, Ck and Ks)" in err
+    assert out == ""
+
+
+def test_shape_k1_is_the_single_vertex(capsys):
+    code, out, _ = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1",
+                       "--prove-min", "--jobs", "1")
+    assert code == 0
+    assert "value=4" in out
+    assert out.splitlines()[1] == "# cut dcell m=1 n=4 shape=K1 mode=structure"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "bcdc", "--n", "2", "--seed", "1"),
+    ("cut", "dcell", "--n", "4", "--shape", "K1_1", "--seed", "1"),
+    ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--seed", "1"),
+    ("table", "--oracle", "off", "--seed", "1"),
+    ("cut", "dcell", "--n", "4", "--shape", "K1_1", "--t", "1"),
+    ("oracle", "dcell", "--n", "4", "--shape", "K3", "--bound", "1", "--s", "3"),
+    ("oracle", "bcdc", "--n", "5", "--shape", "C6", "--bound", "1", "--k", "6"),
+    ("oracle", "bcdc", "--n", "3", "--g-extra", "0", "--t", "1"),
+    ("oracle", "bcdc", "--n", "3", "--g-extra", "0", "--s", "3"),
+    ("oracle", "bcdc", "--n", "3", "--g-extra", "0", "--k", "4"),
+    ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--max-members", "3"),
+], ids=["gen--seed", "cut--seed", "oracle--seed", "table--seed", "cut--t", "oracle--s",
+        "oracle--k", "g-extra--t", "g-extra--s", "g-extra--k", "oracle--max-members"])
+def test_removed_flags_are_unrecognized(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+    assert out.out == ""
+
+
+@pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "2", "--m", "3"),
+                                  ("gen", "cq", "--n", "2", "--m", "0"),
+                                  ("cut", "bcdc", "--n", "5", "--m", "1", "--shape", "C6"),
+                                  ("oracle", "cq", "--n", "3", "--m", "1", "--g-extra", "0")],
+                         ids=lambda argv: argv[0] + "-" + argv[1])
+def test_m_outside_dcell_is_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"error: --m is the DCell level; {argv[1]} takes no --m" in err
+    assert out == ""
+
+
+def test_prove_min_takes_the_member_cap(capsys):
+    code, out, _ = run(capsys, "oracle", "bcdc", "--n", "4", "--shape", "K1_1",
+                       "--prove-min", "3", "--jobs", "1")
+    assert code == 3
+    assert out == ("min_structure_cut status=budget_exceeded value=None lower_bound_proven=3 "
+                   "copies=96 checks=147536 member cap reached\n")
+    args = make_parser().parse_args(["oracle", "bcdc", "--n", "4", "--shape", "K1_1",
+                                     "--prove-min"])
+    assert args.prove_min == SearchBudget.max_members == 8
 
 
 @pytest.mark.parametrize("argv", [("cut", "dcell", "--n", "4"),
@@ -368,9 +428,9 @@ def test_missing_shape_is_named(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--shape", "star", "--t", "1", "--bound", "1", "--prove-min"),
+    ("--shape", "K1_1", "--bound", "1", "--prove-min"),
     ("--g-extra", "1", "--certify", "2"),
-    ("--shape", "star", "--t", "1", "--certify", "3", "--bound", "2"),
+    ("--shape", "K1_1", "--certify", "3", "--bound", "2"),
 ], ids=["bound+prove-min", "g-extra+certify", "certify+bound"])
 def test_oracle_with_two_modes_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -383,14 +443,14 @@ def test_oracle_with_two_modes_exits_2(capsys, argv):
 
 def test_oracle_without_a_mode_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["oracle", "dcell", "--m", "1", "--n", "4", "--shape", "star", "--t", "1"])
+        main(["oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1"])
     assert exc.value.code == 2
     assert "one of the arguments --prove-min --bound --certify --g-extra is required" in (
         capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [
-    ("oracle", "bcdc", "--n", "3", "--shape", "star", "--t", "1", "--bound", "1"),
+    ("oracle", "bcdc", "--n", "3", "--shape", "K1_1", "--bound", "1"),
     ("table", "--oracle", "off"),
 ], ids=["oracle", "table"])
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -418,10 +478,35 @@ def test_table_has_no_max_members_and_records_the_default(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "3"),
-                                  ("cut", "dcell", "--n", "4", "--shape", "star", "--t", "1")],
+                                  ("cut", "dcell", "--n", "4", "--shape", "K1_1")],
                          ids=["gen", "cut"])
 def test_jobs_is_not_an_option_of_gen_or_cut(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--jobs", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --jobs 5" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every `dcnconn ...` line in the README's fenced blocks,
+    `\\` continuations joined and `#` comments dropped."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["dcnconn"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 13
+    for argv in commands:
+        try:
+            args = make_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"dcnconn {' '.join(argv)}: {capsys.readouterr().err}")
+        if getattr(args, "shape", None) is not None:
+            ShapeSpec.from_tag(args.shape)

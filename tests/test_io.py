@@ -110,6 +110,9 @@ def test_every_kind_survives_a_cut_file(family, params, shape, mode):
     ("\nK1_x: a,b\n", 2, "unknown shape tag: 'K1_x'"),
     ("# cut bcdc n=5 shape=Q7 mode=structure\n", 1, "unknown shape tag: 'Q7'"),
     ("# header\nC2: a,b\n", 2, "cycle parameter must be >= 3"),
+    ("# cut bcdc n=5 shape=C06 mode=structure\n", 1, "unknown shape tag: 'C06'"),
+    ("K01: a\n", 1, "unknown shape tag: 'K01'"),
+    ("P\u0664: a,b,c,d\n", 1, "unknown shape tag: 'P\u0664'"),
 ])
 def test_cut_file_tag_errors_name_the_line(text, line, what):
     with pytest.raises(ValueError, match=f"^line {line}: {what}"):
@@ -122,6 +125,13 @@ def test_csv_row(d14):
     row = report_csv_row("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1), STRUCTURE, 3, report)
     assert row == "dcell,m=1 n=4,K1_1,structure,3,3,5,2,1,pass"
     assert len(row.split(",")) == len(CSV_HEADER.split(","))
+
+
+def test_edgelist_rejects_a_header_parameter_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^line 1: invalid literal for int.*'x'"):
+        parse_edgelist("# graph bcdc n=x\na\tb\n")
+    with pytest.raises(ValueError, match="^line 2: invalid literal for int.*''"):
+        parse_edgelist("\n# graph dcell m=1 n\n")
 
 
 @pytest.mark.parametrize("text,line", [

@@ -61,6 +61,15 @@ def test_from_tag_rejects_a_malformed_tag(tag):
         ShapeSpec.from_tag(tag)
 
 
+@pytest.mark.parametrize("tag", ["C05", "P007", "K01", "K1_02", "K1_\u0662", "K\u0661",
+                                 "C\uff15", "star", "single"])
+def test_from_tag_accepts_only_the_tag_it_writes(tag):
+    # a leading zero or a non-ASCII digit would read as a shape whose tag differs
+    with pytest.raises(ParameterError) as exc:
+        ShapeSpec.from_tag(tag)
+    assert str(exc.value) == f"unknown shape tag: {tag!r} (the tags are K1_t, Pk, Ck and Ks)"
+
+
 def test_star_in_k4_both_modes(k4):
     member = ("a", "b", "c")
     assert is_shape(k4, ShapeSpec.star(2), member, STRUCTURE)
