@@ -30,15 +30,8 @@ from .bcdc import (
 from .cuts import (
     PredictedValue,
     VerificationReport,
-    clique_cut_dcell,
-    cycle_cut_bcdc,
-    k11_cut_bcdc,
-    path_cut_bcdc,
     predicted_kappa,
-    star_cut_bcdc,
-    star_cut_dcell,
     structure_cut_for,
-    substructure_cycle_cut_bcdc,
     verify_cut,
 )
 from .search import (
@@ -74,15 +67,8 @@ __all__ = [
     "pair_related",
     "PredictedValue",
     "VerificationReport",
-    "clique_cut_dcell",
-    "cycle_cut_bcdc",
-    "k11_cut_bcdc",
-    "path_cut_bcdc",
     "predicted_kappa",
-    "star_cut_bcdc",
-    "star_cut_dcell",
     "structure_cut_for",
-    "substructure_cycle_cut_bcdc",
     "verify_cut",
     "SearchBudget",
     "certify_min",

@@ -74,6 +74,12 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _budget_from_args(args) -> SearchBudget:
+    if args.max_candidates < 0:
+        raise ParameterError(f"--max-candidates must be >= 0, got {args.max_candidates}")
+    if args.max_checks < 1:
+        raise ParameterError(f"--max-checks must be >= 1, got {args.max_checks}")
+    if not args.budget_secs > 0:  # NaN fails this too
+        raise ParameterError(f"--budget-secs must be > 0, got {args.budget_secs}")
     return SearchBudget(
         max_candidates=args.max_candidates,
         max_checks=args.max_checks,
@@ -137,6 +143,8 @@ def cmd_oracle(args) -> int:
     params = _family_params(args.family, args)
     budget = _budget_from_args(args)
     if args.prove_min is not None:  # only min_structure_cut reads the member cap
+        if args.prove_min < 1:
+            raise ParameterError(f"--prove-min must be >= 1, got {args.prove_min}")
         budget = replace(budget, max_members=args.prove_min)
     g = _build_family(args.family, params, args.max_vertices)
     if args.progress:

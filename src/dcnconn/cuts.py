@@ -2,14 +2,16 @@
 
 Each theorem's hypotheses are checked by one domain helper. `_branch`, the one
 family x kind x mode dispatch, runs it for both `predicted_kappa` and
-`structure_cut_for`, and each public constructor calls its own. Values and
-members are still computed apart.
+`structure_cut_for`, the one public constructor. Values and members are still
+computed apart.
 
-Every constructor builds its cut around the fixed base vertex the underlying
-argument uses: the all-zeros label for DCell, [0...0, 10...0] for B_n.
+The private builders return the members of a cut around the fixed base vertex
+the underlying argument uses: the all-zeros label for DCell, [0...0, 10...0]
+for B_n. They run after `_branch`, so they check no domain, and only
+`structure_cut_for` names the cut's shape and mode.
 Free leaf/filler choices are resolved deterministically by `_first_free`: the
 first candidates, in order, that the same member has not used and that are
-not the base vertex. The B_n constructors sort candidates by label, the DCell
+not the base vertex. The B_n builders sort candidates by label, the DCell
 ones take them in `dcell_neighbors`' digit-tuple order. Cuts may overlap in
 vertices; overlap is reported, never rejected.
 """
@@ -184,14 +186,12 @@ def _dc_neighbor_labels(digits: tuple[int, ...], m: int, n: int) -> list[str]:
     return [dc.label_str(cand) for cand in dc.dcell_neighbors(digits, m, n)]
 
 
-def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
+def _star_cut_dcell(m: int, n: int, t: int) -> tuple[tuple[str, ...], ...]:
     """Star cut of D(m,n) isolating the all-zeros vertex.
 
     ceil((n-1)/(1+t)) stars cover the level-0 clique neighbors, one star per
     weight-one neighbor covers the m outside links.
     """
-    _dcell_star_domain(m, n, t)
-    shape = ShapeSpec.star(t)
     u_digits = (0,) * (m + 1)
     u_label = dc.label_str(u_digits)
     members: list[tuple[str, ...]] = []
@@ -214,13 +214,11 @@ def star_cut_dcell(m: int, n: int, t: int) -> StructureCut:
         center_digits = tuple(1 if pos == m - j else 0 for pos in range(m + 1))
         leaves = _first_free(_dc_neighbor_labels(center_digits, m, n), t, {u_label})
         members.append((dc.label_str(center_digits), *leaves))
-    return StructureCut(shape, tuple(members), STRUCTURE)
+    return tuple(members)
 
 
-def clique_cut_dcell(m: int, n: int, s: int) -> StructureCut:
+def _clique_cut_dcell(m: int, n: int, s: int) -> tuple[tuple[str, ...], ...]:
     """Clique cut of D(m,n) isolating the all-zeros vertex."""
-    _dcell_clique_domain(m, n, s)
-    shape = ShapeSpec.clique(s)
     members: list[tuple[str, ...]] = []
     q, r = divmod(n - 1, s)
     for i in range(1, q + 1):
@@ -235,7 +233,7 @@ def clique_cut_dcell(m: int, n: int, s: int) -> StructureCut:
             digits[m] = k
             vertices.append(dc.label_str(tuple(digits)))
         members.append(tuple(vertices))
-    return StructureCut(shape, tuple(members), STRUCTURE)
+    return tuple(members)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +272,9 @@ class _BnCutHelper:
         return _first_free(sorted(pool), count, used | {self.u})
 
 
-def k11_cut_bcdc(n: int) -> StructureCut:
+def _k11_cut_bcdc(n: int) -> tuple[tuple[str, ...], ...]:
     """Single-edge cut of B_n isolating the base vertex (n-1 or n members)."""
-    _bcdc_star_domain(n, 1)
     h = _BnCutHelper(n)
-    shape = ShapeSpec.star(1)
     v_members: list[tuple[str, ...]] = []
     w_members: list[tuple[str, ...]] = []
     full = (n - 2) // 2
@@ -291,16 +287,12 @@ def k11_cut_bcdc(n: int) -> StructureCut:
     else:
         v_members.append((h.vv(n - 2), h.second(h.v, n - 2, n - 1)))
         w_members.append((h.ww(n - 2), h.second(h.w, n - 2, n - 1)))
-    return StructureCut(shape, tuple(v_members + w_members), STRUCTURE)
+    return tuple(v_members + w_members)
 
 
-def star_cut_bcdc(n: int, t: int) -> StructureCut:
+def _star_cut_bcdc(n: int, t: int) -> tuple[tuple[str, ...], ...]:
     """Star cut of B_n isolating the base vertex, for 2 <= t <= 2n-3."""
-    if t == 1:
-        raise ParameterError("the single-edge (t=1) star cut is built by k11_cut_bcdc")
-    _bcdc_star_domain(n, t)
     h = _BnCutHelper(n)
-    shape = ShapeSpec.star(t)
     members: list[tuple[str, ...]] = []
 
     if t >= n - 2:
@@ -312,7 +304,7 @@ def star_cut_bcdc(n: int, t: int) -> StructureCut:
                 bc.bn_vertex_neighbors(center), t - (n - 2), used
             )
             members.append((center, *leaves))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     q, r = divmod(n - 1, t + 1)
     for own in (h.vv, h.ww):
@@ -334,20 +326,17 @@ def star_cut_bcdc(n: int, t: int) -> StructureCut:
                 bc.bn_vertex_neighbors(center), t - r + 1, used
             )
             members.append((center, *leaves))
-    return StructureCut(shape, tuple(members), STRUCTURE)
+    return tuple(members)
 
 
-def path_cut_bcdc(n: int, k: int) -> StructureCut:
+def _path_cut_bcdc(n: int, k: int) -> tuple[tuple[str, ...], ...]:
     """Path cut of B_n isolating the base vertex, for 4 <= k <= 2n-1."""
-    _bcdc_path_domain(n, k)
     h = _BnCutHelper(n)
-    shape = ShapeSpec.path(k)
     pv = [h.vv(i) for i in range(n - 1)]
     pw = [h.ww(i) for i in range(n - 1)]
 
     if k == 2 * n - 1:
-        member = pv + [h.bridge(n - 2)] + list(reversed(pw))
-        return StructureCut(shape, (tuple(member),), STRUCTURE)
+        return (tuple(pv + [h.bridge(n - 2)] + list(reversed(pw))),)
 
     if k >= n:
         members = []
@@ -357,42 +346,31 @@ def path_cut_bcdc(n: int, k: int) -> StructureCut:
             tail.append(bc.bn_label(x, bc.dim_neighbor(x, n - 1)))
             ext = own_list + tail
             members.append(tuple(ext[:k]))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     if (n - 1) % k == 0:
         members = []
         for own_list in (pv, pw):
             for j in range((n - 1) // k):
                 members.append(tuple(own_list[j * k : (j + 1) * k]))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     # k does not divide n-1: blocks along the length-(3n-2) path
     y = bc.dim_neighbor(h.w, 0)
     tail = [bc.bn_label(y, bc.dim_neighbor(y, n - 1))]
     tail += [bc.bn_label(y, bc.dim_neighbor(y, i)) for i in range(1, n - 1)]
     p3 = pv + [h.bridge(n - 2)] + list(reversed(pw)) + tail
-    count = _ceil(2 * n - 1, k)
-    members = tuple(tuple(p3[j * k : (j + 1) * k]) for j in range(count))
-    return StructureCut(shape, members, STRUCTURE)
+    return tuple(tuple(p3[j * k : (j + 1) * k]) for j in range(_ceil(2 * n - 1, k)))
 
 
-def substructure_cycle_cut_bcdc(n: int, k: int) -> StructureCut:
-    """The path cut re-tagged as a substructure cycle cut (paths are connected
-    subgraphs of cycles)."""
-    return StructureCut(ShapeSpec.cycle(k), path_cut_bcdc(n, k).members, SUBSTRUCTURE)
-
-
-def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
+def _cycle_cut_bcdc(n: int, k: int) -> tuple[tuple[str, ...], ...]:
     """Cycle cut of B_n isolating the base vertex, for 6 <= k <= 2n."""
-    _bcdc_cycle_domain(n, k)
     h = _BnCutHelper(n)
-    shape = ShapeSpec.cycle(k)
     cpv = [h.vv(1), h.vv(0)] + [h.vv(i) for i in range(2, n - 1)]
     cpw = [h.ww(1), h.ww(0)] + [h.ww(i) for i in range(2, n - 1)]
 
     if k == 2 * n:
-        member = [h.bridge(1)] + cpv + [h.bridge(n - 2)] + list(reversed(cpw))
-        return StructureCut(shape, (tuple(member),), STRUCTURE)
+        return (tuple([h.bridge(1)] + cpv + [h.bridge(n - 2)] + list(reversed(cpw))),)
 
     if n + 1 <= k <= 2 * n - 1:
         members = []
@@ -406,7 +384,7 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
             ]
             cyc += h.fillers(pool, k - n - 1, set(cyc))
             members.append(tuple(cyc))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     if k == n:
         members = []
@@ -422,7 +400,7 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
         pool = [h.vv(i) for i in range(2, n - 1)]
         c3 += h.fillers(pool, k - 6, set(c3))
         members.append(tuple(c3))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     # 6 <= k <= n-1 (so n >= 7): dimension blocks plus remainder members
     q, r = divmod(n - 1, k)
@@ -431,19 +409,19 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
         for i in range(1, q + 1):
             members.append(tuple(own((i - 1) * k + j) for j in range(k)))
     if r == 0:
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     run = list(range(n - r - 1, n - 1))  # uncovered dimensions, both sides
     if 1 <= r <= k // 2 - 1:
         members.append(_mixed_cycle_member(h, k, r, run))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     if r >= k - 2:
         # clique cycles: uncovered run plus k-r low-dimension overlap vertices
         pads = [d for d in range(n - 1) if d not in run][: k - r]
         for own in (h.vv, h.ww):
             members.append(tuple(own(d) for d in pads + run))
-        return StructureCut(shape, tuple(members), STRUCTURE)
+        return tuple(members)
 
     # floor(k/2) <= r <= k-3: per-side cycles through [x^{n-2}, x^{n-2,1}]
     pools = {h.v: list(range(0, n - 2)), h.w: list(range(1, n - 2))}
@@ -458,7 +436,7 @@ def cycle_cut_bcdc(n: int, k: int) -> StructureCut:
         cyc += h.fillers(pool, k - r - 3, set(cyc) | set(bridge_pair))
         cyc += bridge_pair
         members.append(tuple(cyc))
-    return StructureCut(shape, tuple(members), STRUCTURE)
+    return tuple(members)
 
 
 def _mixed_cycle_member(h: _BnCutHelper, k: int, r: int, run: list[int]) -> tuple[str, ...]:
@@ -564,24 +542,23 @@ def verify_cut(g: Graph, cut: StructureCut, shape: ShapeSpec, mode: str) -> Veri
 def structure_cut_for(
     family: str, params: dict[str, int], shape: ShapeSpec, mode: str
 ) -> StructureCut:
-    """Dispatch to the right constructor and re-tag for substructure requests.
+    """The explicit cut for a request, of the requested shape and mode;
+    ParameterError for a request no construction covers.
 
     A structure cut is also a substructure cut, so substructure requests
-    reuse the structure construction except for BCDC cycles, which have their
-    own (path-based) substructure construction.
+    reuse the structure construction, except for BCDC cycles, whose
+    substructure cut is the path cut (paths are connected subgraphs of cycles).
     """
     branch = _branch(family, params, shape, mode)
     n, size = params["n"], shape.size
     if branch == "dcell-star":
-        cut = star_cut_dcell(params["m"], n, size)
+        members = _star_cut_dcell(params["m"], n, size)
     elif branch == "dcell-clique":
-        cut = clique_cut_dcell(params["m"], n, size)
+        members = _clique_cut_dcell(params["m"], n, size)
     elif branch == "bcdc-star":
-        cut = k11_cut_bcdc(n) if size == 1 else star_cut_bcdc(n, size)
-    elif branch == "bcdc-path":
-        cut = path_cut_bcdc(n, size)
-    elif branch == "bcdc-cycle-substructure":
-        cut = substructure_cycle_cut_bcdc(n, size)
+        members = _k11_cut_bcdc(n) if size == 1 else _star_cut_bcdc(n, size)
+    elif branch in ("bcdc-path", "bcdc-cycle-substructure"):
+        members = _path_cut_bcdc(n, size)
     else:
-        cut = cycle_cut_bcdc(n, size)
-    return StructureCut(cut.shape, cut.members, mode)
+        members = _cycle_cut_bcdc(n, size)
+    return StructureCut(shape, members, mode)

@@ -49,10 +49,10 @@ class Graph:
         n = len(self._labels)
         adj: list[set[int]] = [set() for _ in range(n)]
         for u, v in id_edges:
-            if u == v:
-                raise ValueError(f"self-loop at {self._labels[u]!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint id out of range: ({u}, {v})")
+            if u == v:
+                raise ValueError(f"self-loop at {self._labels[u]!r}")
             adj[u].add(v)
             adj[v].add(u)
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)

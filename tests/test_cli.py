@@ -347,7 +347,22 @@ def test_oracle_rejects_a_negative_or_nan_time_cap(capsys, secs):
     code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1",
                          "--bound", "3", "--budget-secs", secs)
     assert code == 2
-    assert "time cap must be positive" in err
+    assert f"error: --budget-secs must be > 0, got {float(secs)}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--prove-min", "0", ">= 1, got 0"),
+    ("--max-checks", "0", ">= 1, got 0"),
+    ("--max-candidates", "-1", ">= 0, got -1"),
+    ("--budget-secs", "0", "> 0, got 0.0"),
+])
+def test_oracle_names_a_rejected_budget_flag(capsys, flag, value, rule):
+    mode = () if flag == "--prove-min" else ("--bound", "1")
+    code, out, err = run(capsys, "oracle", "bcdc", "--n", "3", "--shape", "K1_1", *mode,
+                         flag, value)
+    assert code == 2
+    assert err == f"error: {flag} must be {rule}\n"
     assert out == ""
 
 

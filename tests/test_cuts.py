@@ -3,18 +3,12 @@ import pytest
 from dcnconn import (
     ShapeSpec,
     StructureCut,
-    clique_cut_dcell,
-    cycle_cut_bcdc,
-    k11_cut_bcdc,
-    path_cut_bcdc,
     predicted_kappa,
-    star_cut_bcdc,
-    star_cut_dcell,
     structure_cut_for,
-    substructure_cycle_cut_bcdc,
     verify_cut,
 )
 from dcnconn.bcdc import build_bcdc
+from dcnconn.cli import _default_grid
 from dcnconn.dcell import build_dcell
 from dcnconn.errors import ParameterError
 from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE, is_shape
@@ -22,6 +16,14 @@ from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE, is_shape
 
 def kappa(family, params, shape, mode=STRUCTURE):
     return predicted_kappa(family, params, shape, mode).value
+
+
+def dcell_cut(m, n, shape):
+    return structure_cut_for("dcell", {"m": m, "n": n}, shape, STRUCTURE)
+
+
+def bcdc_cut(n, shape, mode=STRUCTURE):
+    return structure_cut_for("bcdc", {"n": n}, shape, mode)
 
 
 class TestPredictedKappa:
@@ -149,17 +151,43 @@ def test_formula_and_construction_accept_the_same_requests():
     assert gaps == [("bcdc", {"n": 9}, "C6", STRUCTURE, True, False)]
 
 
+def _construction_requests():
+    """The table grid, plus the B_7, B_10 and B_11 requests the cut tests build."""
+    requests = list(_default_grid())
+    n = 7
+    b7 = [ShapeSpec.star(t) for t in range(1, 2 * n - 2)]
+    b7 += [ShapeSpec.path(k) for k in range(4, 2 * n)]
+    b7 += [ShapeSpec.cycle(k) for k in range(6, 2 * n + 1)]
+    requests += [("bcdc", {"n": n}, shape, STRUCTURE) for shape in b7]
+    requests += [("bcdc", {"n": n}, ShapeSpec.cycle(k), STRUCTURE)
+                 for n in (10, 11) for k in range(6, 2 * n + 1)]
+    return requests
+
+
+def test_every_constructed_cut_claims_the_requested_shape_and_mode():
+    requests = _construction_requests()
+    substructure_cycles = 0
+    for family, params, shape, mode in requests:
+        cut = structure_cut_for(family, params, shape, mode)
+        assert (cut.shape, cut.mode) == (shape, mode), (family, params, shape.tag, mode)
+        if shape.kind == "cycle" and mode == SUBSTRUCTURE:
+            substructure_cycles += 1
+            path = structure_cut_for(family, params, ShapeSpec.path(shape.size), mode)
+            assert cut.members == path.members, (params, shape.tag)
+    assert substructure_cycles == 14
+
+
 class TestDcellCuts:
     def test_star_m0(self):
         g = build_dcell(0, 5)
-        cut = star_cut_dcell(0, 5, 1)
+        cut = dcell_cut(0, 5, ShapeSpec.star(1))
         assert len(cut.members) == 2
         report = verify_cut(g, cut, ShapeSpec.star(1), STRUCTURE)
         assert report.passed and report.smallest_component == ("0",)
 
     def test_star_d14(self, d14):
         for t, want in [(1, 3), (2, 2)]:
-            cut = star_cut_dcell(1, 4, t)
+            cut = dcell_cut(1, 4, ShapeSpec.star(t))
             assert len(cut.members) == want
             report = verify_cut(d14, cut, ShapeSpec.star(t), STRUCTURE)
             assert report.passed
@@ -170,32 +198,34 @@ class TestDcellCuts:
     def test_star_overlap_flagged_when_remainder(self):
         # n-1 = 4, 1+t = 3: the tail star reuses a covered clique vertex
         g = build_dcell(0, 5)
-        cut = star_cut_dcell(0, 5, 2)
+        cut = dcell_cut(0, 5, ShapeSpec.star(2))
         report = verify_cut(g, cut, ShapeSpec.star(2), STRUCTURE)
         assert report.passed and report.overlap
 
     def test_star_rejections(self):
         with pytest.raises(ParameterError, match="m\\+n-1"):
-            star_cut_dcell(1, 4, 4)
+            dcell_cut(1, 4, ShapeSpec.star(4))
         with pytest.raises(ParameterError, match="1 <= t"):
-            star_cut_dcell(1, 4, 0)
+            dcell_cut(1, 4, ShapeSpec.star(5))
+        with pytest.raises(ParameterError, match=">= 1, got 0"):
+            ShapeSpec.star(0)
 
     def test_star_big_t_tail(self):
         # t > n-2 forces filler leaves on the tail star
         g = build_dcell(1, 4)
-        cut = star_cut_dcell(1, 4, 3)
+        cut = dcell_cut(1, 4, ShapeSpec.star(3))
         report = verify_cut(g, cut, ShapeSpec.star(3), STRUCTURE)
         assert report.passed and len(cut.members) == kappa("dcell", {"m": 1, "n": 4}, ShapeSpec.star(3))
 
     def test_clique_m0(self):
         g = build_dcell(0, 5)
-        cut = clique_cut_dcell(0, 5, 3)
+        cut = dcell_cut(0, 5, ShapeSpec.clique(3))
         assert len(cut.members) == 2
         report = verify_cut(g, cut, ShapeSpec.clique(3), STRUCTURE)
         assert report.passed and report.smallest_component == ("0",)
 
     def test_clique_d14(self, d14):
-        cut = clique_cut_dcell(1, 4, 3)
+        cut = dcell_cut(1, 4, ShapeSpec.clique(3))
         assert len(cut.members) == 2
         report = verify_cut(d14, cut, ShapeSpec.clique(3), STRUCTURE)
         assert report.passed and report.smallest_component == ("0.0",)
@@ -203,22 +233,22 @@ class TestDcellCuts:
     def test_clique_d15(self):
         g = build_dcell(1, 5)
         for s, want in [(3, 3), (4, 2)]:
-            cut = clique_cut_dcell(1, 5, s)
+            cut = dcell_cut(1, 5, ShapeSpec.clique(s))
             assert len(cut.members) == want
             assert verify_cut(g, cut, ShapeSpec.clique(s), STRUCTURE).passed
 
     def test_clique_rejections(self):
         with pytest.raises(ParameterError, match="3 <= s"):
-            clique_cut_dcell(1, 5, 2)
+            dcell_cut(1, 5, ShapeSpec.clique(2))
         with pytest.raises(ParameterError, match="3 <= s"):
-            clique_cut_dcell(0, 4, 4)
+            dcell_cut(0, 4, ShapeSpec.clique(4))
 
 
 class TestBcdcCuts:
     def test_k11_counts_and_verify(self):
         for n, want in [(4, 4), (5, 4), (6, 6)]:
             g = build_bcdc(n)
-            cut = k11_cut_bcdc(n)
+            cut = bcdc_cut(n, ShapeSpec.star(1))
             assert len(cut.members) == want
             report = verify_cut(g, cut, ShapeSpec.star(1), STRUCTURE)
             assert report.passed
@@ -228,7 +258,7 @@ class TestBcdcCuts:
                 assert g.has_edge(*member)
 
     def test_k11_other_side_vertex(self, b4):
-        cut = k11_cut_bcdc(4)
+        cut = bcdc_cut(4, ShapeSpec.star(1))
         report = verify_cut(b4, cut, ShapeSpec.star(1), STRUCTURE)
         big = max(report.component_sizes)
         # [1111, 1110] survives in the big component
@@ -238,50 +268,47 @@ class TestBcdcCuts:
     def test_star_counts(self):
         for n, t, want in [(5, 2, 3), (5, 7, 2), (6, 2, 4), (6, 3, 3), (4, 2, 2)]:
             g = build_bcdc(n)
-            cut = star_cut_bcdc(n, t)
+            cut = bcdc_cut(n, ShapeSpec.star(t))
             assert len(cut.members) == want
             assert verify_cut(g, cut, ShapeSpec.star(t), STRUCTURE).passed
 
     def test_star_rejections(self):
         with pytest.raises(ParameterError, match="n >= 4"):
-            star_cut_bcdc(3, 2)
+            bcdc_cut(3, ShapeSpec.star(2))
         with pytest.raises(ParameterError, match="2n-3"):
-            star_cut_bcdc(5, 8)
-        # the single edge has its own constructor
-        with pytest.raises(ParameterError, match="k11_cut_bcdc"):
-            star_cut_bcdc(5, 1)
+            bcdc_cut(5, ShapeSpec.star(8))
 
     def test_path_counts(self):
         for n, k, want in [(5, 4, 2), (5, 9, 1), (6, 4, 3), (4, 4, 2), (4, 7, 1)]:
             g = build_bcdc(n)
-            cut = path_cut_bcdc(n, k)
+            cut = bcdc_cut(n, ShapeSpec.path(k))
             assert len(cut.members) == want
             report = verify_cut(g, cut, ShapeSpec.path(k), STRUCTURE)
             assert report.passed and len(report.smallest_component) == 1
 
     def test_path_rejections(self):
         with pytest.raises(ParameterError, match="4 <= k"):
-            path_cut_bcdc(5, 3)
+            bcdc_cut(5, ShapeSpec.path(3))
         with pytest.raises(ParameterError, match="2n-1"):
-            path_cut_bcdc(5, 10)
+            bcdc_cut(5, ShapeSpec.path(10))
 
     def test_cycle_counts(self):
         for n, k, want in [(5, 10, 1), (5, 6, 2), (5, 9, 2), (6, 6, 3), (6, 12, 1)]:
             g = build_bcdc(n)
-            cut = cycle_cut_bcdc(n, k)
+            cut = bcdc_cut(n, ShapeSpec.cycle(k))
             assert len(cut.members) == want
             report = verify_cut(g, cut, ShapeSpec.cycle(k), STRUCTURE)
             assert report.passed
 
     def test_cycle_rejections(self):
         with pytest.raises(ParameterError, match="no known construction"):
-            cycle_cut_bcdc(5, 4)
+            bcdc_cut(5, ShapeSpec.cycle(4))
         with pytest.raises(ParameterError, match="no known construction"):
-            cycle_cut_bcdc(6, 5)
+            bcdc_cut(6, ShapeSpec.cycle(5))
         with pytest.raises(ParameterError, match="minimum is 4"):
-            cycle_cut_bcdc(5, 5)
+            bcdc_cut(5, ShapeSpec.cycle(5))
         with pytest.raises(ParameterError, match="n >= 5"):
-            cycle_cut_bcdc(4, 6)
+            bcdc_cut(4, ShapeSpec.cycle(6))
 
     def test_b5_c5_four_member_witness(self, b5, b5_c5_witness):
         # No 3 of the 1072 C_5 copies cut B_5 (exhausted once, 205,321,768
@@ -313,7 +340,7 @@ class TestBcdcCuts:
         # member, which n <= 7 never reaches
         g = build_bcdc(n)
         for k in range(6, 2 * n + 1):
-            cut = cycle_cut_bcdc(n, k)
+            cut = bcdc_cut(n, ShapeSpec.cycle(k))
             report = verify_cut(g, cut, ShapeSpec.cycle(k), STRUCTURE)
             assert report.passed, k
             assert len(cut.members) == kappa("bcdc", {"n": n}, ShapeSpec.cycle(k)), k
@@ -322,10 +349,10 @@ class TestBcdcCuts:
         # remainder 2 with k=6 needs an 8-vertex pattern; no second bridge
         # dimension exists, so the constructor refuses instead of guessing
         with pytest.raises(ParameterError, match="no known construction"):
-            cycle_cut_bcdc(9, 6)
+            bcdc_cut(9, ShapeSpec.cycle(6))
 
     def test_substructure_cycle_retag(self, b5):
-        cut = substructure_cycle_cut_bcdc(5, 4)
+        cut = bcdc_cut(5, ShapeSpec.cycle(4), SUBSTRUCTURE)
         assert len(cut.members) == 2
         assert cut.mode == SUBSTRUCTURE
         assert cut.shape == ShapeSpec.cycle(4)
@@ -349,7 +376,7 @@ class TestVerifyCut:
         assert not report.passed
 
     def test_a_cut_of_another_shape_fails(self, b4):
-        cut = k11_cut_bcdc(4)
+        cut = bcdc_cut(4, ShapeSpec.star(1))
         assert verify_cut(b4, cut, ShapeSpec.star(1), STRUCTURE).passed
         for mode in (STRUCTURE, SUBSTRUCTURE):
             report = verify_cut(b4, cut, ShapeSpec.single(), mode)
@@ -362,7 +389,7 @@ class TestVerifyCut:
             verify_cut(b3, cut, ShapeSpec.star(1), STRUCTURE)
 
     def test_unknown_mode_raises(self, d14):
-        cut = star_cut_dcell(1, 4, 1)
+        cut = dcell_cut(1, 4, ShapeSpec.star(1))
         with pytest.raises(ParameterError, match="unknown mode: 'bogus'"):
             verify_cut(d14, cut, ShapeSpec.star(1), "bogus")
 

@@ -13,7 +13,7 @@ from dcnconn import (
 )
 from dcnconn.bcdc import build_bcdc, build_crossed_cube
 from dcnconn import graph as graph_module
-from dcnconn.graph import flood_mask
+from dcnconn.graph import Graph, flood_mask
 
 
 def test_build_graph_k2():
@@ -48,6 +48,13 @@ def test_build_graph_dedupes_parallel_edges():
 def test_build_graph_rejections(labels, edges, msg):
     with pytest.raises(ValueError, match=msg):
         build_graph(labels, edges)
+
+
+@pytest.mark.parametrize("labels,id_edges", [(["a"], [(1, 1)]), (["a", "b"], [(-1, -1)])])
+def test_graph_checks_the_id_range_before_self_loops(labels, id_edges):
+    # an out-of-range self-loop is reported as out of range, not looked up
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(labels, id_edges)
 
 
 def test_connectivity_k5(k5):

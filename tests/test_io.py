@@ -1,6 +1,6 @@
 import pytest
 
-from dcnconn import ShapeSpec, StructureCut, star_cut_dcell, structure_cut_for, verify_cut
+from dcnconn import ShapeSpec, StructureCut, structure_cut_for, verify_cut
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
 from dcnconn.io import (
@@ -48,7 +48,7 @@ def test_dot_output(d14):
 
 
 def test_cut_file_roundtrip(d14):
-    cut = star_cut_dcell(1, 4, 1)
+    cut = structure_cut_for("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1), STRUCTURE)
     text = render_cut(cut, "dcell", {"m": 1, "n": 4})
     assert text.splitlines()[0] == "# cut dcell m=1 n=4 shape=K1_1 mode=structure"
     assert text.splitlines()[1].startswith("K1_1: ")
@@ -120,7 +120,7 @@ def test_cut_file_tag_errors_name_the_line(text, line, what):
 
 
 def test_csv_row(d14):
-    cut = star_cut_dcell(1, 4, 1)
+    cut = structure_cut_for("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1), STRUCTURE)
     report = verify_cut(d14, cut, ShapeSpec.star(1), STRUCTURE)
     row = report_csv_row("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1), STRUCTURE, 3, report)
     assert row == "dcell,m=1 n=4,K1_1,structure,3,3,5,2,1,pass"

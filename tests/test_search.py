@@ -19,7 +19,7 @@ from dcnconn import (
     g_extra_connectivity,
     min_structure_cut,
     min_vertex_cut,
-    star_cut_bcdc,
+    structure_cut_for,
     verify_cut,
 )
 from dcnconn import search
@@ -147,9 +147,7 @@ class TestFormulaAgreement:
 
 class TestCertify:
     def test_certify_d14_star(self, d14):
-        from dcnconn import star_cut_dcell
-
-        cut = star_cut_dcell(1, 4, 1)
+        cut = structure_cut_for("dcell", {"m": 1, "n": 4}, ShapeSpec.star(1), STRUCTURE)
         res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3, witness=cut)
         assert res.status == "certified"
         assert res.lower_bound_proven == 2
@@ -159,10 +157,8 @@ class TestCertify:
         assert res.status == "refuted"
 
     def test_certify_wrong_witness_size(self, d14):
-        from dcnconn import star_cut_dcell
-
-        cut = star_cut_dcell(1, 4, 1)  # 3 members
-        res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 4, witness=cut)
+        cut = _d14_cut(3)
+        res = certify_min(d14, K11, STRUCTURE, 4, witness=cut)
         assert res.status == "refuted"
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -267,9 +263,8 @@ K11 = ShapeSpec.star(1)
 
 def _d14_cut(members: int) -> StructureCut:
     """The first `members` members of the constructed 3-member K_{1,1} cut of D_{1,4}."""
-    from dcnconn import star_cut_dcell
-
-    return StructureCut(K11, star_cut_dcell(1, 4, 1).members[:members], STRUCTURE)
+    cut = structure_cut_for("dcell", {"m": 1, "n": 4}, K11, STRUCTURE)
+    return StructureCut(K11, cut.members[:members], STRUCTURE)
 
 
 # three edges at one vertex of D_{1,4}: valid members whose removal leaves it connected
@@ -413,7 +408,8 @@ class TestSizeBound:
         assert (len(cases), certified) == want
 
     def test_bound_settles_a_certification_without_a_scan(self, b5):
-        res = certify_min(b5, ShapeSpec.star(2), STRUCTURE, 3, witness=star_cut_bcdc(5, 2))
+        res = certify_min(b5, ShapeSpec.star(2), STRUCTURE, 3, witness=structure_cut_for(
+            "bcdc", {"n": 5}, ShapeSpec.star(2), STRUCTURE))
         assert (res.status, res.value, res.lower_bound_proven, res.checks, res.copies) == (
             "certified", 3, 2, 0, 0)
         assert res.note == "size bound: 2 x 3 vertices < kappa 8"
@@ -443,10 +439,9 @@ class TestSizeBound:
     def test_bound_never_certifies_a_witness_of_another_shape(self):
         # 2 x 1 < kappa(D_{1,5}) = 5 settles sizes 1..2 of K_1, but the witness
         # is three K_{1,1} stars: its members are not single vertices
-        from dcnconn import star_cut_dcell
-
         d15 = build_dcell(1, 5)
-        res = certify_min(d15, ShapeSpec.single(), STRUCTURE, 3, witness=star_cut_dcell(1, 5, 1))
+        stars = structure_cut_for("dcell", {"m": 1, "n": 5}, K11, STRUCTURE)
+        res = certify_min(d15, ShapeSpec.single(), STRUCTURE, 3, witness=stars)
         assert (res.status, res.value, res.lower_bound_proven, res.checks) == ("refuted", 3, 2, 0)
         assert res.note == "size bound: 2 x 1 vertices < kappa 5; witness failed verification"
 

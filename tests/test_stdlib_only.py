@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library, every name a
-library module imports is used, every parameter of a library function is
-read, and only the CLI writes to the terminal."""
+library module imports is used (by `__init__.py`: exported in `__all__`),
+every parameter of a library function is read, and only the CLI writes to
+the terminal."""
 
 import ast
 import sys
@@ -49,6 +50,43 @@ def _unused_imports(path: Path) -> list[str]:
 def test_module_uses_every_name_it_imports(path):
     # __init__.py imports only to re-export
     assert _unused_imports(path) == []
+
+
+def _export_mismatch(path: Path) -> list[str]:
+    """Names `path` imports but leaves out of its `__all__`, and names in
+    `__all__` it does not import (or lists twice)."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    exported = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]]
+    exported = exported[0] if exported else []
+    out = [f"{path.name} imports {name} but does not export it"
+           for name in imported if name not in exported]
+    out += [f"{path.name} exports {name} but does not import it"
+            for name in exported if name not in imported]
+    out += [f"{path.name} exports {name} twice" for name in sorted(set(exported))
+            if exported.count(name) > 1]
+    return out
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    assert _export_mismatch(SRC / "__init__.py") == []
+    namespace: dict = {}
+    exec("from dcnconn import *", namespace)
+    import dcnconn
+
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(dcnconn.__all__)
+
+
+def test_the_check_sees_an_export_mismatch(tmp_path):
+    probe = tmp_path / "__init__.py"
+    probe.write_text("from .graph import Graph, build_graph\nfrom .cuts import verify_cut\n\n"
+                     "__all__ = ['Graph', 'verify_cut', 'gone', 'Graph']\n")
+    assert _export_mismatch(probe) == ["__init__.py imports build_graph but does not export it",
+                                       "__init__.py exports gone but does not import it",
+                                       "__init__.py exports Graph twice"]
 
 
 def test_the_check_sees_a_third_party_import(tmp_path):
