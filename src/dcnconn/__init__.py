@@ -39,7 +39,6 @@ from .search import (
     certify_min,
     exists_cut_of_size,
     g_extra_connectivity,
-    min_structure_cut,
 )
 
 __all__ = [
@@ -74,5 +73,4 @@ __all__ = [
     "certify_min",
     "exists_cut_of_size",
     "g_extra_connectivity",
-    "min_structure_cut",
 ]

@@ -31,7 +31,6 @@ from .search import (
     certify_min,
     exists_cut_of_size,
     g_extra_connectivity,
-    min_structure_cut,
 )
 from .shapes import MODES, STRUCTURE, ShapeSpec, StructureCut
 
@@ -142,10 +141,10 @@ def cmd_oracle(args) -> int:
     jobs = _jobs_from_args(args)
     params = _family_params(args.family, args)
     budget = _budget_from_args(args)
-    if args.prove_min is not None:  # only min_structure_cut reads the member cap
-        if args.prove_min < 1:
-            raise ParameterError(f"--prove-min must be >= 1, got {args.prove_min}")
-        budget = replace(budget, max_members=args.prove_min)
+    for flag, value, least in (("--bound", args.bound, 0), ("--certify", args.certify, 1),
+                               ("--g-extra", args.g_extra, 0)):
+        if value is not None and value < least:
+            raise ParameterError(f"{flag} must be >= {least}, got {value}")
     g = _build_family(args.family, params, args.max_vertices)
     if args.progress:
         logging.basicConfig(level=logging.INFO, format="progress: %(message)s")
@@ -156,9 +155,6 @@ def cmd_oracle(args) -> int:
         if res.witness is not None:
             res.witness = StructureCut(
                 ShapeSpec.single(), tuple((lab,) for lab in res.witness), STRUCTURE)
-    elif args.prove_min is not None:
-        call = "min_structure_cut"
-        res = min_structure_cut(g, shape, args.mode, budget, jobs=jobs)
     elif args.certify is not None:
         call = f"certify_min(value={args.certify})"
         witness = None
@@ -346,9 +342,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_budget_args(p)
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
     one_mode = p.add_mutually_exclusive_group(required=True)
-    one_mode.add_argument("--prove-min", nargs="?", type=int, const=SearchBudget.max_members,
-                          metavar="M", help="search sizes 1..M (default M: %(const)s)")
-    one_mode.add_argument("--bound", type=int, default=None)
+    one_mode.add_argument("--bound", type=int, default=None, metavar="M",
+                          help="search sizes 1..M; a cut found has the least size")
     one_mode.add_argument("--certify", type=int, default=None)
     one_mode.add_argument("--g-extra", type=int, default=None)
     p.add_argument("--witness-from-constructor", action="store_true")

@@ -3,7 +3,7 @@
 The oracles never answer "no" heuristically: a "no" means every candidate
 subset was enumerated. Tripping any budget cap converts the answer into a
 partial result carrying the bound proven so far. Every oracle answers with
-one `OracleResult`, and all four share one path from the copies through the
+one `OracleResult`, and all three share one path from the copies through the
 scan to the witness, `_shape_oracle`, with one hit rule, `_separates`:
 g-extra connectivity scans the single-vertex copies. Subsets are scanned in
 canonical lexicographic order over copy indices by one kernel, `_scan_range`,
@@ -51,13 +51,12 @@ _LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
 
 @dataclass(frozen=True)
 class SearchBudget:
-    max_members: int = 8
     max_candidates: int = 2_000_000
     max_checks: int = 100_000_000
     time_cap_secs: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.max_members <= 0 or self.max_checks <= 0 or self.max_candidates < 0:
+        if self.max_checks <= 0 or self.max_candidates < 0:
             raise ValueError("budget caps must be positive (the candidate cap may be 0)")
         if not self.time_cap_secs > 0:  # NaN fails this too
             raise ValueError("time cap must be positive")
@@ -67,8 +66,9 @@ class SearchBudget:
 class OracleResult:
     """What an oracle call found.
 
-    `value` is the size of the reported cut (for `certify_min`, the certified
-    or refuted value); `lower_bound_proven` is the largest size up to which
+    `value` is the size of the reported cut: after `yes`, the least cut size,
+    as sizes are scanned from 1 up (for `certify_min`, the certified or
+    refuted value); `lower_bound_proven` is the largest size up to which
     every size was scanned in full or refuted by the size bound, so no cut
     has that many members or fewer;
     `witness` is a `StructureCut`, or a tuple of vertex labels for
@@ -261,34 +261,18 @@ def exists_cut_of_size(
     g: Graph,
     shape: ShapeSpec,
     mode: str,
-    size_bound: int,
+    bound: int,
     budget: SearchBudget | None = None,
     jobs: int = 1,
 ) -> OracleResult:
-    """Is there a cut of at most `size_bound` members? Exhaustive when "no"."""
-    if size_bound < 0:
+    """Is there a cut of at most `bound` members? Exhaustive when "no". Sizes
+    are scanned from 1 up, so a "yes" reports the least cut size as `value`,
+    with a witness that `verify_cut` checks again."""
+    if bound < 0:
         raise ValueError("size bound must be >= 0")
-    return _shape_oracle(g, shape, mode, range(1, size_bound + 1), budget or SearchBudget(), jobs)
-
-
-def min_structure_cut(
-    g: Graph,
-    shape: ShapeSpec,
-    mode: str,
-    budget: SearchBudget | None = None,
-    jobs: int = 1,
-) -> OracleResult:
-    """Smallest cut size, by increasing subset size from 1; witness verified."""
-    budget = budget or SearchBudget()
-    res = _shape_oracle(g, shape, mode, range(1, budget.max_members + 1), budget, jobs)
-    if res.status == YES:
-        if not verify_cut(g, res.witness, shape, mode).passed:
-            raise AssertionError("oracle witness failed independent verification")
-        return replace(res, status="certified")
-    if res.status == NO and res.lower_bound_proven == res.copies:
-        return replace(res, status=NO_CUT, note="no subset of all copies disconnects the graph")
-    if res.status == NO:
-        return replace(res, status=BUDGET, note="member cap reached")
+    res = _shape_oracle(g, shape, mode, range(1, bound + 1), budget or SearchBudget(), jobs)
+    if res.status == YES and not verify_cut(g, res.witness, shape, mode).passed:
+        raise AssertionError("oracle witness failed independent verification")
     return res
 
 

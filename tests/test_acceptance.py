@@ -25,7 +25,6 @@ from dcnconn import (
     exists_cut_of_size,
     g_extra_connectivity,
     line_graph,
-    min_structure_cut,
     min_vertex_cut,
     neighborhood_decomposition,
     predicted_kappa,
@@ -124,8 +123,7 @@ def test_acceptance_05_neighborhood_structure():
 
 def test_acceptance_06_g_extra_connectivity(b3, b4):
     t0 = time.time()
-    budget = SearchBudget(max_members=10, max_candidates=10**6,
-                          max_checks=200_000_000, time_cap_secs=1800)
+    budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000, time_cap_secs=1800)
     r1 = g_extra_connectivity(b3, 0, budget, jobs=JOBS)
     r2 = g_extra_connectivity(b4, 0, budget, jobs=JOBS)
     r3 = g_extra_connectivity(b4, 1, budget, jobs=JOBS)
@@ -142,14 +140,13 @@ def _dcell_three_way(m, n, shape, mode, budget) -> bool:
     report = verify_cut(g, cut, shape, mode)
     if not (report.passed and len(cut.members) == predicted):
         return False
-    res = min_structure_cut(g, shape, mode, budget)
-    return res.status == "certified" and res.value == predicted
+    res = exists_cut_of_size(g, shape, mode, 6, budget)
+    return res.status == YES and res.value == predicted
 
 
 def test_acceptance_07_dcell_star_values():
     t0 = time.time()
-    budget = SearchBudget(max_members=6, max_candidates=10**6,
-                          max_checks=50_000_000, time_cap_secs=600)
+    budget = SearchBudget(max_candidates=10**6, max_checks=50_000_000, time_cap_secs=600)
     ok = True
     for m, n, t in [(0, 4, 1), (0, 5, 1), (0, 5, 2), (1, 4, 1), (1, 4, 2)]:
         for mode in MODES:
@@ -159,8 +156,7 @@ def test_acceptance_07_dcell_star_values():
 
 def test_acceptance_08_dcell_clique_values():
     t0 = time.time()
-    budget = SearchBudget(max_members=6, max_candidates=10**6,
-                          max_checks=50_000_000, time_cap_secs=600)
+    budget = SearchBudget(max_candidates=10**6, max_checks=50_000_000, time_cap_secs=600)
     ok = True
     for m, n, s in [(0, 5, 3), (1, 4, 3), (1, 5, 3), (1, 5, 4)]:
         ok = ok and _dcell_three_way(m, n, ShapeSpec.clique(s), STRUCTURE, budget)
@@ -178,10 +174,9 @@ def test_acceptance_09_bcdc_star_values(b4, b5):
                 cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.star(t), mode)
                 report = verify_cut(g, cut, ShapeSpec.star(t), mode)
                 ok = ok and report.passed and len(cut.members) == predicted
-    budget = SearchBudget(max_members=5, max_candidates=10**6,
-                          max_checks=200_000_000, time_cap_secs=1800)
-    res = min_structure_cut(b4, ShapeSpec.star(1), STRUCTURE, budget, jobs=JOBS)
-    ok = ok and res.status == "certified" and res.value == 4
+    budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000, time_cap_secs=1800)
+    res = exists_cut_of_size(b4, ShapeSpec.star(1), STRUCTURE, 5, budget, jobs=JOBS)
+    ok = ok and res.status == YES and res.value == 4
     for t, want in ((1, 4), (2, 3)):
         witness = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.star(t), STRUCTURE)
         res = certify_min(b5, ShapeSpec.star(t), STRUCTURE, want, budget, witness, jobs=JOBS)
@@ -201,8 +196,7 @@ def test_acceptance_10_bcdc_path_values(b5):
                 cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.path(k), mode)
                 report = verify_cut(g, cut, ShapeSpec.path(k), mode)
                 ok = ok and report.passed and len(cut.members) == predicted
-    budget = SearchBudget(max_members=3, max_candidates=10**6,
-                          max_checks=100_000_000, time_cap_secs=1800)
+    budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000, time_cap_secs=1800)
     for k, want in ((4, 2), (9, 1)):
         witness = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.path(k), STRUCTURE)
         res = certify_min(b5, ShapeSpec.path(k), STRUCTURE, want, budget, witness, jobs=JOBS)
@@ -298,12 +292,11 @@ def test_acceptance_13_cross_validation():
     instances.append(
         build_graph(labels, [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]])
     )
-    budget = SearchBudget(max_members=10, max_candidates=10**6,
-                          max_checks=100_000_000, time_cap_secs=600)
+    budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000, time_cap_secs=600)
     ok = True
     for g in instances:
         assert g.vertex_count <= 100
-        res = min_structure_cut(g, ShapeSpec.single(), STRUCTURE, budget, jobs=JOBS)
-        ok = ok and res.status == "certified" and res.value == min_vertex_cut(g)
-    _report(13, ok, "min_structure_cut(Single) = max-flow min_vertex_cut on all "
+        res = exists_cut_of_size(g, ShapeSpec.single(), STRUCTURE, 10, budget, jobs=JOBS)
+        ok = ok and res.status == YES and res.value == min_vertex_cut(g)
+    _report(13, ok, "exists_cut_of_size(Single) = max-flow min_vertex_cut on all "
                     f"{len(instances)} generated instances (<= 100 vertices)", t0)

@@ -12,7 +12,6 @@ import pytest
 
 from dcnconn import ShapeSpec, build_bcdc, build_dcell, predicted_kappa, search
 from dcnconn.cli import _default_grid, main, make_parser
-from dcnconn.search import SearchBudget
 from dcnconn.shapes import enumerate_shape_copies
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -100,9 +99,10 @@ def test_cut_star_range_named(capsys):
 
 
 def test_oracle_prove_min_dcell_clique(capsys):
+    # --bound scans sizes from 1 up, so its "yes" proves the least cut size
     code, out, _ = run(
         capsys, "oracle", "dcell", "--m", "0", "--n", "5",
-        "--shape", "K3", "--prove-min", "--jobs", "1",
+        "--shape", "K3", "--bound", "8", "--jobs", "1",
     )
     assert code == 0
     assert "value=2" in out
@@ -164,7 +164,7 @@ def test_g_extra_witness_is_written_in_structure_mode(capsys):
 def test_oracle_budget_exit3(capsys):
     code, out, _ = run(
         capsys, "oracle", "bcdc", "--n", "4", "--shape", "K1_1",
-        "--prove-min", "--max-checks", "10", "--jobs", "1",
+        "--bound", "8", "--max-checks", "10", "--jobs", "1",
     )
     assert code == 3
     assert "budget" in out
@@ -180,7 +180,7 @@ def test_oracle_g_extra_without_separation_exits_1(capsys):
 
 @pytest.mark.parametrize("argv, call", [
     (["--g-extra", "0"], "g_extra_connectivity(h=0)"),
-    (["--shape", "K1_1", "--prove-min"], "min_structure_cut"),
+    (["--shape", "K1_1", "--bound", "8"], "exists_cut_of_size(bound=8)"),
     (["--shape", "K1_1", "--certify", "3"], "certify_min(value=3)"),
     (["--shape", "K1_1", "--bound", "2"], "exists_cut_of_size(bound=2)"),
 ])
@@ -352,15 +352,17 @@ def test_oracle_rejects_a_negative_or_nan_time_cap(capsys, secs):
 
 
 @pytest.mark.parametrize("flag, value, rule", [
-    ("--prove-min", "0", ">= 1, got 0"),
+    ("--bound", "-1", ">= 0, got -1"),
+    ("--certify", "0", ">= 1, got 0"),
+    ("--g-extra", "-1", ">= 0, got -1"),
     ("--max-checks", "0", ">= 1, got 0"),
     ("--max-candidates", "-1", ">= 0, got -1"),
     ("--budget-secs", "0", "> 0, got 0.0"),
 ])
 def test_oracle_names_a_rejected_budget_flag(capsys, flag, value, rule):
-    mode = () if flag == "--prove-min" else ("--bound", "1")
-    code, out, err = run(capsys, "oracle", "bcdc", "--n", "3", "--shape", "K1_1", *mode,
-                         flag, value)
+    mode = () if flag in ("--bound", "--certify", "--g-extra") else ("--bound", "1")
+    shape = () if flag == "--g-extra" else ("--shape", "K1_1")
+    code, out, err = run(capsys, "oracle", "bcdc", "--n", "3", *shape, *mode, flag, value)
     assert code == 2
     assert err == f"error: {flag} must be {rule}\n"
     assert out == ""
@@ -380,7 +382,7 @@ def test_shape_takes_only_its_tag(capsys, command, tag):
 
 def test_shape_k1_is_the_single_vertex(capsys):
     code, out, _ = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1",
-                       "--prove-min", "--jobs", "1")
+                       "--bound", "8", "--jobs", "1")
     assert code == 0
     assert "value=4" in out
     assert out.splitlines()[1] == "# cut dcell m=1 n=4 shape=K1 mode=structure"
@@ -398,8 +400,10 @@ def test_shape_k1_is_the_single_vertex(capsys):
     ("oracle", "bcdc", "--n", "3", "--g-extra", "0", "--s", "3"),
     ("oracle", "bcdc", "--n", "3", "--g-extra", "0", "--k", "4"),
     ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--max-members", "3"),
+    ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--prove-min", "3"),
 ], ids=["gen--seed", "cut--seed", "oracle--seed", "table--seed", "cut--t", "oracle--s",
-        "oracle--k", "g-extra--t", "g-extra--s", "g-extra--k", "oracle--max-members"])
+        "oracle--k", "g-extra--t", "g-extra--s", "g-extra--k", "oracle--max-members",
+        "oracle--prove-min"])
 def test_removed_flags_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -422,14 +426,12 @@ def test_m_outside_dcell_is_rejected(capsys, argv):
 
 
 def test_prove_min_takes_the_member_cap(capsys):
+    # no cut of B_4 has 3 K_{1,1} members or fewer: an exhaustive "no"
     code, out, _ = run(capsys, "oracle", "bcdc", "--n", "4", "--shape", "K1_1",
-                       "--prove-min", "3", "--jobs", "1")
-    assert code == 3
-    assert out == ("min_structure_cut status=budget_exceeded value=None lower_bound_proven=3 "
-                   "copies=96 checks=147536 member cap reached\n")
-    args = make_parser().parse_args(["oracle", "bcdc", "--n", "4", "--shape", "K1_1",
-                                     "--prove-min"])
-    assert args.prove_min == SearchBudget.max_members == 8
+                       "--bound", "3", "--jobs", "1")
+    assert code == 0
+    assert out == ("exists_cut_of_size(bound=3) status=no value=None lower_bound_proven=3 "
+                   "copies=96 checks=147536\n")
 
 
 @pytest.mark.parametrize("argv", [("cut", "dcell", "--n", "4"),
@@ -443,10 +445,10 @@ def test_missing_shape_is_named(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--shape", "K1_1", "--bound", "1", "--prove-min"),
+    ("--shape", "K1_1", "--bound", "1", "--g-extra", "0"),
     ("--g-extra", "1", "--certify", "2"),
     ("--shape", "K1_1", "--certify", "3", "--bound", "2"),
-], ids=["bound+prove-min", "g-extra+certify", "certify+bound"])
+], ids=["bound+g-extra", "g-extra+certify", "certify+bound"])
 def test_oracle_with_two_modes_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "dcell", "--m", "1", "--n", "4", *argv, "--jobs", "1"])
@@ -460,7 +462,7 @@ def test_oracle_without_a_mode_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1"])
     assert exc.value.code == 2
-    assert "one of the arguments --prove-min --bound --certify --g-extra is required" in (
+    assert "one of the arguments --bound --certify --g-extra is required" in (
         capsys.readouterr().err)
 
 
@@ -489,7 +491,8 @@ def test_table_has_no_max_members_and_records_the_default(capsys, tmp_path):
     code, _, _ = run(capsys, "table", "--oracle", "off", "--out", str(tmp_path / "t.csv"),
                      "--manifest", str(manifest))
     assert code == 0
-    assert json.loads(manifest.read_text())["budget"]["max_members"] == 8
+    assert json.loads(manifest.read_text())["budget"] == {
+        "max_candidates": 2_000_000, "max_checks": 100_000_000, "time_cap_secs": 600.0}
 
 
 @pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "3"),
@@ -525,3 +528,22 @@ def test_readme_commands_parse(capsys):
             pytest.fail(f"dcnconn {' '.join(argv)}: {capsys.readouterr().err}")
         if getattr(args, "shape", None) is not None:
             ShapeSpec.from_tag(args.shape)
+
+
+# README oracle examples too slow for the suite: about 22 s and 12.7 min on 2 cores
+SLOW_README_EXAMPLES = [["oracle", "bcdc", "--n", "4", "--g-extra", "1"],
+                        ["oracle", "bcdc", "--n", "5", "--shape", "C5", "--bound", "3"]]
+
+
+def test_readme_oracle_examples_run(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    note = re.search(r"`(size bound: [^`]*)` for the last example above", readme).group(1)
+    fast = [argv for argv in _readme_commands() if argv[0] == "oracle"
+            and not any(argv[:len(slow)] == slow for slow in SLOW_README_EXAMPLES)]
+    assert len(fast) == 3
+    reports = []
+    for argv in fast:
+        code, out, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0, argv
+        reports.append(out.splitlines()[0])
+    assert reports[-1].endswith(f" {note}")

@@ -10,10 +10,10 @@ from dcnconn import (
     components,
     delete_vertices,
     enumerate_shape_copies,
+    exists_cut_of_size,
     is_connected,
     is_shape,
     line_graph,
-    min_structure_cut,
     min_vertex_cut,
     verify_cut,
 )
@@ -85,7 +85,7 @@ def test_components_match_networkx(g):
 @given(connected_graphs())
 @settings(max_examples=30, deadline=None)
 def test_single_shape_cut_equals_vertex_connectivity(g):
-    res = min_structure_cut(g, ShapeSpec.single(), STRUCTURE)
+    res = exists_cut_of_size(g, ShapeSpec.single(), STRUCTURE, 8)
     assert res.value == min_vertex_cut(g)
 
 
@@ -130,8 +130,8 @@ def test_enumeration_canonical_and_valid(g, kind, size):
 @settings(max_examples=20, deadline=None)
 def test_substructure_not_larger_than_structure(g, t):
     shape = ShapeSpec.star(t)
-    st_res = min_structure_cut(g, shape, STRUCTURE)
-    sub_res = min_structure_cut(g, shape, SUBSTRUCTURE)
+    st_res = exists_cut_of_size(g, shape, STRUCTURE, 8)
+    sub_res = exists_cut_of_size(g, shape, SUBSTRUCTURE, 8)
     if st_res.value is not None and sub_res.value is not None:
         assert sub_res.value <= st_res.value
 

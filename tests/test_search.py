@@ -17,7 +17,6 @@ from dcnconn import (
     enumerate_shape_copies,
     exists_cut_of_size,
     g_extra_connectivity,
-    min_structure_cut,
     min_vertex_cut,
     structure_cut_for,
     verify_cut,
@@ -46,6 +45,15 @@ class TestExists:
         assert len(res.witness.members) == 3
         assert verify_cut(d14, res.witness, ShapeSpec.star(1), STRUCTURE).passed
 
+    def test_yes_witness_must_pass_verification(self, d14, monkeypatch):
+        # a scan hit that verify_cut rejects is a fault in the oracle, not an answer
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(search, "verify_cut", lambda *args: SimpleNamespace(passed=False))
+        assert exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 2).status == NO
+        with pytest.raises(AssertionError, match="failed independent verification"):
+            exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
+
     def test_witness_is_the_first_cut_among_the_copies(self, d14):
         # the oracle keeps only masks and rebuilds the witness from its indices
         from itertools import combinations
@@ -73,13 +81,13 @@ class TestExists:
             exists_cut_of_size(g, ShapeSpec.star(1), STRUCTURE, 1)
 
     def test_budget_trip_reports_partial(self, b4):
-        tiny = SearchBudget(max_members=4, max_candidates=10_000, max_checks=50, time_cap_secs=600)
+        tiny = SearchBudget(max_candidates=10_000, max_checks=50, time_cap_secs=600)
         res = exists_cut_of_size(b4, ShapeSpec.star(1), STRUCTURE, 4, tiny)
         assert res.status == BUDGET
         assert "cap" in res.note
 
     def test_candidate_cap_trips(self, b4):
-        tiny = SearchBudget(max_members=4, max_candidates=10, max_checks=10**6, time_cap_secs=600)
+        tiny = SearchBudget(max_candidates=10, max_checks=10**6, time_cap_secs=600)
         res = exists_cut_of_size(b4, ShapeSpec.star(1), STRUCTURE, 2, tiny)
         assert res.status == BUDGET
 
@@ -94,34 +102,36 @@ class TestExists:
 
 
 class TestMinCut:
+    """Sizes are scanned from 1 up, so a "yes" of `exists_cut_of_size` is the least cut."""
+
     def test_k5_star1(self, k5):
-        res = min_structure_cut(k5, ShapeSpec.star(1), STRUCTURE)
+        res = exists_cut_of_size(k5, ShapeSpec.star(1), STRUCTURE, 8)
         assert res.value == 2
 
     def test_b3_star1(self, b3):
         # two clique edges cover N(u); kappa(B_3)=4 rules out a single edge
-        res = min_structure_cut(b3, ShapeSpec.star(1), STRUCTURE)
+        res = exists_cut_of_size(b3, ShapeSpec.star(1), STRUCTURE, 8)
         assert res.value == 2
         assert verify_cut(b3, res.witness, ShapeSpec.star(1), STRUCTURE).passed
 
     def test_c6_single(self, c6):
-        res = min_structure_cut(c6, ShapeSpec.single(), STRUCTURE)
+        res = exists_cut_of_size(c6, ShapeSpec.single(), STRUCTURE, 8)
         assert res.value == 2 == min_vertex_cut(c6)
 
     def test_no_cut_exists(self, c6):
         # C6 has no triangles, so no clique-3 cut at all
-        res = min_structure_cut(c6, ShapeSpec.clique(3), STRUCTURE)
-        assert res.status == NO_CUT
+        res = exists_cut_of_size(c6, ShapeSpec.clique(3), STRUCTURE, 8)
+        assert res.status == NO and res.lower_bound_proven == res.copies
 
     def test_substructure_le_structure(self, d14):
-        sub = min_structure_cut(d14, ShapeSpec.star(1), SUBSTRUCTURE).value
-        st = min_structure_cut(d14, ShapeSpec.star(1), STRUCTURE).value
+        sub = exists_cut_of_size(d14, ShapeSpec.star(1), SUBSTRUCTURE, 8).value
+        st = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 8).value
         assert sub <= st
         assert sub == st == 3
 
     def test_jobs_do_not_change_witness(self, b3):
-        one = min_structure_cut(b3, ShapeSpec.star(1), STRUCTURE, jobs=1)
-        two = min_structure_cut(b3, ShapeSpec.star(1), STRUCTURE, jobs=2)
+        one = exists_cut_of_size(b3, ShapeSpec.star(1), STRUCTURE, 8, jobs=1)
+        two = exists_cut_of_size(b3, ShapeSpec.star(1), STRUCTURE, 8, jobs=2)
         assert one.value == two.value
         assert one.witness.members == two.witness.members
 
@@ -137,12 +147,12 @@ class TestFormulaAgreement:
             for t in range(1, n - 1):
                 for mode in (STRUCTURE, SUBSTRUCTURE):
                     want = predicted_kappa("dcell", {"m": 0, "n": n}, ShapeSpec.star(t), mode).value
-                    res = min_structure_cut(g, ShapeSpec.star(t), mode)
-                    assert (res.status, res.value) == ("certified", want), (n, t, mode)
+                    res = exists_cut_of_size(g, ShapeSpec.star(t), mode, 8)
+                    assert (res.status, res.value) == (YES, want), (n, t, mode)
             for s in range(3, n):
                 want = predicted_kappa("dcell", {"m": 0, "n": n}, ShapeSpec.clique(s), STRUCTURE).value
-                res = min_structure_cut(g, ShapeSpec.clique(s), STRUCTURE)
-                assert (res.status, res.value) == ("certified", want), (n, s)
+                res = exists_cut_of_size(g, ShapeSpec.clique(s), STRUCTURE, 8)
+                assert (res.status, res.value) == (YES, want), (n, s)
 
 
 class TestCertify:
@@ -201,7 +211,7 @@ class TestGExtra:
         assert res.value == 2
 
     def test_budget_trip(self, b4):
-        tiny = SearchBudget(max_members=8, max_candidates=10**6, max_checks=100, time_cap_secs=600)
+        tiny = SearchBudget(max_candidates=10**6, max_checks=100, time_cap_secs=600)
         res = g_extra_connectivity(b4, 1, tiny)
         assert res.status == BUDGET
         assert res.value is None
@@ -215,11 +225,11 @@ class TestJobsParity:
     @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
     def test_capped_oracles_match_serial(self, request, graph, cap):
         g = request.getfixturevalue(graph)
-        budget = SearchBudget(max_members=4, max_checks=cap)
+        budget = SearchBudget(max_checks=cap)
         calls = [
             lambda jobs: exists_cut_of_size(g, ShapeSpec.star(1), STRUCTURE, 3, budget, jobs),
             lambda jobs: exists_cut_of_size(g, ShapeSpec.path(4), STRUCTURE, 3, budget, jobs),
-            lambda jobs: min_structure_cut(g, ShapeSpec.star(1), STRUCTURE, budget, jobs),
+            lambda jobs: exists_cut_of_size(g, ShapeSpec.star(1), STRUCTURE, 4, budget, jobs),
             lambda jobs: g_extra_connectivity(g, 0, budget, jobs),
         ]
         for call in calls:
@@ -282,16 +292,14 @@ BOUND_CASES = [
         g, K11, STRUCTURE, 3, SearchBudget(max_checks=100)), BUDGET, None, 1),
     ("exists-candidate-cap", "d14", lambda g: exists_cut_of_size(
         g, K11, STRUCTURE, 3, SearchBudget(max_candidates=10)), BUDGET, None, 0),
-    ("min-certified", "d14", lambda g: min_structure_cut(g, K11, STRUCTURE),
-     "certified", 3, 2),
-    ("min-no-cut", "c6", lambda g: min_structure_cut(g, ShapeSpec.clique(3), STRUCTURE),
-     NO_CUT, None, 0),
-    ("min-member-cap", "d14", lambda g: min_structure_cut(
-        g, K11, STRUCTURE, SearchBudget(max_members=2)), BUDGET, None, 2),
-    ("min-check-cap", "d14", lambda g: min_structure_cut(
-        g, K11, STRUCTURE, SearchBudget(max_checks=100)), BUDGET, None, 1),
-    ("min-candidate-cap", "d14", lambda g: min_structure_cut(
-        g, K11, STRUCTURE, SearchBudget(max_candidates=10)), BUDGET, None, 0),
+    ("min-certified", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 8), YES, 3, 2),
+    ("min-no-cut", "c6", lambda g: exists_cut_of_size(g, ShapeSpec.clique(3), STRUCTURE, 8),
+     NO, None, 0),
+    ("min-member-cap", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 2), NO, None, 2),
+    ("min-check-cap", "d14", lambda g: exists_cut_of_size(
+        g, K11, STRUCTURE, 8, SearchBudget(max_checks=100)), BUDGET, None, 1),
+    ("min-candidate-cap", "d14", lambda g: exists_cut_of_size(
+        g, K11, STRUCTURE, 8, SearchBudget(max_candidates=10)), BUDGET, None, 0),
     ("extra-certified", "c6", lambda g: g_extra_connectivity(g, 0), "certified", 2, 1),
     ("extra-certified-b3", "b3", lambda g: g_extra_connectivity(g, 0), "certified", 4, 3),
     ("extra-no-cut", "k5", lambda g: g_extra_connectivity(g, 0), NO_CUT, None, 3),
