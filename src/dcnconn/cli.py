@@ -1,9 +1,10 @@
 """Command-line surface: gen, cut, table, oracle.
 
-Exit codes: 0 success, 1 verification/certification failure, 2 parameter or
-usage rejection, 3 budget trip (partial result). Identical invocations
-produce byte-identical data files; the table manifest carries timing
-separately from the CSV.
+Exit codes: 0 success, 1 a cut that fails verification (`cut`, `table`) or a
+refuted certification (the only 1 from `oracle`), 2 parameter or usage
+rejection, 3 budget trip (partial result). Identical invocations produce
+byte-identical data files; the table manifest carries timing separately from
+the CSV.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import BuildBudgetError, ParameterError
 from .graph import DEFAULT_MAX_VERTICES, Graph
 from .search import (
     BUDGET,
-    NO,
-    YES,
     SearchBudget,
     certify_min,
     exists_cut_of_size,
@@ -129,8 +128,6 @@ def cmd_cut(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.witness_from_constructor and args.certify is None:
-        raise ParameterError("--witness-from-constructor needs --certify")
     if args.g_extra is not None:
         ignored = [f"--{flag}" for flag in ("shape", "mode")
                    if getattr(args, flag) not in (None, STRUCTURE)]
@@ -145,6 +142,8 @@ def cmd_oracle(args) -> int:
                                ("--g-extra", args.g_extra, 0)):
         if value is not None and value < least:
             raise ParameterError(f"{flag} must be >= {least}, got {value}")
+    if args.certify is not None:
+        witness = structure_cut_for(args.family, params, shape, args.mode)
     g = _build_family(args.family, params, args.max_vertices)
     if args.progress:
         logging.basicConfig(level=logging.INFO, format="progress: %(message)s")
@@ -157,10 +156,7 @@ def cmd_oracle(args) -> int:
                 ShapeSpec.single(), tuple((lab,) for lab in res.witness), STRUCTURE)
     elif args.certify is not None:
         call = f"certify_min(value={args.certify})"
-        witness = None
-        if args.witness_from_constructor:
-            witness = structure_cut_for(args.family, params, shape, args.mode)
-        res = certify_min(g, shape, args.mode, args.certify, budget, witness, jobs=jobs)
+        res = certify_min(g, shape, args.mode, args.certify, witness, budget, jobs=jobs)
     else:
         call = f"exists_cut_of_size(bound={args.bound})"
         res = exists_cut_of_size(g, shape, args.mode, args.bound, budget, jobs=jobs)
@@ -170,9 +166,9 @@ def cmd_oracle(args) -> int:
           f"checks={res.checks} {res.note}".rstrip())
     if res.witness is not None:
         sys.stdout.write(dio.render_cut(res.witness, args.family, params))
-    if res.status in (YES, NO, "certified"):
-        return EXIT_OK
-    return EXIT_BUDGET if res.status == BUDGET else EXIT_FAIL
+    if res.status == BUDGET:
+        return EXIT_BUDGET
+    return EXIT_FAIL if res.status == "refuted" else EXIT_OK
 
 
 def _default_grid() -> list[tuple[str, dict[str, int], ShapeSpec, str]]:
@@ -247,12 +243,12 @@ def cmd_table(args) -> int:
             continue
 
         oracle_status = "skipped"
-        if args.oracle != "off" and predicted >= 1:
+        if args.oracle != "off":
             # a row with more copies than the scan estimate admits reads
             # skipped, unless the size bound settles it without a copy
             copy_cap = _copy_cap(predicted, args.oracle_check_cap, budget.max_candidates)
-            res = certify_min(g, shape, mode, predicted, replace(budget, max_candidates=copy_cap),
-                              cut, jobs=jobs)
+            res = certify_min(g, shape, mode, predicted, cut,
+                              replace(budget, max_candidates=copy_cap), jobs=jobs)
             oracle_status = "skipped" if res.note == "candidate cap reached" else res.status
 
         ok = report.passed and len(cut.members) == predicted and oracle_status in (
@@ -344,9 +340,9 @@ def make_parser() -> argparse.ArgumentParser:
     one_mode = p.add_mutually_exclusive_group(required=True)
     one_mode.add_argument("--bound", type=int, default=None, metavar="M",
                           help="search sizes 1..M; a cut found has the least size")
-    one_mode.add_argument("--certify", type=int, default=None)
+    one_mode.add_argument("--certify", type=int, default=None, metavar="V",
+                          help="certify the constructed cut of V members as the least")
     one_mode.add_argument("--g-extra", type=int, default=None)
-    p.add_argument("--witness-from-constructor", action="store_true")
     p.add_argument("--progress", action="store_true",
                    help="log subset counters to stderr during the scan")
     p.set_defaults(func=cmd_oracle)

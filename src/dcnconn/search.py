@@ -15,16 +15,18 @@ lexicographically first one and `checks` (the length of the lexicographic
 prefix the answer rests on) is the same for every worker count. Progress
 goes to the `dcnconn.search` logger at INFO, from the parent process only.
 
-`certify_min` with a witness first tries the size bound, which settles the
-refutation of sizes 1..value-1 without enumerating a copy when
-(value-1)·|V(H)| < κ(G). Proof: a member is a copy of H (structure mode) or
-a connected subgraph of H (substructure mode), so s members cover at most
+`certify_min` checks a claim "the least cut has `value` members, and here is
+one": it refutes sizes 1..value-1, then verifies the cut it is given. It first
+tries the size bound, which settles the refutation without enumerating a copy
+when (value-1)·|V(H)| < κ(G). Proof: a member is a copy of H (structure mode)
+or a connected subgraph of H (substructure mode), so s members cover at most
 s·|V(H)| vertices. Removing fewer than κ vertices leaves G connected, and
 since κ <= n-1 it leaves at least 2 vertices, so no union of value-1 or fewer
 members is a cut. κ comes from the max-flow `min_vertex_cut`, never from a
-formula. The other oracles, and `certify_min` without a witness or where the
-bound does not reach every size below the value, scan as before, so
-`exists_cut_of_size` stays the unpruned reference for the bound.
+formula. The other oracles, and `certify_min` where the bound does not reach
+every size below the value, scan as before, so `exists_cut_of_size` stays the
+unpruned reference for the bound. Searching for the least cut is
+`exists_cut_of_size`'s job alone.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .shapes import STRUCTURE, ShapeSpec, StructureCut, enumerate_shape_copies
 YES = "yes"
 NO = "no"
 BUDGET = "budget_exceeded"
-NO_CUT = "no_cut_exists"
 
 log = logging.getLogger(__name__)
 _LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
@@ -66,12 +67,16 @@ class SearchBudget:
 class OracleResult:
     """What an oracle call found.
 
+    `status` is `yes` (`certified` for `g_extra_connectivity`), `no` or
+    `budget_exceeded`; `certify_min` answers `certified`, `refuted` or
+    `budget_exceeded`.
     `value` is the size of the reported cut: after `yes`, the least cut size,
-    as sizes are scanned from 1 up (for `certify_min`, the certified or
-    refuted value); `lower_bound_proven` is the largest size up to which
-    every size was scanned in full or refuted by the size bound, so no cut
-    has that many members or fewer;
-    `witness` is a `StructureCut`, or a tuple of vertex labels for
+    as sizes are scanned from 1 up; for `certify_min`, the value asked about,
+    unless a smaller cut found on the way refutes it; `lower_bound_proven` is
+    the largest size up to which every size was scanned in full or refuted by
+    the size bound, so no cut has that many members or fewer;
+    `witness` is a `StructureCut` (for `certify_min`, the cut it was given or
+    the smaller cut that refutes it), or a tuple of vertex labels for
     `g_extra_connectivity`; `checks` counts the subsets examined and `copies`
     the candidates they were drawn from; `note` says why a scan stopped early
     or why a value was refuted.
@@ -296,39 +301,35 @@ def certify_min(
     shape: ShapeSpec,
     mode: str,
     value: int,
+    witness: StructureCut,
     budget: SearchBudget | None = None,
-    witness: StructureCut | None = None,
     jobs: int = 1,
 ) -> OracleResult:
-    """Certify a predicted minimum: refute sizes 1..value-1, then verify a
-    witness of size value (supplied, e.g. a constructed cut, or searched at
-    size value in the same scan). A supplied witness lets the size bound
-    refute the smaller sizes with no copy enumerated (`checks` and `copies`
-    0, the rule in `note`); otherwise they are scanned exhaustively, and a
-    smaller cut found on the way refutes the value and becomes the reported
-    one."""
+    """Certify a claimed minimum: refute sizes 1..value-1, then verify
+    `witness`, a cut of `value` members (e.g. a constructed one). The size
+    bound refutes the smaller sizes with no copy enumerated (`checks` and
+    `copies` 0, the rule in `note`) where it reaches them; otherwise they are
+    scanned exhaustively, and a smaller cut found on the way refutes the value
+    and becomes the reported one."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
-    budget = budget or SearchBudget()
-    bound = size_bound(g, shape, value) if witness is not None else ""
+    bound = size_bound(g, shape, value)
     if bound:
         res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
     else:
-        res = _shape_oracle(g, shape, mode, range(1, value + (witness is None)), budget, jobs)
+        res = _shape_oracle(g, shape, mode, range(1, value), budget or SearchBudget(), jobs)
     if res.status == BUDGET:
         return replace(res, value=value)
-    if res.status == YES and res.value < value:
+    if res.status == YES:
         return replace(res, status="refuted", note=f"found a cut of {res.value} members")
-    res = replace(res, value=value, witness=res.witness or witness)
+    res = replace(res, value=value, witness=witness)
 
     def refuted(reason: str) -> OracleResult:
         return replace(res, status="refuted", note=f"{bound}; {reason}" if bound else reason)
 
-    if res.witness is None:
-        return refuted(f"no cut of size {value} exists either")
-    if len(res.witness.members) != value:
-        return refuted(f"witness has {len(res.witness.members)} members, expected {value}")
-    if not verify_cut(g, res.witness, shape, mode).passed:
+    if len(witness.members) != value:
+        return refuted(f"witness has {len(witness.members)} members, expected {value}")
+    if not verify_cut(g, witness, shape, mode).passed:
         return refuted("witness failed verification")
     return replace(res, status="certified")
 
@@ -355,6 +356,4 @@ def g_extra_connectivity(
     if res.status == YES:
         return replace(res, status="certified",
                        witness=tuple(label for (label,) in res.witness.members))
-    if res.status == NO:
-        return replace(res, status=NO_CUT, note="no qualifying separation exists")
     return res

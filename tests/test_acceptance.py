@@ -179,7 +179,7 @@ def test_acceptance_09_bcdc_star_values(b4, b5):
     ok = ok and res.status == YES and res.value == 4
     for t, want in ((1, 4), (2, 3)):
         witness = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.star(t), STRUCTURE)
-        res = certify_min(b5, ShapeSpec.star(t), STRUCTURE, want, budget, witness, jobs=JOBS)
+        res = certify_min(b5, ShapeSpec.star(t), STRUCTURE, want, witness, budget, jobs=JOBS)
         ok = ok and res.status == "certified"
     _report(9, ok, "BCDC star values: constructions verified (n=4..6, all t); "
                    "oracle certifies n=4 t=1 -> 4, n=5 t=1 -> 4, n=5 t=2 -> 3", t0)
@@ -199,7 +199,7 @@ def test_acceptance_10_bcdc_path_values(b5):
     budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000, time_cap_secs=1800)
     for k, want in ((4, 2), (9, 1)):
         witness = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.path(k), STRUCTURE)
-        res = certify_min(b5, ShapeSpec.path(k), STRUCTURE, want, budget, witness, jobs=JOBS)
+        res = certify_min(b5, ShapeSpec.path(k), STRUCTURE, want, witness, budget, jobs=JOBS)
         ok = ok and res.status == "certified"
     _report(10, ok, "BCDC path values: constructions verified (n=5,6, k=4..2n-1); "
                     "oracle certifies n=5 k=4 -> 2 and k=9 -> 1", t0)

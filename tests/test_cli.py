@@ -126,17 +126,21 @@ def test_oracle_bound_no(capsys):
 def test_oracle_certify_with_constructor(capsys):
     code, out, _ = run(
         capsys, "oracle", "bcdc", "--n", "4", "--shape", "P7",
-        "--certify", "1", "--witness-from-constructor", "--jobs", "1",
+        "--certify", "1", "--jobs", "1",
     )
     assert code == 0
     assert "status=certified" in out
 
 
-def test_witness_from_constructor_needs_certify(capsys):
-    code, out, err = run(capsys, "oracle", "dcell", "--m", "1", "--n", "4", "--shape", "K1_1",
-                         "--bound", "1", "--witness-from-constructor")
+@pytest.mark.parametrize("argv, message", [
+    (("bcdc", "--n", "5", "--shape", "C5", "--certify", "4"), "so the minimum is 4\n"),
+    (("cq", "--n", "3", "--shape", "K1_1", "--certify", "2"), "error: unknown family: 'cq'\n"),
+], ids=["no-construction", "no-family-construction"])
+def test_certify_without_a_construction_exits_2(capsys, argv, message):
+    # --certify certifies the constructed cut: with none there is nothing to certify
+    code, out, err = run(capsys, "oracle", *argv, "--jobs", "1")
     assert code == 2
-    assert "--witness-from-constructor needs --certify" in err
+    assert err.endswith(message)
     assert out == ""
 
 
@@ -170,12 +174,14 @@ def test_oracle_budget_exit3(capsys):
     assert "budget" in out
 
 
-def test_oracle_g_extra_without_separation_exits_1(capsys):
-    # D_{0,4} is K_4: no vertex set leaves two components of 2 or more vertices
+def test_oracle_g_extra_without_separation_exits_0(capsys):
+    # D_{0,4} is K_4: no vertex set leaves two components of 2 or more vertices,
+    # a complete answer like any other "no"
     code, out, _ = run(capsys, "oracle", "dcell", "--m", "0", "--n", "4", "--g-extra", "1",
                        "--jobs", "1")
-    assert code == 1
-    assert "status=no_cut_exists" in out
+    assert code == 0
+    assert out == ("g_extra_connectivity(h=1) status=no value=None lower_bound_proven=2 "
+                   "copies=4 checks=0\n")
 
 
 @pytest.mark.parametrize("argv, call", [
@@ -190,7 +196,7 @@ def test_oracle_prints_one_report_line(capsys, argv, call):
     assert fields[0] == call
     assert [f.split("=")[0] for f in fields[1:6]] == [
         "status", "value", "lower_bound_proven", "copies", "checks"]
-    assert code == (0 if fields[1] in ("status=yes", "status=no", "status=certified") else 1)
+    assert code == (1 if fields[1] == "status=refuted" else 0)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -401,15 +407,18 @@ def test_shape_k1_is_the_single_vertex(capsys):
     ("oracle", "bcdc", "--n", "3", "--g-extra", "0", "--k", "4"),
     ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--max-members", "3"),
     ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--prove-min", "3"),
+    ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--certify", "3",
+     "--witness-from-constructor"),
 ], ids=["gen--seed", "cut--seed", "oracle--seed", "table--seed", "cut--t", "oracle--s",
         "oracle--k", "g-extra--t", "g-extra--s", "g-extra--k", "oracle--max-members",
-        "oracle--prove-min"])
+        "oracle--prove-min", "oracle--witness-from-constructor"])
 def test_removed_flags_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     out = capsys.readouterr()
+    removed = argv[max(i for i, arg in enumerate(argv) if arg.startswith("--")):]
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
+    assert f"unrecognized arguments: {' '.join(removed)}\n" in out.err
     assert out.out == ""
 
 
@@ -520,7 +529,7 @@ def _readme_commands() -> list[list[str]]:
 
 def test_readme_commands_parse(capsys):
     commands = _readme_commands()
-    assert len(commands) == 13
+    assert len(commands) == 14
     for argv in commands:
         try:
             args = make_parser().parse_args(argv)
@@ -540,7 +549,7 @@ def test_readme_oracle_examples_run(capsys):
     note = re.search(r"`(size bound: [^`]*)` for the last example above", readme).group(1)
     fast = [argv for argv in _readme_commands() if argv[0] == "oracle"
             and not any(argv[:len(slow)] == slow for slow in SLOW_README_EXAMPLES)]
-    assert len(fast) == 3
+    assert len(fast) == 4
     reports = []
     for argv in fast:
         code, out, _ = run(capsys, *argv, "--jobs", "1")

@@ -24,7 +24,7 @@ from dcnconn import (
 from dcnconn import search
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
-from dcnconn.search import BUDGET, NO, NO_CUT, YES, size_bound
+from dcnconn.search import BUDGET, NO, YES, size_bound
 from dcnconn.shapes import MODES, STRUCTURE, SUBSTRUCTURE
 
 
@@ -163,8 +163,9 @@ class TestCertify:
         assert res.lower_bound_proven == 2
 
     def test_certify_refutes_too_big_value(self, k5):
-        res = certify_min(k5, ShapeSpec.star(1), STRUCTURE, 3)
-        assert res.status == "refuted"
+        res = certify_min(k5, ShapeSpec.star(1), STRUCTURE, 3, _K5_THREE_EDGES)
+        assert (res.status, res.value, res.lower_bound_proven) == ("refuted", 2, 1)
+        assert (res.checks, res.note) == (17, "found a cut of 2 members")
 
     def test_certify_wrong_witness_size(self, d14):
         cut = _d14_cut(3)
@@ -177,8 +178,8 @@ class TestCertify:
         # a pool logs each task's result, counting from 0 again at each size
         monkeypatch.setattr(search, "_LOG_EVERY", 1)
         with caplog.at_level(logging.INFO, logger="dcnconn.search"):
-            res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
-        assert res.status == "certified"
+            res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
+        assert (res.status, res.value) == (YES, 3)
         records = [_progress_record(r.getMessage()) for r in caplog.records]
         if jobs == 1:
             assert records == [(1, 40, 40), (2, 780, 780)]
@@ -260,12 +261,10 @@ class TestJobsParity:
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0)
         assert _scan_range(ctx, 1, 0, units, 10**6, time.monotonic() - 1) == want
 
-    def test_certify_without_witness_counts_one_scan(self, d14):
-        res = certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3)
-        found = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
-        assert res.status == "certified"
-        assert res.witness == found.witness
-        assert res.checks == found.checks
+    def test_certify_requires_a_witness(self, d14):
+        # searching for a cut is exists_cut_of_size's job; certify_min checks one
+        with pytest.raises(TypeError, match="witness"):
+            certify_min(d14, ShapeSpec.star(1), STRUCTURE, 3)
 
 
 K11 = ShapeSpec.star(1)
@@ -276,6 +275,9 @@ def _d14_cut(members: int) -> StructureCut:
     cut = structure_cut_for("dcell", {"m": 1, "n": 4}, K11, STRUCTURE)
     return StructureCut(K11, cut.members[:members], STRUCTURE)
 
+
+# three edges of K_5: the first two already leave one vertex, so K_5 has a 2-member cut
+_K5_THREE_EDGES = StructureCut(K11, (("a", "b"), ("c", "d"), ("a", "e")), STRUCTURE)
 
 # three edges at one vertex of D_{1,4}: valid members whose removal leaves it connected
 _NOT_A_CUT = StructureCut(
@@ -302,17 +304,17 @@ BOUND_CASES = [
         g, K11, STRUCTURE, 8, SearchBudget(max_candidates=10)), BUDGET, None, 0),
     ("extra-certified", "c6", lambda g: g_extra_connectivity(g, 0), "certified", 2, 1),
     ("extra-certified-b3", "b3", lambda g: g_extra_connectivity(g, 0), "certified", 4, 3),
-    ("extra-no-cut", "k5", lambda g: g_extra_connectivity(g, 0), NO_CUT, None, 3),
+    ("extra-no-cut", "k5", lambda g: g_extra_connectivity(g, 0), NO, None, 3),
     ("extra-check-cap", "b3", lambda g: g_extra_connectivity(
         g, 0, SearchBudget(max_checks=20)), BUDGET, None, 1),
     ("certify-with-witness", "d14", lambda g: certify_min(
         g, K11, STRUCTURE, 3, witness=_d14_cut(3)), "certified", 3, 2),
-    ("certify-searched", "d14", lambda g: certify_min(g, K11, STRUCTURE, 3),
-     "certified", 3, 2),
-    ("certify-smaller-cut", "k5", lambda g: certify_min(g, K11, STRUCTURE, 3),
-     "refuted", 2, 1),
-    ("certify-no-cut-of-value", "d14", lambda g: certify_min(g, K11, STRUCTURE, 2),
-     "refuted", 2, 2),
+    ("certify-searched", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 3),
+     YES, 3, 2),
+    ("certify-smaller-cut", "k5", lambda g: certify_min(
+        g, K11, STRUCTURE, 3, _K5_THREE_EDGES), "refuted", 2, 1),
+    ("certify-no-cut-of-value", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 2),
+     NO, None, 2),
     ("certify-witness-size", "d14", lambda g: certify_min(
         g, K11, STRUCTURE, 3, witness=_d14_cut(2)), "refuted", 3, 2),
     ("certify-witness-not-a-cut", "d14", lambda g: certify_min(
@@ -320,9 +322,9 @@ BOUND_CASES = [
     ("certify-value-1-witness", "d14", lambda g: certify_min(
         g, K11, STRUCTURE, 1, witness=_d14_cut(3)), "refuted", 1, 0),
     ("certify-check-cap", "d14", lambda g: certify_min(
-        g, K11, STRUCTURE, 3, SearchBudget(max_checks=100)), BUDGET, 3, 1),
+        g, K11, STRUCTURE, 3, _d14_cut(3), SearchBudget(max_checks=100)), BUDGET, 3, 1),
     ("certify-candidate-cap", "d14", lambda g: certify_min(
-        g, K11, STRUCTURE, 3, SearchBudget(max_candidates=10)), BUDGET, 3, 0),
+        g, K11, STRUCTURE, 3, _d14_cut(3), SearchBudget(max_candidates=10)), BUDGET, 3, 0),
 ]
 
 
@@ -427,9 +429,6 @@ class TestSizeBound:
         res = certify_min(d14, K11, STRUCTURE, 3, witness=_d14_cut(3))
         assert (res.status, res.lower_bound_proven, res.checks, res.note) == (
             "certified", 2, 40 + 780, "")
-        # 0 x 2 < 4, but without a witness the scan searches one at size 1
-        res = certify_min(d14, K11, STRUCTURE, 1)
-        assert (res.status, res.checks, res.note) == ("refuted", 40, "no cut of size 1 exists either")
 
     def test_bound_never_bypasses_verification(self, b4):
         # 2 x 2 < kappa(B_4) = 6 settles sizes 1..2 of K_{1,1}, yet the least
@@ -487,7 +486,7 @@ def test_a_zero_candidate_cap_enumerates_no_copy(d14):
     # the size bound (3 x 1 vertices < kappa 4) needs no copy; a scan needs one
     single = ShapeSpec.single()
     isolate = StructureCut(single, tuple((v,) for v in d14.neighbors("0.0")), STRUCTURE)
-    bound = certify_min(d14, single, STRUCTURE, 4, SearchBudget(max_candidates=0), isolate)
+    bound = certify_min(d14, single, STRUCTURE, 4, isolate, SearchBudget(max_candidates=0))
     assert (bound.status, bound.copies, bound.checks) == ("certified", 0, 0)
     scan = exists_cut_of_size(d14, K11, STRUCTURE, 2, SearchBudget(max_candidates=0))
     assert (scan.status, scan.note, scan.checks) == (BUDGET, "candidate cap reached", 0)
