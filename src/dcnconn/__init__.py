@@ -18,15 +18,8 @@ from .shapes import (
     enumerate_shape_copies,
     is_shape,
 )
-from .dcell import build_dcell, outside_neighbor, t_size
-from .bcdc import (
-    build_bcdc,
-    build_bcdc_via_line_graph,
-    build_crossed_cube,
-    dim_neighbor,
-    neighborhood_decomposition,
-    pair_related,
-)
+from .dcell import build_dcell, t_size
+from .bcdc import build_bcdc, build_crossed_cube, dim_neighbor
 from .cuts import (
     PredictedValue,
     VerificationReport,
@@ -56,14 +49,10 @@ __all__ = [
     "enumerate_shape_copies",
     "is_shape",
     "build_dcell",
-    "outside_neighbor",
     "t_size",
     "build_bcdc",
-    "build_bcdc_via_line_graph",
     "build_crossed_cube",
     "dim_neighbor",
-    "neighborhood_decomposition",
-    "pair_related",
     "PredictedValue",
     "VerificationReport",
     "predicted_kappa",

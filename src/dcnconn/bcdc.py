@@ -2,26 +2,19 @@
 
 CQ_n vertices are n-bit strings b_{n-1}...b_0 (most significant first).
 B_n vertices are adjacent CQ_n pairs, stored smaller-endpoint-first and
-rendered "a|b". B_n is generated both by the recursive definition (two
-prefixed copies of B_{n-1} plus the independent set of cross edges) and via
-the generic line graph; the two must agree label for label.
+rendered "a|b". B_n is built by the recursive definition (two prefixed
+copies of B_{n-1} plus the independent set of cross edges), and equals the
+line graph of CQ_n label for label.
 """
 
 from __future__ import annotations
 
 from .errors import BuildBudgetError, ParameterError
-from .graph import DEFAULT_MAX_VERTICES, Graph, line_graph
+from .graph import DEFAULT_MAX_VERTICES, Graph
 
-# x ~ y on 2-bit blocks; the relation is a bijection, so the image is a map.
+# The pair relation x ~ y on 2-bit blocks, {(00,00),(10,10),(01,11),(11,01)};
+# it is a bijection, so the image is a map.
 _PAIR_MAP = {"00": "00", "10": "10", "01": "11", "11": "01"}
-
-
-def pair_related(x: str, y: str) -> bool:
-    """The 2-bit relation {(00,00),(10,10),(01,11),(11,01)}."""
-    for s in (x, y):
-        if len(s) != 2 or any(c not in "01" for c in s):
-            raise ParameterError(f"pair_related needs 2-bit strings, got {s!r}")
-    return _PAIR_MAP[x] == y
 
 
 def _check_bits(u: str, n: int | None = None) -> int:
@@ -141,42 +134,10 @@ def _all_bits(k: int) -> list[str]:
     return [format(i, f"0{k}b") for i in range(2**k)]
 
 
-def build_bcdc_via_line_graph(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
-    """line_graph(CQ_n); must be label-for-label identical to build_bcdc(n)."""
-    if n < 2:
-        raise ParameterError(f"BCDC needs n >= 2, got {n}")
-    return line_graph(build_crossed_cube(n, max_vertices=max_vertices))
-
-
 def cq_neighbors(u: str) -> list[str]:
     """N(u) in CQ_n via the dimension rule, ascending dimension order."""
     n = _check_bits(u)
     return [dim_neighbor(u, d) for d in range(n)]
-
-
-def reindexed_dims(v: str, partner: str) -> list[int]:
-    """Dimensions of v's neighbors other than `partner`, ascending.
-
-    The notation [v, v^i] for a B_n vertex u = [v, partner] skips the one
-    dimension that leads back to partner and re-indexes the remaining n-1
-    dimensions in increasing order; element i of this list is that dimension.
-    """
-    n = _check_bits(v)
-    _check_bits(partner, n)
-    dims = [d for d in range(n) if dim_neighbor(v, d) != partner]
-    if len(dims) != n - 1:
-        raise ParameterError(f"{v!r} and {partner!r} are not CQ neighbors")
-    return dims
-
-
-def neighborhood_decomposition(g: Graph, u: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """N(u) split into its two (n-1)-cliques {[v,v^i]} and {[w,w^i]}."""
-    if not g.has_vertex(u):
-        raise ParameterError(f"vertex {u!r} not in graph")
-    v, w = parse_bn_label(u)
-    clique_v = tuple(bn_label(v, dim_neighbor(v, d)) for d in reindexed_dims(v, w))
-    clique_w = tuple(bn_label(w, dim_neighbor(w, d)) for d in reindexed_dims(w, v))
-    return clique_v, clique_w
 
 
 def bn_vertex_neighbors(u: str) -> list[str]:

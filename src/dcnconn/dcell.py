@@ -48,26 +48,6 @@ def label_str(digits: tuple[int, ...]) -> str:
     return ".".join(str(d) for d in digits)
 
 
-def parse_label(label: str, m: int, n: int) -> tuple[int, ...]:
-    """Parse and validate "x_m.….x_0" against the digit ranges of D(m,n)."""
-    tt = t_table(m, n)
-    parts = label.split(".")
-    if len(parts) != m + 1:
-        raise ParameterError(f"label {label!r} must have {m + 1} digits")
-    try:
-        digits = tuple(int(p) for p in parts)
-    except ValueError:
-        raise ParameterError(f"label {label!r} has a non-numeric digit") from None
-    for pos, d in enumerate(digits):
-        level = m - pos
-        hi = n - 1 if level == 0 else tt[level - 1]
-        if not 0 <= d <= hi:
-            raise ParameterError(
-                f"digit x_{level}={d} of {label!r} outside [0, {hi}]"
-            )
-    return digits
-
-
 def _rank(sub: tuple[int, ...], tt: list[int]) -> int:
     """Rank of the sub-label (x_{l-1}..x_0) inside its D(l-1,n) copy."""
     r = sub[-1]
@@ -134,13 +114,6 @@ def _partner(digits: tuple[int, ...], level: int, tt: list[int]) -> tuple[int, .
     if r >= a:
         return (r + 1,) + _unrank(a, level, tt)
     return (r,) + _unrank(a - 1, level, tt)
-
-
-def outside_neighbor(label: str, m: int, n: int) -> str:
-    """The unique neighbor of `label` in a different top-level copy."""
-    if m < 1:
-        raise ParameterError("D(0,n) has no outside neighbors")
-    return label_str(_partner(parse_label(label, m, n), m, t_table(m, n)))
 
 
 def dcell_neighbors(digits: tuple[int, ...], m: int, n: int) -> list[tuple[int, ...]]:

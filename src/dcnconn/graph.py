@@ -95,14 +95,8 @@ class Graph:
     def has_vertex(self, label: str) -> bool:
         return label in self._index
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return self.id_of(v) in self._adj[self.id_of(u)]
-
     def neighbor_ids(self, vid: int) -> frozenset[int]:
         return self._adj[vid]
-
-    def neighbors(self, label: str) -> tuple[str, ...]:
-        return tuple(self._labels[i] for i in sorted(self._adj[self.id_of(label)]))
 
     def degree(self, label: str) -> int:
         return len(self._adj[self.id_of(label)])
@@ -118,9 +112,6 @@ class Graph:
         """Edges as label pairs, in `edge_ids` order."""
         for u, v in self.edge_ids():
             yield (self._labels[u], self._labels[v])
-
-    def edge_label_set(self) -> set[frozenset[str]]:
-        return {frozenset(e) for e in self.edges()}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(|V|={self.vertex_count}, |E|={self.edge_count})"

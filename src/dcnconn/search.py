@@ -177,7 +177,8 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     bound proven is the size before the one where the scan stopped, or the
     last size after NO. With `jobs > 1`, sizes of at least 2
     and below the copy count are split into one pool task per leading index
-    (the pool starts at the first such size and serves the rest of the call),
+    (the pool starts at the first such size, with no more workers than that
+    size has tasks, and serves the rest of the call),
     and the results are read in leading-index order and settled as the serial
     scan would settle them: the witness is the lexicographically first,
     `checks` is the length of the lexicographic prefix the answer rests on
@@ -197,12 +198,13 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
             start = logged = total
             cap = budget.max_checks - start
             if jobs > 1 and size >= 2 and n > size:
-                if pool is None:
+                tasks = [(size, lead, cap, t_end) for lead in range(n - size + 1)]
+                if pool is None:  # sized to this size's tasks: no later size has more
                     import multiprocessing as mp
 
                     mpc = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-                    pool = mpc.Pool(jobs, initializer=_pool_init, initargs=(ctx,))
-                tasks = [(size, lead, cap, t_end) for lead in range(n - size + 1)]
+                    pool = mpc.Pool(min(jobs, len(tasks)), initializer=_pool_init,
+                                    initargs=(ctx,))
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
                 results = [_scan_range(ctx, size, 0, n, cap, t_end)]

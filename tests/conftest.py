@@ -11,6 +11,10 @@ from dcnconn import (
 from dcnconn.shapes import STRUCTURE
 
 
+def neighbor_labels(g, label):
+    return {g.label_of(i) for i in g.neighbor_ids(g.id_of(label))}
+
+
 @pytest.fixture(scope="session")
 def d14():
     return build_dcell(1, 4)

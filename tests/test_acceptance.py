@@ -17,7 +17,6 @@ from dcnconn import (
     SearchBudget,
     ShapeSpec,
     build_bcdc,
-    build_bcdc_via_line_graph,
     build_crossed_cube,
     build_dcell,
     build_graph,
@@ -26,12 +25,13 @@ from dcnconn import (
     g_extra_connectivity,
     line_graph,
     min_vertex_cut,
-    neighborhood_decomposition,
     predicted_kappa,
     structure_cut_for,
     t_size,
     verify_cut,
 )
+from conftest import neighbor_labels
+from dcnconn.bcdc import bn_vertex_neighbors, parse_bn_label
 from dcnconn.errors import ParameterError
 from dcnconn.io import parse_edgelist
 from dcnconn.search import NO, YES
@@ -53,7 +53,7 @@ def _graph_matches_fixture(g, name, family, params) -> bool:
         f_family == family
         and f_params == params
         and set(labels) == set(g.labels)
-        and {frozenset(e) for e in edges} == g.edge_label_set()
+        and {frozenset(e) for e in edges} == {frozenset(e) for e in g.edges()}
     )
 
 
@@ -72,9 +72,9 @@ def test_acceptance_02_line_graph_equivalence():
     ok = True
     for n in range(2, 8):
         a = build_bcdc(n)
-        b = build_bcdc_via_line_graph(n)
-        ok = ok and a.labels == b.labels and a.edge_label_set() == b.edge_label_set()
-    _report(2, ok, "B_n identical to line graph of CQ_n for n=2..7, set-exact", t0)
+        b = line_graph(build_crossed_cube(n))
+        ok = ok and a.labels == b.labels and list(a.edge_ids()) == list(b.edge_ids())
+    _report(2, ok, "B_n identical to line graph of CQ_n for n=2..7, labels and edges exact", t0)
 
 
 def test_acceptance_03_regularity_order_size():
@@ -109,13 +109,16 @@ def test_acceptance_05_neighborhood_structure():
     for n in (3, 4, 5):
         g = build_bcdc(n)
         for u in g.labels:
-            a, b = neighborhood_decomposition(g, u)
+            # the two cliques from the definition: the edges at each endpoint of u
+            v, w = parse_bn_label(u)
+            a = [x for x in bn_vertex_neighbors(u) if v in parse_bn_label(x)]
+            b = [x for x in bn_vertex_neighbors(u) if w in parse_bn_label(x)]
             ok = ok and len(a) == len(b) == n - 1
             ok = ok and not set(a) & set(b)
-            ok = ok and set(a) | set(b) == set(g.neighbors(u))
-            ok = ok and all(g.has_edge(x, y) for i, x in enumerate(a) for y in a[i + 1 :])
-            ok = ok and all(g.has_edge(x, y) for i, x in enumerate(b) for y in b[i + 1 :])
-            ok = ok and not any(g.has_edge(x, y) for x in a for y in b)
+            ok = ok and set(a) | set(b) == neighbor_labels(g, u)
+            ok = ok and all(set(a) - {x} <= neighbor_labels(g, x) for x in a)
+            ok = ok and all(set(b) - {x} <= neighbor_labels(g, x) for x in b)
+            ok = ok and not any(neighbor_labels(g, x) & set(b) for x in a)
             if not ok:
                 break
     _report(5, ok, "every B_3..B_5 neighborhood splits into two disjoint cliques", t0)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from dcnconn import build_dcell, outside_neighbor, t_size
-from dcnconn.dcell import dcell_neighbors, label_str, parse_label, t_table
+from conftest import neighbor_labels
+from dcnconn import build_dcell, t_size
+from dcnconn.dcell import dcell_neighbors, label_str, t_table
 from dcnconn.errors import BuildBudgetError, ParameterError
 from dcnconn.graph import min_vertex_cut
 from dcnconn.io import parse_edgelist
@@ -47,7 +48,7 @@ def test_d14_matches_fixture(d14):
     family, params, labels, edges = parse_edgelist(text)
     assert family == "dcell" and params == {"m": 1, "n": 4}
     assert set(labels) == set(d14.labels)
-    assert {frozenset(e) for e in edges} == d14.edge_label_set()
+    assert {frozenset(e) for e in edges} == {frozenset(e) for e in d14.edges()}
 
 
 def test_d14_definition_oracle(d14):
@@ -64,25 +65,15 @@ def test_d14_definition_oracle(d14):
         for u, v in combinations(labels, 2)
         if adjacent(u, v)
     }
-    assert d14.edge_label_set() == expected
+    assert {frozenset(e) for e in d14.edges()} == expected
 
 
 def test_d14_cross_edge(d14):
-    assert d14.has_edge("0.0", "1.0")
+    assert "1.0" in neighbor_labels(d14, "0.0")
 
 
 def test_outside_neighbor_examples():
-    assert outside_neighbor("0.0", 1, 4) == "1.0"
-    with pytest.raises(ParameterError):
-        outside_neighbor("3", 0, 4)
-
-
-def test_outside_neighbor_involution(d14):
-    for lab in d14.labels:
-        partner = outside_neighbor(lab, 1, 4)
-        assert outside_neighbor(partner, 1, 4) == lab
-        assert d14.has_edge(lab, partner)
-        assert lab.split(".")[0] != partner.split(".")[0]
+    assert (1, 0) in dcell_neighbors((0, 0), 1, 4)
 
 
 @pytest.mark.parametrize("m,n", [(1, 3), (1, 4), (2, 2)])
@@ -132,16 +123,8 @@ def test_build_budget_rejected():
         build_dcell(2, 5, max_vertices=100)
 
 
-def test_parse_label_validates():
-    assert parse_label("4.3", 1, 4) == (4, 3)
-    with pytest.raises(ParameterError):
-        parse_label("5.0", 1, 4)  # copy digit above t_0
-    with pytest.raises(ParameterError):
-        parse_label("0", 1, 4)
-
-
 def test_dcell_neighbors_matches_graph(d14):
     for lab in d14.labels:
-        digits = parse_label(lab, 1, 4)
+        digits = tuple(int(x) for x in lab.split("."))
         expected = {label_str(t) for t in dcell_neighbors(digits, 1, 4)}
-        assert set(d14.neighbors(lab)) == expected
+        assert neighbor_labels(d14, lab) == expected

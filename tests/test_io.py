@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import neighbor_labels
 from dcnconn import ShapeSpec, StructureCut, structure_cut_for, verify_cut
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
@@ -22,7 +23,7 @@ def test_edgelist_roundtrip(d14):
     assert family == "dcell"
     assert params == {"m": 1, "n": 4}
     assert set(labels) == set(d14.labels)
-    assert {frozenset(e) for e in edges} == d14.edge_label_set()
+    assert {frozenset(e) for e in edges} == {frozenset(e) for e in d14.edges()}
 
 
 def test_edgelist_tab_separated(d14):
@@ -96,7 +97,7 @@ def test_cut_file_without_a_shape_is_rejected():
 def test_every_kind_survives_a_cut_file(family, params, shape, mode):
     g = build_dcell(params["m"], params["n"]) if family == "dcell" else build_bcdc(params["n"])
     if shape == ShapeSpec.clique(1):  # no constructor: K_1 members are the neighbours of 0.0
-        members = tuple((v,) for v in g.neighbors("0.0"))
+        members = tuple((v,) for v in sorted(neighbor_labels(g, "0.0")))
     else:  # a structure cut is a substructure cut too
         members = structure_cut_for(family, params, shape, STRUCTURE).members
     cut = StructureCut(shape, members, mode)

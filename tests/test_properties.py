@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import neighbor_labels
 from dcnconn import (
     ShapeSpec,
     StructureCut,
@@ -143,7 +144,7 @@ def test_deletion_keeps_surviving_edges(g):
     h = delete_vertices(g, [victim])
     assert h.vertex_count == g.vertex_count - 1
     for u, v in h.edges():
-        assert g.has_edge(u, v)
+        assert v in neighbor_labels(g, u)
     assert h.edge_count == g.edge_count - g.degree(victim)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import neighbor_labels
 from dcnconn import (
     SearchBudget,
     ShapeSpec,
@@ -100,6 +101,23 @@ class TestExists:
                                    SearchBudget(max_candidates=39))
         assert (below.status, below.checks, below.note) == (BUDGET, 0, "candidate cap reached")
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exists_scan_logs_each_size(self, d14, caplog, monkeypatch, jobs):
+        # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness;
+        # a pool logs each task's result, counting from 0 again at each size
+        monkeypatch.setattr(search, "_LOG_EVERY", 1)
+        with caplog.at_level(logging.INFO, logger="dcnconn.search"):
+            res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
+        assert (res.status, res.value) == (YES, 3)
+        records = [_progress_record(r.getMessage()) for r in caplog.records]
+        if jobs == 1:
+            assert records == [(1, 40, 40), (2, 780, 780)]
+        else:
+            by_size = [[r for r in records if r[0] == size] for size in (1, 2)]
+            assert by_size[0] == [(1, 40, 40)]
+            assert by_size[1][0] == (2, 39, 780) and by_size[1][-1] == (2, 780, 780)
+            assert [r[1] for r in by_size[1]] == sorted({r[1] for r in by_size[1]})
+
 
 class TestMinCut:
     """Sizes are scanned from 1 up, so a "yes" of `exists_cut_of_size` is the least cut."""
@@ -171,23 +189,6 @@ class TestCertify:
         cut = _d14_cut(3)
         res = certify_min(d14, K11, STRUCTURE, 4, witness=cut)
         assert res.status == "refuted"
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_certify_scan_logs_each_size(self, d14, caplog, monkeypatch, jobs):
-        # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness;
-        # a pool logs each task's result, counting from 0 again at each size
-        monkeypatch.setattr(search, "_LOG_EVERY", 1)
-        with caplog.at_level(logging.INFO, logger="dcnconn.search"):
-            res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
-        assert (res.status, res.value) == (YES, 3)
-        records = [_progress_record(r.getMessage()) for r in caplog.records]
-        if jobs == 1:
-            assert records == [(1, 40, 40), (2, 780, 780)]
-        else:
-            by_size = [[r for r in records if r[0] == size] for size in (1, 2)]
-            assert by_size[0] == [(1, 40, 40)]
-            assert by_size[1][0] == (2, 39, 780) and by_size[1][-1] == (2, 780, 780)
-            assert [r[1] for r in by_size[1]] == sorted({r[1] for r in by_size[1]})
 
 
 def _progress_record(message: str) -> tuple[int, int, int]:
@@ -261,6 +262,28 @@ class TestJobsParity:
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0)
         assert _scan_range(ctx, 1, 0, units, 10**6, time.monotonic() - 1) == want
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # K_4 has 6 K_{1,1} copies: size 1 is scanned serially, and size 2, the
+        # first to take the pool, has 5 leading-index tasks, so 8 jobs start 5
+        import multiprocessing
+        from types import SimpleNamespace
+
+        real, workers = multiprocessing.get_context, []
+
+        def context(*args):
+            ctx = real(*args)
+
+            def pool(processes, **kwargs):
+                workers.append(processes)
+                return ctx.Pool(processes, **kwargs)
+            return SimpleNamespace(Pool=pool)
+
+        monkeypatch.setattr(multiprocessing, "get_context", context)
+        k4 = build_dcell(0, 4)
+        one = exists_cut_of_size(k4, K11, STRUCTURE, 3, jobs=1)
+        assert exists_cut_of_size(k4, K11, STRUCTURE, 3, jobs=8) == one
+        assert workers == [5]
+
     def test_certify_requires_a_witness(self, d14):
         # searching for a cut is exists_cut_of_size's job; certify_min checks one
         with pytest.raises(TypeError, match="witness"):
@@ -294,13 +317,13 @@ BOUND_CASES = [
         g, K11, STRUCTURE, 3, SearchBudget(max_checks=100)), BUDGET, None, 1),
     ("exists-candidate-cap", "d14", lambda g: exists_cut_of_size(
         g, K11, STRUCTURE, 3, SearchBudget(max_candidates=10)), BUDGET, None, 0),
-    ("min-certified", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 8), YES, 3, 2),
-    ("min-no-cut", "c6", lambda g: exists_cut_of_size(g, ShapeSpec.clique(3), STRUCTURE, 8),
-     NO, None, 0),
-    ("min-member-cap", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 2), NO, None, 2),
-    ("min-check-cap", "d14", lambda g: exists_cut_of_size(
+    ("exists-bound-8-certified", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 8),
+     YES, 3, 2),
+    ("exists-bound-8-no-cut", "c6",
+     lambda g: exists_cut_of_size(g, ShapeSpec.clique(3), STRUCTURE, 8), NO, None, 0),
+    ("exists-bound-8-check-cap", "d14", lambda g: exists_cut_of_size(
         g, K11, STRUCTURE, 8, SearchBudget(max_checks=100)), BUDGET, None, 1),
-    ("min-candidate-cap", "d14", lambda g: exists_cut_of_size(
+    ("exists-bound-8-candidate-cap", "d14", lambda g: exists_cut_of_size(
         g, K11, STRUCTURE, 8, SearchBudget(max_candidates=10)), BUDGET, None, 0),
     ("extra-certified", "c6", lambda g: g_extra_connectivity(g, 0), "certified", 2, 1),
     ("extra-certified-b3", "b3", lambda g: g_extra_connectivity(g, 0), "certified", 4, 3),
@@ -309,12 +332,8 @@ BOUND_CASES = [
         g, 0, SearchBudget(max_checks=20)), BUDGET, None, 1),
     ("certify-with-witness", "d14", lambda g: certify_min(
         g, K11, STRUCTURE, 3, witness=_d14_cut(3)), "certified", 3, 2),
-    ("certify-searched", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 3),
-     YES, 3, 2),
     ("certify-smaller-cut", "k5", lambda g: certify_min(
         g, K11, STRUCTURE, 3, _K5_THREE_EDGES), "refuted", 2, 1),
-    ("certify-no-cut-of-value", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 2),
-     NO, None, 2),
     ("certify-witness-size", "d14", lambda g: certify_min(
         g, K11, STRUCTURE, 3, witness=_d14_cut(2)), "refuted", 3, 2),
     ("certify-witness-not-a-cut", "d14", lambda g: certify_min(
@@ -424,7 +443,7 @@ class TestSizeBound:
             "certified", 3, 2, 0, 0)
         assert res.note == "size bound: 2 x 3 vertices < kappa 8"
 
-    def test_bound_does_not_apply_without_a_witness_or_past_kappa(self, d14):
+    def test_bound_does_not_apply_past_kappa(self, d14):
         # 2 x 2 vertices is not below kappa(D_{1,4}) = 4: sizes 1..2 are scanned
         res = certify_min(d14, K11, STRUCTURE, 3, witness=_d14_cut(3))
         assert (res.status, res.lower_bound_proven, res.checks, res.note) == (
@@ -485,7 +504,8 @@ class TestSizeBound:
 def test_a_zero_candidate_cap_enumerates_no_copy(d14):
     # the size bound (3 x 1 vertices < kappa 4) needs no copy; a scan needs one
     single = ShapeSpec.single()
-    isolate = StructureCut(single, tuple((v,) for v in d14.neighbors("0.0")), STRUCTURE)
+    isolate = StructureCut(single, tuple((v,) for v in sorted(neighbor_labels(d14, "0.0"))),
+                           STRUCTURE)
     bound = certify_min(d14, single, STRUCTURE, 4, isolate, SearchBudget(max_candidates=0))
     assert (bound.status, bound.copies, bound.checks) == ("certified", 0, 0)
     scan = exists_cut_of_size(d14, K11, STRUCTURE, 2, SearchBudget(max_candidates=0))

@@ -1,7 +1,8 @@
 """The library imports nothing outside the standard library, every name a
 library module imports is used (by `__init__.py`: exported in `__all__`),
-every parameter of a library function is read, and only the CLI writes to
-the terminal."""
+every parameter of a library function is read, every public function, class
+and method is read by library or benchmark code (or named as kept on
+purpose), and only the CLI writes to the terminal."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dcnconn"
+BENCH = SRC.parent.parent / "bench"
 
 
 def _outside_imports(path: Path) -> list[str]:
@@ -164,3 +166,58 @@ def test_the_check_sees_a_terminal_write(tmp_path):
                      "    return sys.stderr, stderr, sys.argv\n")
     assert sorted(_terminal_writes(probe)) == ["probe.py:2 sys.stderr", "probe.py:7 print",
                                                "probe.py:8 sys.stdout", "probe.py:9 sys.stderr"]
+
+
+# public names that no library or benchmark code reads, each kept on purpose
+UNREAD_BY_DESIGN = {
+    "line_graph": "the independent reference that B_n is checked against",
+    "build_graph": "the constructor from label edges, for graphs no builder makes",
+    "t_size": "the paper's t_{m,n}, the server count of D(m,n)",
+    "parse_edgelist": "reads the edge lists that `dcnconn gen` writes",
+    "parse_cut": "reads the cut files that `dcnconn cut` writes",
+}
+
+
+def _unread_names(modules: list[Path], readers: list[Path]) -> list[str]:
+    """Public top-level functions and classes of `modules`, and the public
+    methods of those classes, whose name no code in `readers` reads, as a
+    name or an attribute. Strings, docstrings and imports are not reads, and
+    neither is the definition itself."""
+    read = set()
+    for path in readers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    out = []
+    for path in modules:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in read:
+                out.append(f"{path.name} {node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.name} {node.name}.{sub.name}" for sub in node.body
+                        if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                        and sub.name not in read]
+    return out
+
+
+def test_every_public_name_is_read_by_the_library_or_the_benchmark():
+    modules = sorted(SRC.glob("*.py"))
+    unread = _unread_names(modules, modules + sorted(BENCH.glob("*.py")))
+    assert [name for name in unread if name.rpartition(" ")[2] not in UNREAD_BY_DESIGN] == []
+    # a name kept on purpose that code now reads needs no reason any more
+    assert sorted(UNREAD_BY_DESIGN) == sorted(name.rpartition(" ")[2] for name in unread)
+
+
+def test_the_check_sees_an_unread_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def used():\n    return 1\n\n\ndef unused():\n    \"used()\"\n\n\n"
+                     "def _private():\n    pass\n\n\nclass C:\n    def called(self):\n"
+                     "        pass\n\n    def uncalled(self):\n        return used()\n\n"
+                     "    def _hidden(self):\n        pass\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from probe import C, unused\n\n'C().uncalled()'\nC().called()\n")
+    assert _unread_names([probe], [probe, reader]) == ["probe.py unused", "probe.py C.uncalled"]
