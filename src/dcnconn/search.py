@@ -27,6 +27,18 @@ formula. The other oracles, and `certify_min` where the bound does not reach
 every size below the value, scan as before, so `exists_cut_of_size` stays the
 unpruned reference for the bound. Searching for the least cut is
 `exists_cut_of_size`'s job alone.
+
+The kernel skips, without a flood, every subset whose union misses a set of
+a family of connected dominating sets, built from the graph alone by
+`_dominating_family`. Lemma: let D be a connected dominating set of G with at
+least 2 vertices, and U a removed union with U ∩ D = ∅. Proof that U does
+not separate: D lies in G − U and induces a connected subgraph there; every
+vertex of G − U outside D has a neighbour in D, which is alive, so it joins
+D's component. Hence G − U is connected, and it holds D, so it has at least
+2 vertices: `_separates` is False for every h. The rule never skips a hit,
+so status, value, bound, witness and `checks` (a skipped subset is still
+counted) are those of the unfiltered scan for every worker count; an empty
+family skips nothing.
 """
 
 from __future__ import annotations
@@ -34,9 +46,12 @@ from __future__ import annotations
 import logging
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations, islice
 from math import comb
+from operator import or_
 
 from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
@@ -119,6 +134,57 @@ def _separates(tables, full: int, removed: int, h: int) -> bool:
     return False
 
 
+def _ids(mask: int) -> Iterator[int]:
+    """The vertex ids in `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _dominating_family(g: Graph) -> list[int]:
+    """Greedy connected dominating sets of g (Guha and Khuller), as vertex
+    masks in the order first found, each of at least 2 vertices.
+
+    One greedy run per start vertex and tie rule: grow the set from the
+    start, each time adding the dominated vertex outside it that dominates
+    the most new vertices, ties to the lowest id, then in a second run to
+    the highest. The added vertex is dominated, so it has a neighbour in the
+    set, and while some vertex is undominated in a connected graph some
+    candidate gains one, so each run ends with a connected dominating set.
+    Each set is checked anyway, connected by one flood and dominating, before
+    it is kept; duplicates and single vertices are dropped.
+    """
+    n = g.vertex_count
+    full = (1 << n) - 1
+    closed = [sum(1 << u for u in g.neighbor_ids(v)) | 1 << v for v in range(n)]
+    found: dict[int, None] = {}
+    for start in range(n):
+        for highest in (False, True):
+            chosen, dominated = 1 << start, closed[start]
+            while dominated != full:
+                new = full ^ dominated
+                candidates = list(_ids(dominated & ~chosen))
+                # max keeps the first of equal gains
+                best = max(reversed(candidates) if highest else candidates,
+                           key=lambda v: (closed[v] & new).bit_count())
+                chosen |= 1 << best
+                dominated |= closed[best]
+            found[chosen] = None
+    tables = g.neighbor_tables
+    return [d for d in found if d.bit_count() >= 2 and flood_mask(tables, d, d & -d) == d
+            and reduce(or_, (closed[v] for v in _ids(d))) == full]
+
+
+def _family_masks(unit_masks: list[int], family: list[int], n: int) -> list[int]:
+    """For each unit mask over n vertices, the mask of the family sets it
+    meets: bit j is set when the unit shares a vertex with `family[j]`."""
+    if not family:  # it skips nothing, and a size-1 scan can have many copies
+        return [0] * len(unit_masks)
+    of_vertex = [sum(1 << j for j, d in enumerate(family) if d >> v & 1) for v in range(n)]
+    return [reduce(or_, (of_vertex[v] for v in _ids(unit)), 0) for unit in unit_masks]
+
+
 def _log_progress(size: int, checks: int, n: int) -> None:
     log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
 
@@ -126,15 +192,18 @@ def _log_progress(size: int, checks: int, n: int) -> None:
 def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
-    `ctx` is (neighbour tables, full mask, unit masks, h): a subset hits when
-    removing the union of its unit masks `_separates` the graph.
+    `ctx` is (neighbour tables, full mask, unit masks, h, family masks, all
+    family bits): a subset hits when removing the union of its unit masks
+    `_separates` the graph. A subset whose family masks do not OR to all
+    family bits misses a connected dominating set, so it is counted and
+    skipped without a flood (see the module docstring).
     Returns (first hitting subset or None, checks made, note); the note names
     the cap that stopped the scan with subsets left to check: time past
     `t_end` (tested every 8192 checks), or `cap` checks made. Both caps are
     tested before a subset, so a range that ends as a cap trips is complete
     and carries no note. Progress is logged every `_LOG_EVERY` checks.
     """
-    tables, full, unit_masks, h = ctx
+    tables, full, unit_masks, h, family_masks, every_set = ctx
     n = len(unit_masks)
     count = comb(n - lo, size) - comb(n - hi, size)
     checks = 0
@@ -146,10 +215,15 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
                 _log_progress(size, checks, n)
         if checks >= cap:
             return None, checks, "check cap reached"
+        checks += 1
+        meets = 0
+        for i in combo:
+            meets |= family_masks[i]
+        if meets != every_set:
+            continue
         removed = 0
         for i in combo:
             removed |= unit_masks[i]
-        checks += 1
         if _separates(tables, full, removed, h):
             return combo, checks, ""
     return None, checks, ""
@@ -257,8 +331,12 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     if len(unit_masks) > budget.max_candidates:
         return OracleResult(BUDGET, None, 0, None, 0, budget.max_candidates,
                             "candidate cap reached")
-    ctx = g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h
-    res = _scan_sizes(ctx, range(sizes.start, min(sizes.stop, len(unit_masks) + 1)), budget, jobs)
+    sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
+    # a size-1 scan floods each copy once, which costs less than the family
+    family = _dominating_family(g) if sizes and sizes[-1] >= 2 else []
+    ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h,
+           _family_masks(unit_masks, family, g.vertex_count), (1 << len(family)) - 1)
+    res = _scan_sizes(ctx, sizes, budget, jobs)
     if res.witness is not None:
         res.witness = _cut_of(g, shape, mode, res.witness)
     return res

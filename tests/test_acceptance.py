@@ -246,9 +246,9 @@ def test_acceptance_11b_cycle_equal_n_spot(b5, b5_c5_witness):
     three ways: the library rejects k=5 with messages naming 4, the frozen
     4-member witness verifies, and an exhaustive scan finds no cut of at most
     two of B_5's 1072 C_5 copies (C(1072,1) + C(1072,2) = 575,128 checks).
-    Ruling out three members takes 205,321,768 checks, 29.5 min on 2 cores
+    Ruling out three members takes 205,321,768 checks, 5.8 min on 2 cores
     under Python 3.11, too slow for this suite. Reproduce it with
-    `dcnconn oracle bcdc --n 5 --shape cycle --k 5 --bound 3 --jobs 2
+    `dcnconn oracle bcdc --n 5 --shape C5 --bound 3 --jobs 2
     --max-checks 300000000 --budget-secs 7200`, which answers status=no.
     """
     t0 = time.time()

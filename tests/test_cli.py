@@ -539,7 +539,7 @@ def test_readme_commands_parse(capsys):
             ShapeSpec.from_tag(args.shape)
 
 
-# README oracle examples too slow for the suite: about 22 s and 12.7 min on 2 cores
+# README oracle examples too slow for the suite: about 12 s and 5.8 min on 2 cores
 SLOW_README_EXAMPLES = [["oracle", "bcdc", "--n", "4", "--g-extra", "1"],
                         ["oracle", "bcdc", "--n", "5", "--shape", "C5", "--bound", "3"]]
 

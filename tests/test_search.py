@@ -259,7 +259,7 @@ class TestJobsParity:
         # empty unit masks never cut K_5; the deadline has passed before the scan
         from dcnconn.search import _scan_range
 
-        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0)
+        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0, [0] * units, 0)
         assert _scan_range(ctx, 1, 0, units, 10**6, time.monotonic() - 1) == want
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
@@ -540,3 +540,133 @@ def test_budget_rejects_a_time_cap_that_is_not_positive(secs):
     # NaN compares false both ways, so a cap of NaN would never trip
     with pytest.raises(ValueError, match="time cap must be positive"):
         SearchBudget(time_cap_secs=secs)
+
+
+# --- the connected-dominating-set filter --------------------------------------
+
+
+@st.composite
+def _connected_graphs(draw, low=2, high=8):
+    """A random tree on low..high vertices plus random extra edges."""
+    n = draw(st.integers(low, high))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())}
+    return build_graph([str(v) for v in range(n)], [(str(u), str(v)) for u, v in edges])
+
+
+def _members(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _check_family(g) -> list[int]:
+    """Each set of the family is connected, dominating and of at least 2
+    vertices, checked by deleting the vertices outside it."""
+    family = search._dominating_family(g)
+    assert len(family) == len(set(family))
+    for d in family:
+        inside = _members(d)
+        assert len(inside) >= 2
+        assert all(v in inside or g.neighbor_ids(v) & set(inside) for v in range(g.vertex_count))
+        assert len(components(delete_vertices(
+            g, [g.label_of(v) for v in range(g.vertex_count) if v not in inside]))) == 1
+    return family
+
+
+def _unfiltered(call):
+    """`call()` with an empty family, which skips nothing."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_dominating_family", lambda g: [])
+        return call()
+
+
+class TestDominatingFamily:
+    @pytest.mark.parametrize("graph, sets", [("b3", 15), ("b4", 35), ("b5", 100), ("d14", 14)])
+    def test_every_set_is_a_connected_dominating_set(self, request, graph, sets):
+        assert len(_check_family(request.getfixturevalue(graph))) == sets
+
+    @given(g=_connected_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_family_on_random_graphs(self, g):
+        # a greedy run from a vertex that misses a neighbour ends with 2 or more
+        # vertices, so the family is empty only when every vertex dominates alone
+        n = g.vertex_count
+        complete = all(len(g.neighbor_ids(v)) == n - 1 for v in range(n))
+        assert (not _check_family(g)) == complete
+
+    @given(g=_connected_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_removal_that_misses_a_set_never_separates(self, g, data):
+        family = search._dominating_family(g)
+        if not family:
+            return
+        d = data.draw(st.sampled_from(family))
+        outside = [v for v in range(g.vertex_count) if not d >> v & 1]
+        picked = data.draw(st.lists(st.sampled_from(outside), unique=True)) if outside else []
+        removed = sum(1 << v for v in picked)
+        full = (1 << g.vertex_count) - 1
+        assert not any(search._separates(g.neighbor_tables, full, removed, h) for h in range(3))
+
+    def test_filter_skips_floods(self, b4, monkeypatch):
+        # B_4's 96 edges, sizes 1 and 2: no cut, and almost every subset misses
+        # one of the 35 sets, whose checks take one flood each
+        floods = []
+        flood = search.flood_mask
+
+        def counted(*args):
+            floods[-1] += 1
+            return flood(*args)
+
+        monkeypatch.setattr(search, "flood_mask", counted)
+
+        def run():
+            floods.append(0)
+            return exists_cut_of_size(b4, K11, STRUCTURE, 2)
+
+        plain = _unfiltered(run)
+        assert run() == plain and plain.checks == 4656
+        assert floods[0] == 4656 and floods[1] < 100
+
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
+    def test_filtered_scan_matches_the_plain_scan(self, request, graph):
+        # every shape and mode at bound 2; a graph with no copy answers alike
+        g = request.getfixturevalue(graph)
+        for shape in [ShapeSpec.single(), *GRID_SHAPES]:
+            for mode in MODES:
+                plain = _unfiltered(lambda: exists_cut_of_size(g, shape, mode, 2))
+                for jobs in (1, 2):
+                    assert exists_cut_of_size(g, shape, mode, 2, jobs=jobs) == plain, (
+                        shape.tag, mode, jobs)
+
+    @pytest.mark.parametrize("graph", ["b3", "d14"])
+    @pytest.mark.parametrize("h", [0, 1])
+    def test_filtered_g_extra_matches_the_plain_scan(self, request, graph, h):
+        g = request.getfixturevalue(graph)
+        plain = _unfiltered(lambda: g_extra_connectivity(g, h))
+        assert plain.status == "certified"
+        for jobs in (1, 2):
+            assert g_extra_connectivity(g, h, jobs=jobs) == plain, jobs
+
+    @given(g=_connected_graphs(3), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_filtered_oracles_match_on_random_graphs(self, g, data):
+        shape = data.draw(st.sampled_from([ShapeSpec.single(), K11, ShapeSpec.star(2),
+                                           ShapeSpec.path(3), ShapeSpec.cycle(3)]))
+        mode = data.draw(st.sampled_from(MODES))
+        h = data.draw(st.integers(0, 2))
+        jobs = data.draw(st.sampled_from([1, 2]))
+        calls = [lambda j: exists_cut_of_size(g, shape, mode, 3, jobs=j),
+                 lambda j: g_extra_connectivity(g, h, jobs=j)]
+        for call in calls:
+            assert call(jobs) == _unfiltered(lambda: call(1))
+
+    def test_a_size_1_scan_builds_no_family(self, d14, monkeypatch):
+        # K_{1,3} on D_{1,4}: 1 x 4 vertices is not below kappa 4, so size 1
+        # is scanned, and a size-1 scan checks each copy once without the family
+        def refuse(g):
+            raise AssertionError("family built for a size-1 scan")
+
+        monkeypatch.setattr(search, "_dominating_family", refuse)
+        star = ShapeSpec.star(3)
+        cut = structure_cut_for("dcell", {"m": 1, "n": 4}, star, STRUCTURE)
+        res = certify_min(d14, star, STRUCTURE, 2, cut)
+        assert (res.status, res.lower_bound_proven, res.checks) == ("certified", 1, 80)
