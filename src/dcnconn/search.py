@@ -52,6 +52,7 @@ from functools import reduce
 from itertools import combinations, islice
 from math import comb
 from operator import or_
+from types import SimpleNamespace
 
 from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
@@ -201,7 +202,9 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
     the cap that stopped the scan with subsets left to check: time past
     `t_end` (tested every 8192 checks), or `cap` checks made. Both caps are
     tested before a subset, so a range that ends as a cap trips is complete
-    and carries no note. Progress is logged every `_LOG_EVERY` checks.
+    and carries no note. In a pool worker the scan also ends, with the note
+    "stopped", once the caller has its answer (tested with the time).
+    Progress is logged every `_LOG_EVERY` checks.
     """
     tables, full, unit_masks, h, family_masks, every_set = ctx
     n = len(unit_masks)
@@ -211,6 +214,8 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
         if checks % 8192 == 0 and checks:
             if time.monotonic() > t_end:
                 return None, checks, "time cap reached"
+            if _worker_stop.value:
+                return None, checks, "stopped"
             if checks % _LOG_EVERY == 0:
                 _log_progress(size, checks, n)
         if checks >= cap:
@@ -230,15 +235,19 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
 
 
 _worker_ctx: tuple = ()  # a pool worker's scan context, set once by _pool_init
+# a pool worker's view of its caller's stop flag; the caller's own never rises
+_worker_stop = SimpleNamespace(value=0)
 
 
-def _pool_init(ctx) -> None:
-    global _worker_ctx
-    _worker_ctx = ctx
+def _pool_init(ctx, stop) -> None:
+    global _worker_ctx, _worker_stop
+    _worker_ctx, _worker_stop = ctx, stop
     logging.disable(logging.INFO)  # a task counts from its own leading index
 
 
 def _pool_task(task):
+    if _worker_stop.value:
+        return None, 0, "stopped"
     size, lead, cap, t_end = task
     return _scan_range(_worker_ctx, size, lead, lead + 1, cap, t_end)
 
@@ -258,9 +267,14 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     `checks` is the length of the lexicographic prefix the answer rests on
     (never above `budget.max_checks`, the same for every job count while no
     time cap trips), and any note from a task stops the scan. Work that
-    workers do past that point is not counted. The time cap is tested between
-    results, only while subsets are left to check. Results are logged at least
-    `_LOG_EVERY` checks apart, counting from 0 at each size.
+    workers do past that point is not counted: the caller raises a shared
+    flag, on which queued tasks return at once and running ones within 8192
+    checks, then closes the pool and waits for it. Killing the workers
+    instead could kill one that holds the result queue's lock, and the
+    pool's shutdown would then wait for that lock forever. The time cap is
+    tested between results, only while subsets are left to check. Results
+    are logged at least `_LOG_EVERY` checks apart, counting from 0 at each
+    size.
     """
     n = len(ctx[2])  # the number of unit masks
     t_end = time.monotonic() + budget.time_cap_secs
@@ -275,10 +289,12 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
                 tasks = [(size, lead, cap, t_end) for lead in range(n - size + 1)]
                 if pool is None:  # sized to this size's tasks: no later size has more
                     import multiprocessing as mp
+                    from multiprocessing.sharedctypes import RawValue
 
                     mpc = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
+                    stop = RawValue("b", 0)
                     pool = mpc.Pool(min(jobs, len(tasks)), initializer=_pool_init,
-                                    initargs=(ctx,))
+                                    initargs=(ctx, stop))
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
                 results = [_scan_range(ctx, size, 0, n, cap, t_end)]
@@ -299,7 +315,9 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
                     return OracleResult(BUDGET, None, size - 1, None, total, n, "time cap reached")
     finally:
         if pool is not None:
-            pool.terminate()
+            stop.value = 1
+            pool.close()
+            pool.join()
     return OracleResult(NO, None, sizes.stop - 1, None, total, n)
 
 

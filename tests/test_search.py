@@ -284,6 +284,19 @@ class TestJobsParity:
         assert exists_cut_of_size(k4, K11, STRUCTURE, 3, jobs=8) == one
         assert workers == [5]
 
+    def test_pool_stops_its_workers_without_killing_them(self, d14, monkeypatch):
+        # a worker killed while it holds the result queue's lock hangs the
+        # pool's shutdown, so a scan that stops early drains the pool instead
+        import multiprocessing.pool
+
+        def refuse(pool):
+            raise AssertionError("pool terminated")
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", refuse)
+        for cap in (1, 40, 300):
+            res = exists_cut_of_size(d14, K11, STRUCTURE, 3, SearchBudget(max_checks=cap), 2)
+            assert (res.status, res.checks) == (BUDGET, cap)
+
     def test_certify_requires_a_witness(self, d14):
         # searching for a cut is exists_cut_of_size's job; certify_min checks one
         with pytest.raises(TypeError, match="witness"):
