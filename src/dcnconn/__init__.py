@@ -21,7 +21,6 @@ from .shapes import (
 from .dcell import build_dcell, t_size
 from .bcdc import build_bcdc, build_crossed_cube, dim_neighbor
 from .cuts import (
-    PredictedValue,
     VerificationReport,
     predicted_kappa,
     structure_cut_for,
@@ -53,7 +52,6 @@ __all__ = [
     "build_bcdc",
     "build_crossed_cube",
     "dim_neighbor",
-    "PredictedValue",
     "VerificationReport",
     "predicted_kappa",
     "structure_cut_for",

@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
 from math import comb
 
 from . import bcdc as bc
@@ -111,7 +110,7 @@ def cmd_cut(args) -> int:
     g = _build_family(args.family, params, args.max_vertices)
     report = verify_cut(g, cut, shape, args.mode)
     # structure_cut_for accepted, so the formula covers this request too
-    predicted = predicted_kappa(args.family, params, shape, args.mode).value
+    predicted = predicted_kappa(args.family, params, shape, args.mode)
     if args.out:
         _write_out(dio.render_cut(cut, args.family, params), args.out)
     print(dio.CSV_HEADER)
@@ -201,12 +200,12 @@ def _default_grid() -> list[tuple[str, dict[str, int], ShapeSpec, str]]:
     return rows
 
 
-def _copy_cap(predicted: int, check_cap: float, limit: int) -> int:
-    """The largest copy count up to `limit` whose scan of the sizes below
-    `predicted`, sum(comb(copies, s) for s < predicted), fits in `check_cap`
-    (0 when not even one copy fits). The sum grows with the count, so a binary
-    search finds it."""
-    lo, hi = 0, limit
+def _copy_cap(predicted: int, check_cap: float) -> int:
+    """The largest copy count up to the default candidate cap whose scan of
+    the sizes below `predicted`, sum(comb(copies, s) for s < predicted), fits
+    in `check_cap` (0 when not even one copy fits). The sum grows with the
+    count, so a binary search finds it."""
+    lo, hi = 0, SearchBudget().max_candidates
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if sum(comb(mid, size) for size in range(1, predicted)) <= check_cap:
@@ -219,7 +218,6 @@ def _copy_cap(predicted: int, check_cap: float, limit: int) -> int:
 def cmd_table(args) -> int:
     if not args.oracle_check_cap >= 0:  # NaN fails this too
         raise ParameterError(f"--oracle-check-cap must be >= 0, got {args.oracle_check_cap}")
-    budget = _budget_from_args(args)
     jobs = _jobs_from_args(args)
     rows_out = [dio.CSV_HEADER + ",oracle"]
     manifest_cases = []
@@ -231,7 +229,7 @@ def cmd_table(args) -> int:
         key = (family, tuple(sorted(params.items())))
         case_id = f"{family},{dio.params_str(params)},{shape.tag},{mode}"
         try:
-            predicted = predicted_kappa(family, params, shape, mode).value
+            predicted = predicted_kappa(family, params, shape, mode)
             cut = structure_cut_for(family, params, shape, mode)
             if key not in graphs:
                 graphs[key] = _build_family(family, params, DEFAULT_MAX_VERTICES)
@@ -246,9 +244,9 @@ def cmd_table(args) -> int:
         if args.oracle != "off":
             # a row with more copies than the scan estimate admits reads
             # skipped, unless the size bound settles it without a copy
-            copy_cap = _copy_cap(predicted, args.oracle_check_cap, budget.max_candidates)
+            copy_cap = _copy_cap(predicted, args.oracle_check_cap)
             res = certify_min(g, shape, mode, predicted, cut,
-                              replace(budget, max_candidates=copy_cap), jobs=jobs)
+                              SearchBudget(max_candidates=copy_cap), jobs=jobs)
             oracle_status = "skipped" if res.note == "candidate cap reached" else res.status
 
         ok = report.passed and len(cut.members) == predicted and oracle_status in (
@@ -282,7 +280,7 @@ def cmd_table(args) -> int:
     if args.manifest:
         manifest = {
             "command": "table",
-            "budget": asdict(budget),
+            "oracle_check_cap": args.oracle_check_cap,
             "jobs": jobs,
             "output": args.out,
             "cases": manifest_cases,
@@ -348,10 +346,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("table", help="reproduce the predicted-value table", allow_abbrev=False)
-    _add_budget_args(p)
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: cpu count)")
     p.add_argument("--oracle", choices=("auto", "off"), default="auto")
-    p.add_argument("--oracle-check-cap", type=float, default=300_000,
+    p.add_argument("--oracle-check-cap", type=float, default=300_000.0,
                    help="skip oracle certification when the scan estimate exceeds this")
     p.add_argument("--out", default=None)
     p.add_argument("--manifest", default=None)

@@ -38,46 +38,30 @@ def _ceil(a: int, b: int) -> int:
     return -(-a // b)
 
 
-@dataclass(frozen=True)
-class PredictedValue:
-    """A closed-form connectivity value plus the branch that produced it."""
-
-    value: int
-    branch: str
-    remainder: int | None = None
-
-
-def predicted_kappa(
-    family: str, params: dict[str, int], shape: ShapeSpec, mode: str
-) -> PredictedValue:
+def predicted_kappa(family: str, params: dict[str, int], shape: ShapeSpec, mode: str) -> int:
     """Predicted structure/substructure connectivity for a family instance."""
     branch = _branch(family, params, shape, mode)
     n, size = params["n"], shape.size
     if branch == "dcell-star":
-        return PredictedValue(_ceil(n - 1, 1 + size) + params["m"], branch,
-                              remainder=(n - 1) % (1 + size))
+        return _ceil(n - 1, 1 + size) + params["m"]
     if branch == "dcell-clique":
-        return PredictedValue(_ceil(n - 1, size) + params["m"], branch)
+        return _ceil(n - 1, size) + params["m"]
     if branch == "bcdc-star":
         if size == 1:
-            if n % 2 == 1:
-                return PredictedValue(n - 1, "bcdc-star-t1-odd")
-            return PredictedValue(n, "bcdc-star-t1-even")
-        r = (n - 1) % (1 + size)
-        if size <= n - 3 and r == 1:
-            return PredictedValue((2 * n - 4) // (1 + size) + 1, "bcdc-star-r1", remainder=r)
-        return PredictedValue(2 * _ceil(n - 1, 1 + size), "bcdc-star-general", remainder=r)
+            return n - 1 if n % 2 == 1 else n
+        if size <= n - 3 and (n - 1) % (1 + size) == 1:
+            return (2 * n - 4) // (1 + size) + 1
+        return 2 * _ceil(n - 1, 1 + size)
     if branch != "bcdc-cycle":  # paths and substructure cycles
         if size <= n - 1 and (n - 1) % size == 0:
-            return PredictedValue((2 * n - 2) // size, branch + "-divides", remainder=0)
-        return PredictedValue(_ceil(2 * n - 1, size), branch + "-general",
-                              remainder=(n - 1) % size)
+            return (2 * n - 2) // size
+        return _ceil(2 * n - 1, size)
     r = (n - 1) % size
     if size == 2 * n or (6 <= size <= n - 1 and 1 <= r <= size // 2 - 1):
-        return PredictedValue(2 * _ceil(n - 1, size) - 1, "bcdc-cycle-low-remainder", remainder=r)
+        return 2 * _ceil(n - 1, size) - 1
     if size == n:
-        return PredictedValue(3, "bcdc-cycle-equal-n", remainder=r)
-    return PredictedValue(2 * _ceil(n - 1, size), "bcdc-cycle-general", remainder=r)
+        return 3
+    return 2 * _ceil(n - 1, size)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ The oracles never answer "no" heuristically: a "no" means every candidate
 subset was enumerated. Tripping any budget cap converts the answer into a
 partial result carrying the bound proven so far. Every oracle answers with
 one `OracleResult`, and all three share one path from the copies through the
-scan to the witness, `_shape_oracle`, with one hit rule, `_separates`:
-g-extra connectivity scans the single-vertex copies. Subsets are scanned in
+scan to the witness, `_shape_oracle` (`certify_min` by way of
+`exists_cut_of_size`), with one hit rule, `_separates`: g-extra connectivity
+scans the single-vertex copies. Subsets are scanned in
 canonical lexicographic order over copy indices by one kernel, `_scan_range`,
 which covers the subsets whose leading index lies in a range: the serial scan
 is one range, a pool of workers takes one task per leading index. One size
@@ -23,10 +24,10 @@ or a connected subgraph of H (substructure mode), so s members cover at most
 s·|V(H)| vertices. Removing fewer than κ vertices leaves G connected, and
 since κ <= n-1 it leaves at least 2 vertices, so no union of value-1 or fewer
 members is a cut. κ comes from the max-flow `min_vertex_cut`, never from a
-formula. The other oracles, and `certify_min` where the bound does not reach
-every size below the value, scan as before, so `exists_cut_of_size` stays the
-unpruned reference for the bound. Searching for the least cut is
-`exists_cut_of_size`'s job alone.
+formula. Where the bound does not reach every size below the value,
+`certify_min` refutes them with `exists_cut_of_size(value-1)`, which never
+uses the bound: the same call is the unpruned reference the bound is tested
+against. Searching for the least cut is `exists_cut_of_size`'s job alone.
 
 The kernel skips, without a flood, every subset whose union misses a set of
 a family of connected dominating sets, built from the graph alone by
@@ -58,7 +59,7 @@ from .cuts import verify_cut
 from .graph import Graph, flood_mask, is_connected, min_vertex_cut
 from .shapes import STRUCTURE, ShapeSpec, StructureCut, enumerate_shape_copies
 
-YES = "yes"
+CERTIFIED = "certified"
 NO = "no"
 BUDGET = "budget_exceeded"
 
@@ -83,14 +84,17 @@ class SearchBudget:
 class OracleResult:
     """What an oracle call found.
 
-    `status` is `yes` (`certified` for `g_extra_connectivity`), `no` or
-    `budget_exceeded`; `certify_min` answers `certified`, `refuted` or
+    `status` is one of four words: `certified` (a verified cut of `value`
+    members, and every smaller size refuted), `refuted` (only from
+    `certify_min`: a smaller cut, or a witness that is no cut of `value`
+    members), `no` (every size asked about scanned, no cut) or
     `budget_exceeded`.
-    `value` is the size of the reported cut: after `yes`, the least cut size,
-    as sizes are scanned from 1 up; for `certify_min`, the value asked about,
-    unless a smaller cut found on the way refutes it; `lower_bound_proven` is
-    the largest size up to which every size was scanned in full or refuted by
-    the size bound, so no cut has that many members or fewer;
+    `value` is the size of the reported cut: after `certified`, the least cut
+    size, as sizes are scanned from 1 up; for `certify_min`, the value asked
+    about, unless a smaller cut found on the way refutes it;
+    `lower_bound_proven` is the largest size up to which every size was
+    scanned in full or refuted by the size bound, so no cut has that many
+    members or fewer;
     `witness` is a `StructureCut` (for `certify_min`, the cut it was given or
     the smaller cut that refutes it), or a tuple of vertex labels for
     `g_extra_connectivity`; `checks` counts the subsets examined and `copies`
@@ -256,8 +260,8 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     """Scan each size in turn until a subset hits or a cap trips.
 
     Returns the result with the hitting subset's indices as the witness:
-    YES with `value` the size that hit, BUDGET, or NO after every size. The
-    bound proven is the size before the one where the scan stopped, or the
+    CERTIFIED with `value` the size that hit, BUDGET, or NO after every size.
+    The bound proven is the size before the one where the scan stopped, or the
     last size after NO. With `jobs > 1`, sizes of at least 2
     and below the copy count are split into one pool task per leading index
     (the pool starts at the first such size, with no more workers than that
@@ -301,7 +305,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
             for witness, checks, note in results:
                 left = budget.max_checks - total
                 if witness is not None and checks <= left:
-                    return OracleResult(YES, size, size - 1, witness, total + checks, n)
+                    return OracleResult(CERTIFIED, size, size - 1, witness, total + checks, n)
                 if checks > left:
                     total, note = budget.max_checks, "check cap reached"
                 else:
@@ -335,8 +339,8 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
 def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: SearchBudget,
                   jobs: int, h: int = 0) -> OracleResult:
     """Scan the unions of `sizes` copies of `shape`, never more than there are
-    copies, for one that `_separates` g with `h`: YES with the first as the
-    witness, NO, or BUDGET. With no size of 1 or more nothing is enumerated:
+    copies, for one that `_separates` g with `h`: CERTIFIED with the first as
+    the witness, NO, or BUDGET. With no size of 1 or more nothing is enumerated:
     the empty set never cuts a connected graph."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
@@ -369,12 +373,12 @@ def exists_cut_of_size(
     jobs: int = 1,
 ) -> OracleResult:
     """Is there a cut of at most `bound` members? Exhaustive when "no". Sizes
-    are scanned from 1 up, so a "yes" reports the least cut size as `value`,
-    with a witness that `verify_cut` checks again."""
+    are scanned from 1 up, so `certified` reports the least cut size as
+    `value`, with a witness that `verify_cut` checks again."""
     if bound < 0:
         raise ValueError("size bound must be >= 0")
     res = _shape_oracle(g, shape, mode, range(1, bound + 1), budget or SearchBudget(), jobs)
-    if res.status == YES and not verify_cut(g, res.witness, shape, mode).passed:
+    if res.status == CERTIFIED and not verify_cut(g, res.witness, shape, mode).passed:
         raise AssertionError("oracle witness failed independent verification")
     return res
 
@@ -406,19 +410,19 @@ def certify_min(
     """Certify a claimed minimum: refute sizes 1..value-1, then verify
     `witness`, a cut of `value` members (e.g. a constructed one). The size
     bound refutes the smaller sizes with no copy enumerated (`checks` and
-    `copies` 0, the rule in `note`) where it reaches them; otherwise they are
-    scanned exhaustively, and a smaller cut found on the way refutes the value
-    and becomes the reported one."""
+    `copies` 0, the rule in `note`) where it reaches them; otherwise
+    `exists_cut_of_size(value - 1)` scans them, and the least cut it finds
+    refutes the value and becomes the reported one."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
     bound = size_bound(g, shape, value)
     if bound:
         res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
     else:
-        res = _shape_oracle(g, shape, mode, range(1, value), budget or SearchBudget(), jobs)
+        res = exists_cut_of_size(g, shape, mode, value - 1, budget, jobs)
     if res.status == BUDGET:
         return replace(res, value=value)
-    if res.status == YES:
+    if res.status == CERTIFIED:
         return replace(res, status="refuted", note=f"found a cut of {res.value} members")
     res = replace(res, value=value, witness=witness)
 
@@ -429,7 +433,7 @@ def certify_min(
         return refuted(f"witness has {len(witness.members)} members, expected {value}")
     if not verify_cut(g, witness, shape, mode).passed:
         return refuted("witness failed verification")
-    return replace(res, status="certified")
+    return replace(res, status=CERTIFIED)
 
 
 def g_extra_connectivity(
@@ -451,7 +455,6 @@ def g_extra_connectivity(
     start = 1 if h == 0 else min_vertex_cut(g)
     res = _shape_oracle(g, ShapeSpec.single(), STRUCTURE, range(start, g.vertex_count - 1),
                         budget or SearchBudget(), jobs, h)
-    if res.status == YES:
-        return replace(res, status="certified",
-                       witness=tuple(label for (label,) in res.witness.members))
+    if res.witness is not None:
+        res.witness = tuple(label for (label,) in res.witness.members)
     return res

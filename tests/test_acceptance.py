@@ -34,7 +34,7 @@ from conftest import neighbor_labels
 from dcnconn.bcdc import bn_vertex_neighbors, parse_bn_label
 from dcnconn.errors import ParameterError
 from dcnconn.io import parse_edgelist
-from dcnconn.search import NO, YES
+from dcnconn.search import CERTIFIED, NO
 from dcnconn.shapes import MODES, STRUCTURE, SUBSTRUCTURE
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -138,13 +138,13 @@ def test_acceptance_06_g_extra_connectivity(b3, b4):
 
 def _dcell_three_way(m, n, shape, mode, budget) -> bool:
     g = build_dcell(m, n)
-    predicted = predicted_kappa("dcell", {"m": m, "n": n}, shape, mode).value
+    predicted = predicted_kappa("dcell", {"m": m, "n": n}, shape, mode)
     cut = structure_cut_for("dcell", {"m": m, "n": n}, shape, mode)
     report = verify_cut(g, cut, shape, mode)
     if not (report.passed and len(cut.members) == predicted):
         return False
     res = exists_cut_of_size(g, shape, mode, 6, budget)
-    return res.status == YES and res.value == predicted
+    return res.status == CERTIFIED and res.value == predicted
 
 
 def test_acceptance_07_dcell_star_values():
@@ -173,13 +173,13 @@ def test_acceptance_09_bcdc_star_values(b4, b5):
         g = build_bcdc(n)
         for t in range(1, 2 * n - 2):
             for mode in MODES:
-                predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.star(t), mode).value
+                predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.star(t), mode)
                 cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.star(t), mode)
                 report = verify_cut(g, cut, ShapeSpec.star(t), mode)
                 ok = ok and report.passed and len(cut.members) == predicted
     budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000, time_cap_secs=1800)
     res = exists_cut_of_size(b4, ShapeSpec.star(1), STRUCTURE, 5, budget, jobs=JOBS)
-    ok = ok and res.status == YES and res.value == 4
+    ok = ok and res.status == CERTIFIED and res.value == 4
     for t, want in ((1, 4), (2, 3)):
         witness = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.star(t), STRUCTURE)
         res = certify_min(b5, ShapeSpec.star(t), STRUCTURE, want, witness, budget, jobs=JOBS)
@@ -195,7 +195,7 @@ def test_acceptance_10_bcdc_path_values(b5):
         g = build_bcdc(n)
         for k in range(4, 2 * n):
             for mode in MODES:
-                predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.path(k), mode).value
+                predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.path(k), mode)
                 cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.path(k), mode)
                 report = verify_cut(g, cut, ShapeSpec.path(k), mode)
                 ok = ok and report.passed and len(cut.members) == predicted
@@ -214,12 +214,12 @@ def test_acceptance_11_bcdc_cycle_values(b5):
     for n in (5, 6):
         g = build_bcdc(n)
         for k in range(6, 2 * n + 1):
-            predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.cycle(k), STRUCTURE).value
+            predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.cycle(k), STRUCTURE)
             cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.cycle(k), STRUCTURE)
             report = verify_cut(g, cut, ShapeSpec.cycle(k), STRUCTURE)
             ok = ok and report.passed and len(cut.members) == predicted
         for k in range(4, 2 * n):
-            predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.cycle(k), SUBSTRUCTURE).value
+            predicted = predicted_kappa("bcdc", {"n": n}, ShapeSpec.cycle(k), SUBSTRUCTURE)
             cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.cycle(k), SUBSTRUCTURE)
             report = verify_cut(g, cut, ShapeSpec.cycle(k), SUBSTRUCTURE)
             ok = ok and report.passed and len(cut.members) == predicted
@@ -228,7 +228,7 @@ def test_acceptance_11_bcdc_cycle_values(b5):
         (5, 10): 1,
     }
     for (n, k), want in spots.items():
-        ok = ok and predicted_kappa("bcdc", {"n": n}, ShapeSpec.cycle(k), STRUCTURE).value == want
+        ok = ok and predicted_kappa("bcdc", {"n": n}, ShapeSpec.cycle(k), STRUCTURE) == want
     # k=2n lower bound is vacuous (no size-0 cut); the one-member witness must verify
     res = exists_cut_of_size(b5, ShapeSpec.cycle(10), STRUCTURE, 0)
     ok = ok and res.status == NO
@@ -300,6 +300,6 @@ def test_acceptance_13_cross_validation():
     for g in instances:
         assert g.vertex_count <= 100
         res = exists_cut_of_size(g, ShapeSpec.single(), STRUCTURE, 10, budget, jobs=JOBS)
-        ok = ok and res.status == YES and res.value == min_vertex_cut(g)
+        ok = ok and res.status == CERTIFIED and res.value == min_vertex_cut(g)
     _report(13, ok, "exists_cut_of_size(Single) = max-flow min_vertex_cut on all "
                     f"{len(instances)} generated instances (<= 100 vertices)", t0)

@@ -98,14 +98,15 @@ def test_cut_star_range_named(capsys):
     assert "2n-3" in err
 
 
-def test_oracle_prove_min_dcell_clique(capsys):
-    # --bound scans sizes from 1 up, so its "yes" proves the least cut size
+def test_oracle_bound_certifies_the_least_dcell_clique_cut(capsys):
+    # --bound scans sizes from 1 up, so a cut it finds is certified as the least
     code, out, _ = run(
         capsys, "oracle", "dcell", "--m", "0", "--n", "5",
         "--shape", "K3", "--bound", "8", "--jobs", "1",
     )
     assert code == 0
-    assert "value=2" in out
+    assert out.splitlines()[0] == ("exists_cut_of_size(bound=8) status=certified value=2 "
+                                   "lower_bound_proven=1 copies=10 checks=11")
 
 
 def test_oracle_g_extra_b3(capsys):
@@ -288,7 +289,7 @@ def probed_grid():
             graphs[key] = g, nx.node_connectivity(nx.Graph(list(g.edges())))
         g, kappa = graphs[key]
         copies = enumerate_shape_copies(g, shape, mode)
-        predicted = predicted_kappa(family, params, shape, mode).value
+        predicted = predicted_kappa(family, params, shape, mode)
         rows.append((predicted, sum(1 for _ in islice(copies, 301)),
                      (predicted - 1) * shape.vertex_count < kappa))
     return rows
@@ -310,22 +311,6 @@ def test_table_oracle_matches_the_probe_rule(capsys, tmp_path, probed_grid, jobs
     assert [oracle for _, oracle in rows] == want
     assert (want.count("certified"), want.count("skipped")) == (99, 26)
     assert summary == "# summary pass=125 fail=0 rejected=0 skipped=26"
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_table_rows_over_max_candidates_read_skipped(capsys, tmp_path, probed_grid, jobs):
-    # a row with more copies than --max-candidates is skipped before any scan,
-    # unless the size bound settles it without one
-    _, default, _ = _table_rows(capsys, tmp_path, "--jobs", jobs)
-    code, capped, summary = _table_rows(capsys, tmp_path, "--jobs", jobs, "--max-candidates", "20")
-    assert code == 0
-    over = [i for i, (predicted, copies, bound) in enumerate(probed_grid)
-            if predicted > 1 and copies > 20 and not bound and default[i][1] == "certified"]
-    assert len(over) == 4
-    assert [cells for cells, _ in capped] == [cells for cells, _ in default]
-    assert [oracle for _, oracle in capped] == [
-        "skipped" if i in over else oracle for i, (_, oracle) in enumerate(default)]
-    assert summary == "# summary pass=125 fail=0 rejected=0 skipped=30"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -409,9 +394,13 @@ def test_shape_k1_is_the_single_vertex(capsys):
     ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--bound", "1", "--prove-min", "3"),
     ("oracle", "dcell", "--n", "4", "--shape", "K1_1", "--certify", "3",
      "--witness-from-constructor"),
+    ("table", "--oracle", "off", "--max-candidates", "20"),
+    ("table", "--oracle", "off", "--max-checks", "10"),
+    ("table", "--oracle", "off", "--budget-secs", "5"),
 ], ids=["gen--seed", "cut--seed", "oracle--seed", "table--seed", "cut--t", "oracle--s",
         "oracle--k", "g-extra--t", "g-extra--s", "g-extra--k", "oracle--max-members",
-        "oracle--prove-min", "oracle--witness-from-constructor"])
+        "oracle--prove-min", "oracle--witness-from-constructor", "table--max-candidates",
+        "table--max-checks", "table--budget-secs"])
 def test_removed_flags_are_unrecognized(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -434,7 +423,7 @@ def test_m_outside_dcell_is_rejected(capsys, argv):
     assert out == ""
 
 
-def test_prove_min_takes_the_member_cap(capsys):
+def test_oracle_bound_no_is_exhaustive(capsys):
     # no cut of B_4 has 3 K_{1,1} members or fewer: an exhaustive "no"
     code, out, _ = run(capsys, "oracle", "bcdc", "--n", "4", "--shape", "K1_1",
                        "--bound", "3", "--jobs", "1")
@@ -500,8 +489,9 @@ def test_table_has_no_max_members_and_records_the_default(capsys, tmp_path):
     code, _, _ = run(capsys, "table", "--oracle", "off", "--out", str(tmp_path / "t.csv"),
                      "--manifest", str(manifest))
     assert code == 0
-    assert json.loads(manifest.read_text())["budget"] == {
-        "max_candidates": 2_000_000, "max_checks": 100_000_000, "time_cap_secs": 600.0}
+    # the one budget, written as a float whether given or defaulted
+    assert '"oracle_check_cap": 300000.0,' in manifest.read_text()
+    assert "budget" not in json.loads(manifest.read_text())
 
 
 @pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "3"),

@@ -16,7 +16,7 @@ from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE, is_shape
 
 
 def kappa(family, params, shape, mode=STRUCTURE):
-    return predicted_kappa(family, params, shape, mode).value
+    return predicted_kappa(family, params, shape, mode)
 
 
 def dcell_cut(m, n, shape):
@@ -113,11 +113,6 @@ class TestPredictedKappa:
         for n in (4, 5, 6, 7):
             values = [kappa("bcdc", {"n": n}, ShapeSpec.path(k)) for k in range(4, 2 * n)]
             assert values == sorted(values, reverse=True)
-
-    def test_branch_tags_echo(self):
-        pv = predicted_kappa("bcdc", {"n": 5}, ShapeSpec.star(2), STRUCTURE)
-        assert pv.branch == "bcdc-star-r1"
-        assert pv.remainder == 1
 
 
 def _accepts(fn, *args) -> bool:

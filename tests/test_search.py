@@ -25,7 +25,7 @@ from dcnconn import (
 from dcnconn import search
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
-from dcnconn.search import BUDGET, NO, YES, size_bound
+from dcnconn.search import BUDGET, CERTIFIED, NO, size_bound
 from dcnconn.shapes import MODES, STRUCTURE, SUBSTRUCTURE
 
 
@@ -42,7 +42,7 @@ class TestExists:
 
     def test_d14_star_bound3_yes(self, d14):
         res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3)
-        assert res.status == YES
+        assert res.status == CERTIFIED
         assert len(res.witness.members) == 3
         assert verify_cut(d14, res.witness, ShapeSpec.star(1), STRUCTURE).passed
 
@@ -108,7 +108,7 @@ class TestExists:
         monkeypatch.setattr(search, "_LOG_EVERY", 1)
         with caplog.at_level(logging.INFO, logger="dcnconn.search"):
             res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
-        assert (res.status, res.value) == (YES, 3)
+        assert (res.status, res.value) == (CERTIFIED, 3)
         records = [_progress_record(r.getMessage()) for r in caplog.records]
         if jobs == 1:
             assert records == [(1, 40, 40), (2, 780, 780)]
@@ -120,7 +120,7 @@ class TestExists:
 
 
 class TestMinCut:
-    """Sizes are scanned from 1 up, so a "yes" of `exists_cut_of_size` is the least cut."""
+    """Sizes are scanned from 1 up, so a cut `exists_cut_of_size` finds is the least."""
 
     def test_k5_star1(self, k5):
         res = exists_cut_of_size(k5, ShapeSpec.star(1), STRUCTURE, 8)
@@ -164,13 +164,13 @@ class TestFormulaAgreement:
             g = build_dcell(0, n)
             for t in range(1, n - 1):
                 for mode in (STRUCTURE, SUBSTRUCTURE):
-                    want = predicted_kappa("dcell", {"m": 0, "n": n}, ShapeSpec.star(t), mode).value
+                    want = predicted_kappa("dcell", {"m": 0, "n": n}, ShapeSpec.star(t), mode)
                     res = exists_cut_of_size(g, ShapeSpec.star(t), mode, 8)
-                    assert (res.status, res.value) == (YES, want), (n, t, mode)
+                    assert (res.status, res.value) == (CERTIFIED, want), (n, t, mode)
             for s in range(3, n):
-                want = predicted_kappa("dcell", {"m": 0, "n": n}, ShapeSpec.clique(s), STRUCTURE).value
+                want = predicted_kappa("dcell", {"m": 0, "n": n}, ShapeSpec.clique(s), STRUCTURE)
                 res = exists_cut_of_size(g, ShapeSpec.clique(s), STRUCTURE, 8)
-                assert (res.status, res.value) == (YES, want), (n, s)
+                assert (res.status, res.value) == (CERTIFIED, want), (n, s)
 
 
 class TestCertify:
@@ -322,7 +322,7 @@ _NOT_A_CUT = StructureCut(
 
 BOUND_CASES = [
     # (id, graph fixture, oracle call, status, value, lower_bound_proven)
-    ("exists-yes", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 3), YES, 3, 2),
+    ("exists-yes", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 3), CERTIFIED, 3, 2),
     ("exists-no", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 2), NO, None, 2),
     ("exists-bound-0", "b3",
      lambda g: exists_cut_of_size(g, ShapeSpec.cycle(4), STRUCTURE, 0), NO, None, 0),
@@ -331,7 +331,7 @@ BOUND_CASES = [
     ("exists-candidate-cap", "d14", lambda g: exists_cut_of_size(
         g, K11, STRUCTURE, 3, SearchBudget(max_candidates=10)), BUDGET, None, 0),
     ("exists-bound-8-certified", "d14", lambda g: exists_cut_of_size(g, K11, STRUCTURE, 8),
-     YES, 3, 2),
+     CERTIFIED, 3, 2),
     ("exists-bound-8-no-cut", "c6",
      lambda g: exists_cut_of_size(g, ShapeSpec.clique(3), STRUCTURE, 8), NO, None, 0),
     ("exists-bound-8-check-cap", "d14", lambda g: exists_cut_of_size(
@@ -369,6 +369,16 @@ def test_value_and_lower_bound_proven(request, graph, call, status, value, bound
     last size after a complete scan."""
     res = call(request.getfixturevalue(graph))
     assert (res.status, res.value, res.lower_bound_proven) == (status, value, bound)
+
+
+def test_a_refuting_cut_must_pass_verification(k5, monkeypatch):
+    # the least K_{1,1} cut of K_5 has 2 members, found by the scan of sizes 1..2;
+    # it refutes the value 3 only once verify_cut passes it, like any found cut
+    from types import SimpleNamespace
+
+    monkeypatch.setattr(search, "verify_cut", lambda *args: SimpleNamespace(passed=False))
+    with pytest.raises(AssertionError, match="oracle witness failed independent verification"):
+        certify_min(k5, K11, STRUCTURE, 3, _K5_THREE_EDGES)
 
 
 def _isolating_witness(g, shape, mode, size):

@@ -1,8 +1,8 @@
 """The library imports nothing outside the standard library, every name a
 library module imports is used (by `__init__.py`: exported in `__all__`),
-every parameter of a library function is read, every public function, class
-and method is read by library or benchmark code (or named as kept on
-purpose), and only the CLI writes to the terminal."""
+every parameter of a library function is read, every public function, class,
+method and dataclass field is read by library or benchmark code (or named as
+kept on purpose), and only the CLI writes to the terminal."""
 
 import ast
 import sys
@@ -175,21 +175,35 @@ UNREAD_BY_DESIGN = {
     "t_size": "the paper's t_{m,n}, the server count of D(m,n)",
     "parse_edgelist": "reads the edge lists that `dcnconn gen` writes",
     "parse_cut": "reads the cut files that `dcnconn cut` writes",
+    **dict.fromkeys(
+        [f"VerificationReport.{field}" for field in (
+            "member_valid", "overlap", "overlap_vertices", "remaining_vertices",
+            "smallest_component")],
+        "the verifier's report; tests check the isolated base vertex"),
 }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
 
 
 def _unread_names(modules: list[Path], readers: list[Path]) -> list[str]:
     """Public top-level functions and classes of `modules`, and the public
     methods of those classes, whose name no code in `readers` reads, as a
-    name or an attribute. Strings, docstrings and imports are not reads, and
-    neither is the definition itself."""
-    read = set()
+    name or an attribute; and the public fields of those classes that are
+    dataclasses, which no code in `readers` reads as an attribute. Strings,
+    docstrings, imports and keyword arguments are not reads, and neither is
+    the definition itself."""
+    read, attributes = set(), set()
     for path in readers:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
+    read |= attributes
     out = []
     for path in modules:
         for node in ast.parse(path.read_text(), str(path)).body:
@@ -201,6 +215,11 @@ def _unread_names(modules: list[Path], readers: list[Path]) -> list[str]:
                 out += [f"{path.name} {node.name}.{sub.name}" for sub in node.body
                         if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
                         and sub.name not in read]
+                if _is_dataclass(node):
+                    out += [f"{path.name} {node.name}.{sub.target.id}" for sub in node.body
+                            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                            and not sub.target.id.startswith("_")
+                            and sub.target.id not in attributes]
     return out
 
 
@@ -217,7 +236,12 @@ def test_the_check_sees_an_unread_name(tmp_path):
     probe.write_text("def used():\n    return 1\n\n\ndef unused():\n    \"used()\"\n\n\n"
                      "def _private():\n    pass\n\n\nclass C:\n    def called(self):\n"
                      "        pass\n\n    def uncalled(self):\n        return used()\n\n"
-                     "    def _hidden(self):\n        pass\n")
+                     "    def _hidden(self):\n        pass\n\n\n"
+                     "@dataclass(frozen=True)\nclass D:\n    kept: int\n    branch: str\n"
+                     "    _own: int = 0\n\n\n@dataclass\nclass E:\n    tag: str\n\n\n"
+                     "class F:\n    plain: int\n")
     reader = tmp_path / "reader.py"
-    reader.write_text("from probe import C, unused\n\n'C().uncalled()'\nC().called()\n")
-    assert _unread_names([probe], [probe, reader]) == ["probe.py unused", "probe.py C.uncalled"]
+    reader.write_text("from probe import C, D, E, F, unused\n\n'C().uncalled()'\nC().called()\n"
+                      "branch = D(kept=1, branch='x').kept\nE(tag='t')\nF()\n")
+    assert _unread_names([probe], [probe, reader]) == [
+        "probe.py unused", "probe.py C.uncalled", "probe.py D.branch", "probe.py E.tag"]
