@@ -75,13 +75,7 @@ def _budget_from_args(args) -> SearchBudget:
         raise ParameterError(f"--max-candidates must be >= 0, got {args.max_candidates}")
     if args.max_checks < 1:
         raise ParameterError(f"--max-checks must be >= 1, got {args.max_checks}")
-    if not args.budget_secs > 0:  # NaN fails this too
-        raise ParameterError(f"--budget-secs must be > 0, got {args.budget_secs}")
-    return SearchBudget(
-        max_candidates=args.max_candidates,
-        max_checks=args.max_checks,
-        time_cap_secs=args.budget_secs,
-    )
+    return SearchBudget(max_candidates=args.max_candidates, max_checks=args.max_checks)
 
 
 def _jobs_from_args(args) -> int:
@@ -308,7 +302,6 @@ def _add_budget_args(p: argparse.ArgumentParser) -> None:
     default = SearchBudget()
     p.add_argument("--max-candidates", type=int, default=default.max_candidates)
     p.add_argument("--max-checks", type=int, default=default.max_checks)
-    p.add_argument("--budget-secs", type=float, default=default.time_cap_secs)
 
 
 def make_parser() -> argparse.ArgumentParser:

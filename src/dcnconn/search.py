@@ -1,8 +1,10 @@
 """Exhaustive brute-force oracles for structure cuts and g-extra connectivity.
 
 The oracles never answer "no" heuristically: a "no" means every candidate
-subset was enumerated. Tripping any budget cap converts the answer into a
-partial result carrying the bound proven so far. Every oracle answers with
+subset was enumerated. Tripping a budget cap converts the answer into a
+partial result carrying the bound proven so far. Both caps count, copies
+and subset checks, so an answer depends only on the inputs, whatever the
+worker count and whether or not a cap trips. Every oracle answers with
 one `OracleResult`, and all three share one path from the copies through the
 scan to the witness, `_shape_oracle` (`certify_min` by way of
 `exists_cut_of_size`), with one hit rule, `_separates`: g-extra connectivity
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -71,13 +72,10 @@ _LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
 class SearchBudget:
     max_candidates: int = 2_000_000
     max_checks: int = 100_000_000
-    time_cap_secs: float = 600.0
 
     def __post_init__(self) -> None:
         if self.max_checks <= 0 or self.max_candidates < 0:
             raise ValueError("budget caps must be positive (the candidate cap may be 0)")
-        if not self.time_cap_secs > 0:  # NaN fails this too
-            raise ValueError("time cap must be positive")
 
 
 @dataclass
@@ -99,7 +97,9 @@ class OracleResult:
     the smaller cut that refutes it), or a tuple of vertex labels for
     `g_extra_connectivity`; `checks` counts the subsets examined and `copies`
     the candidates they were drawn from; `note` says why a scan stopped early
-    or why a value was refuted.
+    ("check cap reached" or "candidate cap reached") or why a value was
+    refuted. Every field depends only on the inputs, not on the worker count
+    or on timing.
     """
 
     status: str
@@ -194,7 +194,7 @@ def _log_progress(size: int, checks: int, n: int) -> None:
     log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
 
 
-def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
+def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
     `ctx` is (neighbour tables, full mask, unit masks, h, family masks, all
@@ -202,13 +202,13 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
     `_separates` the graph. A subset whose family masks do not OR to all
     family bits misses a connected dominating set, so it is counted and
     skipped without a flood (see the module docstring).
-    Returns (first hitting subset or None, checks made, note); the note names
-    the cap that stopped the scan with subsets left to check: time past
-    `t_end` (tested every 8192 checks), or `cap` checks made. Both caps are
-    tested before a subset, so a range that ends as a cap trips is complete
-    and carries no note. In a pool worker the scan also ends, with the note
-    "stopped", once the caller has its answer (tested with the time).
-    Progress is logged every `_LOG_EVERY` checks.
+    Returns (first hitting subset or None, checks made, note); the note is
+    "check cap reached" when `cap` checks were made with subsets left to
+    check. The cap is tested before a subset, so a range that ends as the cap
+    trips is complete and carries no note. In a pool worker the scan also
+    ends, with the note "stopped", once the caller has its answer (tested
+    every 8192 checks, only while subsets are left). Progress is logged every
+    `_LOG_EVERY` checks.
     """
     tables, full, unit_masks, h, family_masks, every_set = ctx
     n = len(unit_masks)
@@ -216,8 +216,6 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int, t_end: float):
     checks = 0
     for combo in islice(combinations(range(lo, n), size), count):
         if checks % 8192 == 0 and checks:
-            if time.monotonic() > t_end:
-                return None, checks, "time cap reached"
             if _worker_stop.value:
                 return None, checks, "stopped"
             if checks % _LOG_EVERY == 0:
@@ -244,16 +242,21 @@ _worker_stop = SimpleNamespace(value=0)
 
 
 def _pool_init(ctx, stop) -> None:
+    import signal  # imported here: the serial path never loads it
+
     global _worker_ctx, _worker_stop
     _worker_ctx, _worker_stop = ctx, stop
     logging.disable(logging.INFO)  # a task counts from its own leading index
+    # Ctrl-C signals the whole process group; a worker killed by it would
+    # never return its task, and the caller would wait in join() forever
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _pool_task(task):
     if _worker_stop.value:
         return None, 0, "stopped"
-    size, lead, cap, t_end = task
-    return _scan_range(_worker_ctx, size, lead, lead + 1, cap, t_end)
+    size, lead, cap = task
+    return _scan_range(_worker_ctx, size, lead, lead + 1, cap)
 
 
 def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
@@ -269,20 +272,17 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     and the results are read in leading-index order and settled as the serial
     scan would settle them: the witness is the lexicographically first,
     `checks` is the length of the lexicographic prefix the answer rests on
-    (never above `budget.max_checks`, the same for every job count while no
-    time cap trips), and any note from a task stops the scan. Work that
-    workers do past that point is not counted: the caller raises a shared
-    flag, on which queued tasks return at once and running ones within 8192
-    checks, then closes the pool and waits for it. Killing the workers
-    instead could kill one that holds the result queue's lock, and the
-    pool's shutdown would then wait for that lock forever. The time cap is
-    tested between results, only while subsets are left to check. Results
-    are logged at least `_LOG_EVERY` checks apart, counting from 0 at each
-    size.
+    (never above `budget.max_checks`, the same for every job count), and any
+    note from a task stops the scan. Work that workers do past that point is
+    not counted: the caller raises a shared flag, on which queued tasks
+    return at once and running ones within 8192 checks, then closes the pool
+    and waits for it. Killing the workers instead could kill one that holds
+    the result queue's lock, and the pool's shutdown would then wait for
+    that lock forever. Workers ignore SIGINT, so an interrupt reaches only
+    the caller, whose shutdown then runs as after an answer. Results are
+    logged at least `_LOG_EVERY` checks apart, counting from 0 at each size.
     """
     n = len(ctx[2])  # the number of unit masks
-    t_end = time.monotonic() + budget.time_cap_secs
-    whole = sum(comb(n, size) for size in sizes)
     total = 0
     pool = None
     try:
@@ -290,7 +290,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
             start = logged = total
             cap = budget.max_checks - start
             if jobs > 1 and size >= 2 and n > size:
-                tasks = [(size, lead, cap, t_end) for lead in range(n - size + 1)]
+                tasks = [(size, lead, cap) for lead in range(n - size + 1)]
                 if pool is None:  # sized to this size's tasks: no later size has more
                     import multiprocessing as mp
                     from multiprocessing.sharedctypes import RawValue
@@ -301,7 +301,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
                                     initargs=(ctx, stop))
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
-                results = [_scan_range(ctx, size, 0, n, cap, t_end)]
+                results = [_scan_range(ctx, size, 0, n, cap)]
             for witness, checks, note in results:
                 left = budget.max_checks - total
                 if witness is not None and checks <= left:
@@ -315,8 +315,6 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
                 if total - logged >= _LOG_EVERY:
                     logged = total
                     _log_progress(size, total - start, n)
-                if total < whole and time.monotonic() > t_end:
-                    return OracleResult(BUDGET, None, size - 1, None, total, n, "time cap reached")
     finally:
         if pool is not None:
             stop.value = 1

@@ -126,7 +126,7 @@ def test_acceptance_05_neighborhood_structure():
 
 def test_acceptance_06_g_extra_connectivity(b3, b4):
     t0 = time.time()
-    budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000, time_cap_secs=1800)
+    budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000)
     r1 = g_extra_connectivity(b3, 0, budget, jobs=JOBS)
     r2 = g_extra_connectivity(b4, 0, budget, jobs=JOBS)
     r3 = g_extra_connectivity(b4, 1, budget, jobs=JOBS)
@@ -149,7 +149,7 @@ def _dcell_three_way(m, n, shape, mode, budget) -> bool:
 
 def test_acceptance_07_dcell_star_values():
     t0 = time.time()
-    budget = SearchBudget(max_candidates=10**6, max_checks=50_000_000, time_cap_secs=600)
+    budget = SearchBudget(max_candidates=10**6, max_checks=50_000_000)
     ok = True
     for m, n, t in [(0, 4, 1), (0, 5, 1), (0, 5, 2), (1, 4, 1), (1, 4, 2)]:
         for mode in MODES:
@@ -159,7 +159,7 @@ def test_acceptance_07_dcell_star_values():
 
 def test_acceptance_08_dcell_clique_values():
     t0 = time.time()
-    budget = SearchBudget(max_candidates=10**6, max_checks=50_000_000, time_cap_secs=600)
+    budget = SearchBudget(max_candidates=10**6, max_checks=50_000_000)
     ok = True
     for m, n, s in [(0, 5, 3), (1, 4, 3), (1, 5, 3), (1, 5, 4)]:
         ok = ok and _dcell_three_way(m, n, ShapeSpec.clique(s), STRUCTURE, budget)
@@ -177,7 +177,7 @@ def test_acceptance_09_bcdc_star_values(b4, b5):
                 cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.star(t), mode)
                 report = verify_cut(g, cut, ShapeSpec.star(t), mode)
                 ok = ok and report.passed and len(cut.members) == predicted
-    budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000, time_cap_secs=1800)
+    budget = SearchBudget(max_candidates=10**6, max_checks=200_000_000)
     res = exists_cut_of_size(b4, ShapeSpec.star(1), STRUCTURE, 5, budget, jobs=JOBS)
     ok = ok and res.status == CERTIFIED and res.value == 4
     for t, want in ((1, 4), (2, 3)):
@@ -199,7 +199,7 @@ def test_acceptance_10_bcdc_path_values(b5):
                 cut = structure_cut_for("bcdc", {"n": n}, ShapeSpec.path(k), mode)
                 report = verify_cut(g, cut, ShapeSpec.path(k), mode)
                 ok = ok and report.passed and len(cut.members) == predicted
-    budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000, time_cap_secs=1800)
+    budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000)
     for k, want in ((4, 2), (9, 1)):
         witness = structure_cut_for("bcdc", {"n": 5}, ShapeSpec.path(k), STRUCTURE)
         res = certify_min(b5, ShapeSpec.path(k), STRUCTURE, want, witness, budget, jobs=JOBS)
@@ -249,7 +249,7 @@ def test_acceptance_11b_cycle_equal_n_spot(b5, b5_c5_witness):
     Ruling out three members takes 205,321,768 checks, 5.8 min on 2 cores
     under Python 3.11, too slow for this suite. Reproduce it with
     `dcnconn oracle bcdc --n 5 --shape C5 --bound 3 --jobs 2
-    --max-checks 300000000 --budget-secs 7200`, which answers status=no.
+    --max-checks 300000000`, which answers status=no.
     """
     t0 = time.time()
     c5 = ShapeSpec.cycle(5)
@@ -295,7 +295,7 @@ def test_acceptance_13_cross_validation():
     instances.append(
         build_graph(labels, [(u, v) for i, u in enumerate(labels) for v in labels[i + 1 :]])
     )
-    budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000, time_cap_secs=600)
+    budget = SearchBudget(max_candidates=10**6, max_checks=100_000_000)
     ok = True
     for g in instances:
         assert g.vertex_count <= 100

@@ -309,8 +309,7 @@ class TestBcdcCuts:
     def test_b5_c5_four_member_witness(self, b5, b5_c5_witness):
         # No 3 of the 1072 C_5 copies cut B_5 (exhausted once, 205,321,768
         # subsets in 5.8 min on 2 cores; reproduce via `dcnconn oracle bcdc
-        # --n 5 --shape C5 --bound 3 --jobs 2 --max-checks 300000000
-        # --budget-secs 7200`).
+        # --n 5 --shape C5 --bound 3 --jobs 2 --max-checks 300000000`).
         # This frozen 4-member witness settles the upper bound.
         report = verify_cut(b5, b5_c5_witness, ShapeSpec.cycle(5), STRUCTURE)
         assert report.passed
