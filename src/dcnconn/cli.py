@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a cut that fails verification (`cut`, `table`) or a
 refuted certification (the only 1 from `oracle`), 2 parameter or usage
-rejection, 3 budget trip (partial result). Identical invocations produce
+rejection, 3 budget trip (partial result), 130 interrupted by Ctrl-C (one
+`interrupted` line on stderr, no partial result). Identical invocations produce
 byte-identical data files; the table manifest carries timing separately from
 the CSV.
 """
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that SIGINT ended
 
 
 def _build_family(family: str, params: dict[str, int], cap: int) -> Graph:
@@ -357,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ParameterError and BuildBudgetError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":  # pragma: no cover

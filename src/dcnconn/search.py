@@ -42,22 +42,41 @@ D's component. Hence G − U is connected, and it holds D, so it has at least
 so status, value, bound, witness and `checks` (a skipped subset is still
 counted) are those of the unfiltered scan for every worker count; an empty
 family skips nothing.
+
+The same lemma skips whole branches. The kernel walks the subsets of a size
+s depth first, in lexicographic order. Take depth d after the members
+c_0 < ... < c_{d-1}, and index i. The subsets that take i or a later index
+at depth d are the ones with that prefix and every other member at index i
+or later: they follow one another in lexicographic order, and each meets
+only sets that the prefix or some copy at index i or later meets. Let
+`suffix[i]` be the OR of the family masks of copies i and later. If the OR
+of the prefix's family masks and `suffix[i]` misses a bit j, every one of
+these subsets misses D_j, so none separates, and all of them, comb(n-i, s-d)
+among n copies (less the comb(n-hi, s) past a range's end at depth 0), are
+counted and skipped at once. `checks` then still counts the lexicographic
+prefix the answer rests on, and a cap that falls inside the block is one the
+unfiltered scan reaches too, with no hit before it. `suffix[i]` only loses
+bits as i grows, so a failed test fails again at every later index, and the
+block runs to the end of depth d. If no copy meets some set of the family,
+every union misses it, and the test fails at the range's first index.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import combinations, islice
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, islice
 from math import comb
 from operator import or_
 from types import SimpleNamespace
 
 from .cuts import verify_cut
-from .graph import Graph, flood_mask, is_connected, min_vertex_cut
+from .graph import Graph, component_masks, flood_mask, is_connected, min_vertex_cut
 from .shapes import STRUCTURE, ShapeSpec, StructureCut, enumerate_shape_copies
 
 CERTIFIED = "certified"
@@ -66,6 +85,7 @@ BUDGET = "budget_exceeded"
 
 log = logging.getLogger(__name__)
 _LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
+_RANDOM_TIES = 14  # shuffled tie orders per start vertex, beside ascending and descending id
 
 
 @dataclass(frozen=True)
@@ -147,37 +167,78 @@ def _ids(mask: int) -> Iterator[int]:
         yield low.bit_length() - 1
 
 
-def _dominating_family(g: Graph) -> list[int]:
-    """Greedy connected dominating sets of g (Guha and Khuller), as vertex
-    masks in the order first found, each of at least 2 vertices.
+def _tie_orders(n: int) -> list[tuple[list[int], list[int]]]:
+    """The tie orders of the greedy over n vertices, each with its ranks (each
+    vertex's place in it): ascending id, descending id, then `_RANDOM_TIES`
+    shuffles of fixed seeds."""
+    orders = [list(range(n)), list(range(n - 1, -1, -1))]
+    for seed in range(_RANDOM_TIES):
+        orders.append(list(range(n)))
+        random.Random(seed).shuffle(orders[-1])
+    out = []
+    for order in orders:
+        rank = [0] * n
+        for r, v in enumerate(order):
+            rank[v] = r
+        out.append((order, rank))
+    return out
 
-    One greedy run per start vertex and tie rule: grow the set from the
-    start, each time adding the dominated vertex outside it that dominates
-    the most new vertices, ties to the lowest id, then in a second run to
-    the highest. The added vertex is dominated, so it has a neighbour in the
-    set, and while some vertex is undominated in a connected graph some
-    candidate gains one, so each run ends with a connected dominating set.
-    Each set is checked anyway, connected by one flood and dominating, before
-    it is kept; duplicates and single vertices are dropped.
+
+def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]) -> list[int]:
+    """The vertices one greedy run takes, in the order taken, over a connected
+    graph whose closed neighbourhoods are the masks `closed`.
+
+    The run grows a set from `start`, each time adding the dominated vertex
+    outside it that dominates the most new vertices, ties to the first in
+    `order`. The added vertex is dominated, so it has a neighbour in the set,
+    and while some vertex is undominated in a connected graph some candidate
+    gains one, so the run ends with a connected dominating set (Guha and
+    Khuller). The greedy is lazy (Minoux): candidates wait in a heap keyed by
+    their gain when last scored, most first, then by rank. A gain only falls
+    as the set grows, so a stored key never comes after the fresh one; the
+    popped candidate is scored again and taken when its fresh key still comes
+    before the heap's top, which makes it the candidate of most gain first in
+    `order`, the vertex a scan of every candidate would take.
     """
+    n = len(closed)
+    taken = [start]
+    rest = ((1 << n) - 1) ^ closed[start]  # the vertices not yet dominated
+    # a key (n - gain)·n + rank orders by most gain, then by rank
+    heap = [(n - (closed[v] & rest).bit_count()) * n + rank[v]
+            for v in _ids(closed[start] ^ 1 << start)]
+    heapify(heap)
+    while rest:
+        v = order[heappop(heap) % n]
+        key = (n - (closed[v] & rest).bit_count()) * n + rank[v]
+        if heap and key > heap[0]:
+            heappush(heap, key)
+            continue
+        taken.append(v)
+        new = closed[v] & rest
+        rest ^= new
+        while new:  # the newly dominated vertices become candidates
+            low = new & -new
+            new ^= low
+            u = low.bit_length() - 1
+            heappush(heap, (n - (closed[u] & rest).bit_count()) * n + rank[u])
+    return taken
+
+
+def _dominating_family(g: Graph) -> list[int]:
+    """Greedy connected dominating sets of g, as vertex masks in the order
+    first found, each of at least 2 vertices: one `_greedy_cds` run per start
+    vertex and tie order. Each set is checked anyway, connected and
+    dominating, before it is kept; duplicates and single vertices are
+    dropped."""
     n = g.vertex_count
-    full = (1 << n) - 1
     closed = [sum(1 << u for u in g.neighbor_ids(v)) | 1 << v for v in range(n)]
+    orders = _tie_orders(n)
     found: dict[int, None] = {}
     for start in range(n):
-        for highest in (False, True):
-            chosen, dominated = 1 << start, closed[start]
-            while dominated != full:
-                new = full ^ dominated
-                candidates = list(_ids(dominated & ~chosen))
-                # max keeps the first of equal gains
-                best = max(reversed(candidates) if highest else candidates,
-                           key=lambda v: (closed[v] & new).bit_count())
-                chosen |= 1 << best
-                dominated |= closed[best]
-            found[chosen] = None
-    tables = g.neighbor_tables
-    return [d for d in found if d.bit_count() >= 2 and flood_mask(tables, d, d & -d) == d
+        for order, rank in orders:
+            found[sum(1 << v for v in _greedy_cds(closed, start, order, rank))] = None
+    full = (1 << n) - 1
+    return [d for d in found if d.bit_count() >= 2 and component_masks(g, d) == [d]
             and reduce(or_, (closed[v] for v in _ids(d))) == full]
 
 
@@ -186,7 +247,10 @@ def _family_masks(unit_masks: list[int], family: list[int], n: int) -> list[int]
     meets: bit j is set when the unit shares a vertex with `family[j]`."""
     if not family:  # it skips nothing, and a size-1 scan can have many copies
         return [0] * len(unit_masks)
-    of_vertex = [sum(1 << j for j, d in enumerate(family) if d >> v & 1) for v in range(n)]
+    of_vertex = [0] * n
+    for j, d in enumerate(family):
+        for v in _ids(d):
+            of_vertex[v] |= 1 << j
     return [reduce(or_, (of_vertex[v] for v in _ids(unit)), 0) for unit in unit_masks]
 
 
@@ -198,42 +262,73 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
     `ctx` is (neighbour tables, full mask, unit masks, h, family masks, all
-    family bits): a subset hits when removing the union of its unit masks
-    `_separates` the graph. A subset whose family masks do not OR to all
-    family bits misses a connected dominating set, so it is counted and
-    skipped without a flood (see the module docstring).
-    Returns (first hitting subset or None, checks made, note); the note is
-    "check cap reached" when `cap` checks were made with subsets left to
-    check. The cap is tested before a subset, so a range that ends as the cap
-    trips is complete and carries no note. In a pool worker the scan also
-    ends, with the note "stopped", once the caller has its answer (tested
-    every 8192 checks, only while subsets are left). Progress is logged every
-    `_LOG_EVERY` checks.
+    family bits, suffix masks): a subset hits when removing the union of its
+    unit masks `_separates` the graph. `suffix[i]` is the OR of the family
+    masks of copies i and later. The walk is depth first; a member at depth
+    d is taken from index i only while the family masks of the members
+    before it, ORed with `suffix[i]`, give every family bit. Otherwise every
+    subset that takes index i or a later one at depth d misses a connected
+    dominating set, and the whole block is counted and skipped without a
+    flood (see the module docstring); a full subset whose own family masks
+    miss a bit is counted and skipped alike.
+    Returns (first hitting subset or None, checks made, note, subsets
+    flooded); the note is "check cap reached" when `cap` checks were made
+    with subsets left to check. The cap is tested before a subset or block,
+    so a range that ends as the cap trips is complete and carries no note, and
+    a cap inside a skipped block returns `cap` checks. In a pool worker the
+    scan also ends, with the note "stopped", once the caller has its answer
+    (tested each time `checks` has passed another multiple of 8192, only
+    while subsets are left). Progress is logged likewise each time `checks`
+    has passed another multiple of `_LOG_EVERY`.
     """
-    tables, full, unit_masks, h, family_masks, every_set = ctx
+    tables, full, unit_masks, h, family_masks, every_set, suffix = ctx
     n = len(unit_masks)
-    count = comb(n - lo, size) - comb(n - hi, size)
-    checks = 0
-    for combo in islice(combinations(range(lo, n), size), count):
-        if checks % 8192 == 0 and checks:
-            if _worker_stop.value:
-                return None, checks, "stopped"
-            if checks % _LOG_EVERY == 0:
-                _log_progress(size, checks, n)
-        if checks >= cap:
-            return None, checks, "check cap reached"
-        checks += 1
-        meets = 0
-        for i in combo:
-            meets |= family_masks[i]
-        if meets != every_set:
+    last = size - 1
+    chosen = [0] * size  # the index taken at each depth
+    meets = [0] * size  # the family bits of the members before each depth
+    removed = [0] * size  # the union of the members before each depth
+    checks = flooded = 0
+    poll, log_at = 8192, _LOG_EVERY
+    d, i, end = 0, lo, min(hi, n - last)
+    while True:
+        if i >= end:  # depth d is done: take the next index one depth up
+            if not d:
+                return None, checks, "", flooded
+            d -= 1
+            i = chosen[d] + 1
+            end = min(hi, n - last) if not d else n - last + d
             continue
-        removed = 0
-        for i in combo:
-            removed |= unit_masks[i]
-        if _separates(tables, full, removed, h):
-            return combo, checks, ""
-    return None, checks, ""
+        left = last - d  # members still to take after this one
+        coverable = meets[d] | suffix[i] == every_set
+        if coverable and left:
+            chosen[d] = i
+            meets[d + 1] = meets[d] | family_masks[i]
+            removed[d + 1] = removed[d] | unit_masks[i]
+            d += 1
+            i += 1
+            end = n - left + 1
+            continue
+        # settle one full subset, or the block that starts at index i
+        block = 1 if coverable else comb(n - i, left + 1) - comb(n - end, left + 1)
+        if checks >= poll:
+            if _worker_stop.value:
+                return None, checks, "stopped", flooded
+            if checks >= log_at:
+                _log_progress(size, checks, n)
+                log_at = (checks // _LOG_EVERY + 1) * _LOG_EVERY
+            poll = (checks // 8192 + 1) * 8192
+        if checks + block > cap:
+            return None, cap, "check cap reached", flooded
+        checks += block
+        if not coverable:
+            i = end
+            continue
+        if meets[d] | family_masks[i] == every_set:
+            flooded += 1
+            if _separates(tables, full, removed[d] | unit_masks[i], h):
+                chosen[d] = i
+                return tuple(chosen), checks, "", flooded
+        i += 1
 
 
 _worker_ctx: tuple = ()  # a pool worker's scan context, set once by _pool_init
@@ -254,7 +349,7 @@ def _pool_init(ctx, stop) -> None:
 
 def _pool_task(task):
     if _worker_stop.value:
-        return None, 0, "stopped"
+        return None, 0, "stopped", 0
     size, lead, cap = task
     return _scan_range(_worker_ctx, size, lead, lead + 1, cap)
 
@@ -280,7 +375,10 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     the result queue's lock, and the pool's shutdown would then wait for
     that lock forever. Workers ignore SIGINT, so an interrupt reaches only
     the caller, whose shutdown then runs as after an answer. Results are
-    logged at least `_LOG_EVERY` checks apart, counting from 0 at each size.
+    logged at least `_LOG_EVERY` checks apart, counting from 0 at each size,
+    and each size ends with a record of the subsets flooded among those it
+    examined (in the results read, so a pool task cut by the check cap counts
+    its floods past the cap too).
     """
     n = len(ctx[2])  # the number of unit masks
     total = 0
@@ -288,6 +386,8 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
     try:
         for size in sizes:
             start = logged = total
+            flooded = 0
+            res = None
             cap = budget.max_checks - start
             if jobs > 1 and size >= 2 and n > size:
                 tasks = [(size, lead, cap) for lead in range(n - size + 1)]
@@ -302,19 +402,26 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
                 results = [_scan_range(ctx, size, 0, n, cap)]
-            for witness, checks, note in results:
+            for witness, checks, note, floods in results:
+                flooded += floods
                 left = budget.max_checks - total
                 if witness is not None and checks <= left:
-                    return OracleResult(CERTIFIED, size, size - 1, witness, total + checks, n)
+                    res = OracleResult(CERTIFIED, size, size - 1, witness, total + checks, n)
+                    break
                 if checks > left:
                     total, note = budget.max_checks, "check cap reached"
                 else:
                     total += checks
                 if note:
-                    return OracleResult(BUDGET, None, size - 1, None, total, n, note)
+                    res = OracleResult(BUDGET, None, size - 1, None, total, n, note)
+                    break
                 if total - logged >= _LOG_EVERY:
                     logged = total
                     _log_progress(size, total - start, n)
+            log.info("size=%d subsets flooded=%s of %s examined", size, f"{flooded:,}",
+                     f"{(res.checks if res else total) - start:,}")
+            if res:
+                return res
     finally:
         if pool is not None:
             stop.value = 1
@@ -354,8 +461,10 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
     # a size-1 scan floods each copy once, which costs less than the family
     family = _dominating_family(g) if sizes and sizes[-1] >= 2 else []
-    ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h,
-           _family_masks(unit_masks, family, g.vertex_count), (1 << len(family)) - 1)
+    family_masks = _family_masks(unit_masks, family, g.vertex_count)
+    suffix = list(accumulate(reversed(family_masks), or_))[::-1]
+    ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
+           (1 << len(family)) - 1, suffix)
     res = _scan_sizes(ctx, sizes, budget, jobs)
     if res.witness is not None:
         res.witness = _cut_of(g, shape, mode, res.witness)

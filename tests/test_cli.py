@@ -209,13 +209,21 @@ def test_progress_restarts_at_each_size(capsys, caplog, monkeypatch, jobs):
         code, out, _ = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0", "--progress",
                            "--jobs", jobs)
     assert code == 0 and "value=4" in out
-    last = {}
+    last, flooded = {}, []
     for record in caplog.records:
+        if "flooded" in record.getMessage():
+            flooded.append(record.getMessage())
+            continue
         size, examined, total = re.fullmatch(r"size=(\d) subsets examined=([\d,]+) / ([\d,]+)",
                                              record.getMessage()).groups()
         assert total == f"{comb(12, int(size)):,}"
         last[size] = examined
     assert last == {"1": "12", "2": "66", "3": "220"}
+    # the dominating-set rule leaves one subset to flood, the cut at size 4
+    assert flooded == ["size=1 subsets flooded=0 of 12 examined",
+                       "size=2 subsets flooded=0 of 66 examined",
+                       "size=3 subsets flooded=0 of 220 examined",
+                       "size=4 subsets flooded=1 of 40 examined"]
 
 
 def test_progress_goes_to_stderr():
@@ -243,7 +251,7 @@ def test_ctrl_c_stops_a_pooled_scan():
                             env=env, start_new_session=True)
     try:
         line = ""
-        while not line.startswith("progress:"):  # the pool is scanning size 2
+        while "examined=" not in line:  # the pool is scanning size 2
             line = proc.stderr.readline()
             assert line, "the scan ended before its first progress line"
         os.killpg(proc.pid, signal.SIGINT)
@@ -252,8 +260,8 @@ def test_ctrl_c_stops_a_pooled_scan():
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-    assert proc.returncode == -signal.SIGINT
-    assert "KeyboardInterrupt" in err
+    assert proc.returncode == 130
+    assert err.splitlines()[-1] == "interrupted" and "Traceback" not in err
     assert out == ""
 
 

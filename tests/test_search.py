@@ -103,12 +103,18 @@ class TestExists:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exists_scan_logs_each_size(self, d14, caplog, monkeypatch, jobs):
         # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness;
-        # a pool logs each task's result, counting from 0 again at each size
+        # a pool logs each task's result, counting from 0 again at each size;
+        # each size ends with the subsets flooded, the same for every job count
         monkeypatch.setattr(search, "_LOG_EVERY", 1)
         with caplog.at_level(logging.INFO, logger="dcnconn.search"):
             res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
-        assert (res.status, res.value) == (CERTIFIED, 3)
-        records = [_progress_record(r.getMessage()) for r in caplog.records]
+        assert (res.status, res.value, res.checks) == (CERTIFIED, 3, 40 + 780 + 33)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if "flooded" in m] == [
+            "size=1 subsets flooded=0 of 40 examined",
+            "size=2 subsets flooded=15 of 780 examined",
+            "size=3 subsets flooded=5 of 33 examined"]
+        records = [_progress_record(m) for m in messages if "flooded" not in m]
         if jobs == 1:
             assert records == [(1, 40, 40), (2, 780, 780)]
         else:
@@ -245,16 +251,30 @@ class TestJobsParity:
                                  SearchBudget(max_checks=820), jobs)
         assert (res.status, res.checks, res.note) == (NO, 820, "")
 
-    @pytest.mark.parametrize("units, want", [(8192, (None, 8192, "")),
-                                             (8193, (None, 8192, "stopped"))])
+    @pytest.mark.parametrize("units, want", [(8192, (None, 8192, "", 8192)),
+                                             (8193, (None, 8192, "stopped", 8192))])
     def test_kernel_tests_the_stop_flag_only_with_subsets_left(self, k5, units, want,
                                                                 monkeypatch):
         # empty unit masks never cut K_5; the caller's flag is up before the scan
         from types import SimpleNamespace
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
-        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0, [0] * units, 0)
+        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0, [0] * units, 0,
+               [0] * units)
         assert search._scan_range(ctx, 1, 0, units, 10**6) == want
+
+    @pytest.mark.parametrize("lo, hi, cap, want", [
+        (0, 10, 1, (None, 1, "check cap reached", 0)),
+        (0, 10, 44, (None, 44, "check cap reached", 0)),
+        (0, 10, 45, (None, 45, "", 0)),
+        (3, 4, 5, (None, 5, "check cap reached", 0)),
+        (3, 4, 6, (None, 6, "", 0))])
+    def test_a_cap_inside_a_skipped_block_trips_at_the_cap(self, k5, lo, hi, cap, want):
+        # no copy meets the one family set, so the pairs of 10 copies with a
+        # leading index in [lo, hi) are one skipped block: 45, or 6 from index 3
+        ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * 10, 0, [0] * 10, 1,
+               [0] * 10)
+        assert search._scan_range(ctx, 2, lo, hi, cap) == want
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         # K_4 has 6 K_{1,1} copies: size 1 is scanned serially, and size 2, the
@@ -588,6 +608,11 @@ def _check_family(g) -> list[int]:
     return family
 
 
+def _closed(g) -> list[int]:
+    """Each vertex's closed neighbourhood, as a mask."""
+    return [sum(1 << u for u in g.neighbor_ids(v)) | 1 << v for v in range(g.vertex_count)]
+
+
 def _unfiltered(call):
     """`call()` with an empty family, which skips nothing."""
     with pytest.MonkeyPatch.context() as m:
@@ -598,7 +623,16 @@ def _unfiltered(call):
 class TestDominatingFamily:
     @pytest.mark.parametrize("graph, sets", [("b3", 15), ("b4", 35), ("b5", 100), ("d14", 14)])
     def test_every_set_is_a_connected_dominating_set(self, request, graph, sets):
-        assert len(_check_family(request.getfixturevalue(graph))) == sets
+        # `sets` counts the sets of the runs with ties to the lowest and to the
+        # highest id, the whole family before the shuffled tie orders came in
+        g = request.getfixturevalue(graph)
+        family = _check_family(g)
+        assert len(family) == {"b3": 59, "b4": 318, "b5": 883, "d14": 77}[graph]
+        closed = _closed(g)
+        by_id = {sum(1 << v for v in search._greedy_cds(closed, start, order, rank))
+                 for order, rank in search._tie_orders(g.vertex_count)[:2]
+                 for start in range(g.vertex_count)}
+        assert len(by_id) == sets and by_id <= set(family)
 
     @given(g=_connected_graphs())
     @settings(max_examples=100, deadline=None)
@@ -608,6 +642,27 @@ class TestDominatingFamily:
         n = g.vertex_count
         complete = all(len(g.neighbor_ids(v)) == n - 1 for v in range(n))
         assert (not _check_family(g)) == complete
+
+    @given(g=_connected_graphs(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_lazy_greedy_step_takes_a_best_candidate(self, g, data):
+        # every step takes, of the dominated vertices outside the set, one that
+        # dominates the most new vertices, and of those the first in the order
+        n = g.vertex_count
+        closed = _closed(g)
+        order, rank = data.draw(st.sampled_from(search._tie_orders(n)))
+        assert sorted(order) == list(range(n)) and all(order[rank[v]] == v for v in range(n))
+        start = data.draw(st.integers(0, n - 1))
+        taken = search._greedy_cds(closed, start, order, rank)
+        assert taken[0] == start
+        chosen, dominated = 1 << start, closed[start]
+        for v in taken[1:]:
+            candidates = [u for u in order if dominated >> u & 1 and not chosen >> u & 1]
+            gain = {u: (closed[u] & ~dominated).bit_count() for u in candidates}
+            assert v == max(candidates, key=gain.__getitem__)  # max keeps the first
+            chosen |= 1 << v
+            dominated |= closed[v]
+        assert dominated == (1 << n) - 1
 
     @given(g=_connected_graphs(), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -623,8 +678,9 @@ class TestDominatingFamily:
         assert not any(search._separates(g.neighbor_tables, full, removed, h) for h in range(3))
 
     def test_filter_skips_floods(self, b4, monkeypatch):
-        # B_4's 96 edges, sizes 1 and 2: no cut, and almost every subset misses
-        # one of the 35 sets, whose checks take one flood each
+        # B_4's 96 edges, sizes 1 and 2: no cut, and every subset misses one of
+        # the 318 sets, whose checks take one flood each; the family's own
+        # connectivity checks go through `graph`, not this counter
         floods = []
         flood = search.flood_mask
 
@@ -640,7 +696,55 @@ class TestDominatingFamily:
 
         plain = _unfiltered(run)
         assert run() == plain and plain.checks == 4656
-        assert floods[0] == 4656 and floods[1] < 100
+        assert floods == [4656, 0]
+
+    def test_a_cap_at_a_skipped_block_edge_answers_as_the_plain_scan(self, b4, monkeypatch):
+        # B_4 K_{1,1} at bound 2, 4,656 subsets. A block is the run of subsets
+        # of one size and prefix whose next member comes at or after the
+        # first index where the prefix's family bits, ORed with those of
+        # every later copy, miss a set; it runs to the end of its leading
+        # index's subsets, where a pool task ends.
+        from functools import reduce
+        from itertools import combinations
+        from operator import or_
+
+        family = search._dominating_family(b4)
+        units = [sum(1 << v for v in ids) for ids in enumerate_shape_copies(b4, K11, STRUCTURE)]
+        fam = search._family_masks(units, family, b4.vertex_count)
+        every, n = (1 << len(family)) - 1, len(units)
+        later = [reduce(or_, fam[i:], 0) for i in range(n)]
+        keys = []  # each subset's block and leading index, None outside a block
+        for size in (1, 2):
+            for combo in combinations(range(n), size):
+                meets = 0
+                keys.append(None)
+                for d, i in enumerate(combo):
+                    if meets | later[i] != every:
+                        keys[-1] = (size, combo[:d], combo[0])
+                        break
+                    meets |= fam[i]
+        keys.append(None)  # past the last subset, and before the first
+        starts = {p for p, key in enumerate(keys) if key and key != keys[p - 1]}
+        ends = {p for p, key in enumerate(keys) if keys[p - 1] and key != keys[p - 1]}
+        assert len(keys) == 4657 and len(starts) == len(ends) > 80
+        # a cap at an edge and one subset past it: at a block's start the cap
+        # trips before the block, one past it inside; at its end the block
+        # fits exactly, one past it the next subset fits. A pool settles its
+        # tasks by their counts, so it is run at the ends, where tasks end.
+        caps = {c: c - 1 in ends or c in ends for e in starts | ends for c in (e, e + 1)}
+        # no subset hits, as the uncapped plain scan shows, so the capped plain
+        # scans answer False to every subset without a flood
+        assert _unfiltered(lambda: exists_cut_of_size(b4, K11, STRUCTURE, 2)).status == NO
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "_separates", lambda *args: False)
+            plains = {cap: _unfiltered(lambda: exists_cut_of_size(
+                b4, K11, STRUCTURE, 2, SearchBudget(max_checks=cap))) for cap in caps}
+        monkeypatch.setattr(search, "_dominating_family", lambda g: family)  # built once
+        for cap, pooled in caps.items():
+            budget = SearchBudget(max_checks=cap)
+            for jobs in (1, 2) if pooled else (1,):
+                assert exists_cut_of_size(b4, K11, STRUCTURE, 2, budget, jobs) == plains[cap], (
+                    cap, jobs)
 
     @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
     def test_filtered_scan_matches_the_plain_scan(self, request, graph):
