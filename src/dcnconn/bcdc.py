@@ -9,7 +9,7 @@ line graph of CQ_n label for label.
 
 from __future__ import annotations
 
-from .errors import BuildBudgetError, ParameterError
+from .errors import ParameterError
 from .graph import DEFAULT_MAX_VERTICES, Graph
 
 # The pair relation x ~ y on 2-bit blocks, {(00,00),(10,10),(01,11),(11,01)};
@@ -67,7 +67,7 @@ def build_crossed_cube(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Grap
     if n < 1:
         raise ParameterError(f"crossed cube needs n >= 1, got {n}")
     if 2**n > max_vertices:
-        raise BuildBudgetError(
+        raise ParameterError(
             f"CQ_{n} requires {2**n} vertices, budget is {max_vertices}"
         )
     edges = [("0", "1")]
@@ -104,7 +104,7 @@ def build_bcdc(n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Graph:
     if n < 2:
         raise ParameterError(f"BCDC needs n >= 2, got {n}")
     if n * 2 ** (n - 1) > max_vertices:
-        raise BuildBudgetError(
+        raise ParameterError(
             f"B_{n} requires {n * 2 ** (n - 1)} vertices, budget is {max_vertices}"
         )
     verts: list[tuple[str, str]] = [("0", "1")]

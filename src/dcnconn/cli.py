@@ -16,13 +16,14 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from math import comb
 
 from . import bcdc as bc
 from . import dcell as dc
 from . import io as dio
 from .cuts import predicted_kappa, structure_cut_for, verify_cut
-from .errors import BuildBudgetError, ParameterError
+from .errors import ParameterError
 from .graph import DEFAULT_MAX_VERTICES, Graph
 from .search import (
     BUDGET,
@@ -147,8 +148,8 @@ def cmd_oracle(args) -> int:
         call = f"g_extra_connectivity(h={args.g_extra})"
         res = g_extra_connectivity(g, args.g_extra, budget, jobs=jobs)
         if res.witness is not None:
-            res.witness = StructureCut(
-                ShapeSpec.single(), tuple((lab,) for lab in res.witness), STRUCTURE)
+            res = replace(res, witness=StructureCut(
+                ShapeSpec.single(), tuple((lab,) for lab in res.witness), STRUCTURE))
     elif args.certify is not None:
         call = f"certify_min(value={args.certify})"
         res = certify_min(g, shape, args.mode, args.certify, witness, budget, jobs=jobs)
@@ -231,7 +232,7 @@ def cmd_table(args) -> int:
                 graphs[key] = _build_family(family, params, DEFAULT_MAX_VERTICES)
             g = graphs[key]
             report = verify_cut(g, cut, shape, mode)
-        except (ParameterError, BuildBudgetError) as exc:
+        except ParameterError as exc:
             counts["rejected"] += 1
             manifest_cases.append({"case": case_id, "status": "rejected", "reason": str(exc)})
             continue
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # ParameterError and BuildBudgetError included
+    except ValueError as exc:  # ParameterError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -12,8 +12,8 @@ for B_n. They run after `_branch`, so they check no domain, and only
 Free leaf/filler choices are resolved deterministically by `_first_free`: the
 first candidates, in order, that the same member has not used and that are
 not the base vertex. The B_n builders sort candidates by label, the DCell
-ones take them in `dcell_neighbors`' digit-tuple order. Cuts may overlap in
-vertices; overlap is reported, never rejected.
+ones take them in `dcell_neighbors`' digit-tuple order. Members may share
+vertices; `verify_cut` removes their union.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def predicted_kappa(family: str, params: dict[str, int], shape: ShapeSpec, mode:
         if size <= n - 3 and (n - 1) % (1 + size) == 1:
             return (2 * n - 4) // (1 + size) + 1
         return 2 * _ceil(n - 1, 1 + size)
-    if branch != "bcdc-cycle":  # paths and substructure cycles
+    if branch == "bcdc-path":  # paths and substructure cycles
         if size <= n - 1 and (n - 1) % size == 0:
             return (2 * n - 2) // size
         return _ceil(2 * n - 1, size)
@@ -119,7 +119,8 @@ def _bcdc_cycle_domain(n: int, k: int) -> None:
 
 def _branch(family: str, params: dict[str, int], shape: ShapeSpec, mode: str) -> str:
     """The branch of the theorem covering a request, after its domain check;
-    ParameterError for a request no theorem covers."""
+    ParameterError for a request no theorem covers. Substructure cycles take
+    the path branch: their value and cut are the path's."""
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
     kind, size = shape.kind, shape.size
@@ -141,7 +142,7 @@ def _branch(family: str, params: dict[str, int], shape: ShapeSpec, mode: str) ->
             return "bcdc-star"
         if kind == "path" or (kind == "cycle" and mode == SUBSTRUCTURE):
             _bcdc_path_domain(n, size)
-            return "bcdc-path" if kind == "path" else "bcdc-cycle-substructure"
+            return "bcdc-path"
         if kind == "cycle":
             _bcdc_cycle_domain(n, size)
             return "bcdc-cycle"
@@ -460,14 +461,9 @@ def _mixed_cycle_member(h: _BnCutHelper, k: int, r: int, run: list[int]) -> tupl
 @dataclass(frozen=True)
 class VerificationReport:
     member_count: int
-    member_valid: tuple[bool, ...]
-    overlap: bool
-    overlap_vertices: tuple[str, ...]
     removed_vertices: int
-    remaining_vertices: int
     component_count: int
     component_sizes: tuple[int, ...]
-    smallest_component: tuple[str, ...]
     passed: bool
 
 
@@ -476,49 +472,33 @@ def verify_cut(g: Graph, cut: StructureCut, shape: ShapeSpec, mode: str) -> Veri
 
     A member is valid when the cut's shape is `shape` and the member is that
     shape in `mode`. Pass requires every member valid and the remainder
-    disconnected or at most a single vertex. Shape failures are report entries, not exceptions;
-    unknown vertices and an unknown mode are a precondition violation and raise.
+    disconnected or at most a single vertex. Shape failures fail the report,
+    they raise nothing; unknown vertices and an unknown mode are a
+    precondition violation and raise.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
-    union: set[str] = set()
-    overlap_verts: set[str] = set()
     for mem in cut.members:
         for lab in mem:
             if not g.has_vertex(lab):
                 raise ValueError(f"member vertex {lab!r} not in graph")
-            if lab in union:
-                overlap_verts.add(lab)
-            union.add(lab)
     valid = []
     for mem in cut.members:
         try:
             valid.append(cut.shape == shape and is_shape(g, shape, mem, mode))
         except ValueError:
             valid.append(False)
-    n = g.vertex_count
-    alive = (1 << n) - 1
+    union = cut.vertex_union()
+    alive = (1 << g.vertex_count) - 1
     for lab in union:
         alive &= ~(1 << g.id_of(lab))
     comps = component_masks(g, alive)
-    sizes = tuple(sorted(c.bit_count() for c in comps))
-    smallest_t = min(
-        (tuple(sorted(g.label_of(i) for i in range(n) if c >> i & 1))
-         for c in comps if c.bit_count() == sizes[0]),
-        default=(),
-    )
-    remaining = n - len(union)
-    passed = all(valid) and bool(valid) and (len(comps) >= 2 or remaining <= 1)
+    passed = all(valid) and bool(valid) and (len(comps) >= 2 or alive.bit_count() <= 1)
     return VerificationReport(
         member_count=len(cut.members),
-        member_valid=tuple(valid),
-        overlap=bool(overlap_verts),
-        overlap_vertices=tuple(sorted(overlap_verts)),
         removed_vertices=len(union),
-        remaining_vertices=remaining,
         component_count=len(comps),
-        component_sizes=sizes,
-        smallest_component=smallest_t,
+        component_sizes=tuple(sorted(c.bit_count() for c in comps)),
         passed=passed,
     )
 
@@ -541,7 +521,7 @@ def structure_cut_for(
         members = _clique_cut_dcell(params["m"], n, size)
     elif branch == "bcdc-star":
         members = _k11_cut_bcdc(n) if size == 1 else _star_cut_bcdc(n, size)
-    elif branch in ("bcdc-path", "bcdc-cycle-substructure"):
+    elif branch == "bcdc-path":
         members = _path_cut_bcdc(n, size)
     else:
         members = _cycle_cut_bcdc(n, size)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BuildBudgetError, ParameterError
+from .errors import ParameterError
 from .graph import DEFAULT_MAX_VERTICES, Graph
 
 # t_{m,n} doubles its digit count per level; reject beyond this rather than
@@ -72,7 +72,7 @@ def build_dcell(m: int, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> Gra
     t_{l-1}+1 copies with exactly one edge per copy pair."""
     tt = t_table(m, n)
     if tt[m] > max_vertices:
-        raise BuildBudgetError(
+        raise ParameterError(
             f"D({m},{n}) requires {tt[m]} vertices, budget is {max_vertices}"
         )
     ranges = [range(tt[level - 1] + 1) if level > 0 else range(n) for level in range(m, -1, -1)]

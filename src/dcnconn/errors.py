@@ -1,9 +1,6 @@
-"""Shared exception types."""
+"""The shared exception type."""
 
 
 class ParameterError(ValueError):
-    """A parameter is outside the range a formula or constructor supports."""
-
-
-class BuildBudgetError(ValueError):
-    """A requested topology exceeds the instance-size budget."""
+    """A request is rejected: a parameter is outside the range a formula or
+    constructor supports, or a topology exceeds the instance-size budget."""

@@ -444,14 +444,15 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
 def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: SearchBudget,
                   jobs: int, h: int = 0) -> OracleResult:
     """Scan the unions of `sizes` copies of `shape`, never more than there are
-    copies, for one that `_separates` g with `h`: CERTIFIED with the first as
-    the witness, NO, or BUDGET. With no size of 1 or more nothing is enumerated:
-    the empty set never cuts a connected graph."""
+    copies, for one that `_separates` g with `h`: CERTIFIED with the first
+    one's ascending copy indices as the witness, NO, or BUDGET. With no size
+    of 1 or more nothing is enumerated: the empty set never cuts a connected
+    graph."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
     if sizes.stop <= 1:
         return OracleResult(NO, None, 0, None, 0, 0)
-    # only the masks are kept: `_cut_of` rebuilds the few copies a witness needs
+    # only the masks are kept: the caller rebuilds the few copies a witness needs
     bits = [1 << i for i in range(g.vertex_count)]
     copies = islice(enumerate_shape_copies(g, shape, mode), budget.max_candidates + 1)
     unit_masks = [sum(map(bits.__getitem__, ids)) for ids in copies]
@@ -465,10 +466,7 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     suffix = list(accumulate(reversed(family_masks), or_))[::-1]
     ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
            (1 << len(family)) - 1, suffix)
-    res = _scan_sizes(ctx, sizes, budget, jobs)
-    if res.witness is not None:
-        res.witness = _cut_of(g, shape, mode, res.witness)
-    return res
+    return _scan_sizes(ctx, sizes, budget, jobs)
 
 
 def exists_cut_of_size(
@@ -485,7 +483,10 @@ def exists_cut_of_size(
     if bound < 0:
         raise ValueError("size bound must be >= 0")
     res = _shape_oracle(g, shape, mode, range(1, bound + 1), budget or SearchBudget(), jobs)
-    if res.status == CERTIFIED and not verify_cut(g, res.witness, shape, mode).passed:
+    if res.witness is None:
+        return res
+    res = replace(res, witness=_cut_of(g, shape, mode, res.witness))
+    if not verify_cut(g, res.witness, shape, mode).passed:
         raise AssertionError("oracle witness failed independent verification")
     return res
 
@@ -553,7 +554,8 @@ def g_extra_connectivity(
 
     Exhaustive over the single-vertex copies, so `copies` is the vertex
     count; for h >= 1 sizes start at the classical connectivity (any such cut
-    is in particular a vertex cut). The witness is the tuple of the cut's labels.
+    is in particular a vertex cut). The witness is the tuple of the cut's
+    labels: a single-vertex copy's index is its vertex id.
     """
     if not is_connected(g):
         raise ValueError("g_extra_connectivity requires a connected graph")
@@ -562,6 +564,6 @@ def g_extra_connectivity(
     start = 1 if h == 0 else min_vertex_cut(g)
     res = _shape_oracle(g, ShapeSpec.single(), STRUCTURE, range(start, g.vertex_count - 1),
                         budget or SearchBudget(), jobs, h)
-    if res.witness is not None:
-        res.witness = tuple(label for (label,) in res.witness.members)
-    return res
+    if res.witness is None:
+        return res
+    return replace(res, witness=tuple(map(g.label_of, res.witness)))

@@ -7,12 +7,21 @@ from dcnconn import (
     build_crossed_cube,
     build_dcell,
     build_graph,
+    components,
+    delete_vertices,
 )
 from dcnconn.shapes import STRUCTURE
 
 
 def neighbor_labels(g, label):
     return {g.label_of(i) for i in g.neighbor_ids(g.id_of(label))}
+
+
+def smallest_component(g, cut):
+    """The sorted labels of the smallest component left when `cut`'s vertices
+    are removed from g, the first by label among components of one size."""
+    comps = components(delete_vertices(g, cut.vertex_union()))
+    return min((tuple(sorted(c)) for c in comps), key=lambda c: (len(c), c), default=())
 
 
 @pytest.fixture(scope="session")

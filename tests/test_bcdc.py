@@ -7,7 +7,7 @@ from conftest import neighbor_labels
 from dcnconn import build_bcdc, build_crossed_cube, dim_neighbor, line_graph, min_vertex_cut
 from dcnconn.bcdc import _PAIR_MAP, bn_vertex_neighbors, parse_bn_label
 from dcnconn.errors import ParameterError
-from dcnconn.io import parse_edgelist
+from dcnconn.io import render_edgelist
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,10 +37,7 @@ def test_cq2_is_c4():
 
 
 def test_cq3_fixture(cq3):
-    family, params, labels, edges = parse_edgelist((FIXTURES / "cq_n3.edgelist").read_text())
-    assert family == "cq" and params == {"n": 3}
-    assert set(labels) == set(cq3.labels)
-    assert {frozenset(e) for e in edges} == {frozenset(e) for e in cq3.edges()}
+    assert render_edgelist(cq3, "cq", {"n": 3}) == (FIXTURES / "cq_n3.edgelist").read_text()
     assert neighbor_labels(cq3, "000") == {"001", "010", "100"}
 
 
@@ -82,10 +79,7 @@ def test_build_bcdc2_listed_cycle():
 
 
 def test_b3_fixture(b3):
-    family, params, labels, edges = parse_edgelist((FIXTURES / "bcdc_n3.edgelist").read_text())
-    assert family == "bcdc" and params == {"n": 3}
-    assert set(labels) == set(b3.labels)
-    assert {frozenset(e) for e in edges} == {frozenset(e) for e in b3.edges()}
+    assert render_edgelist(b3, "bcdc", {"n": 3}) == (FIXTURES / "bcdc_n3.edgelist").read_text()
 
 
 def test_b4_counts(b4):

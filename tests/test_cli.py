@@ -555,9 +555,8 @@ def test_readme_commands_parse(capsys):
             ShapeSpec.from_tag(args.shape)
 
 
-# README oracle examples too slow for the suite: about 12 s and 5.8 min on 2 cores
-SLOW_README_EXAMPLES = [["oracle", "bcdc", "--n", "4", "--g-extra", "1"],
-                        ["oracle", "bcdc", "--n", "5", "--shape", "C5", "--bound", "3"]]
+# README oracle examples too slow for the suite: 74 s on 2 cores
+SLOW_README_EXAMPLES = [["oracle", "bcdc", "--n", "5", "--shape", "C5", "--bound", "3"]]
 
 
 def test_readme_oracle_examples_run(capsys):
@@ -565,7 +564,7 @@ def test_readme_oracle_examples_run(capsys):
     note = re.search(r"`(size bound: [^`]*)` for the last example above", readme).group(1)
     fast = [argv for argv in _readme_commands() if argv[0] == "oracle"
             and not any(argv[:len(slow)] == slow for slow in SLOW_README_EXAMPLES)]
-    assert len(fast) == 4
+    assert len(fast) == 5
     reports = []
     for argv in fast:
         code, out, _ = run(capsys, *argv, "--jobs", "1")

@@ -164,26 +164,14 @@ def _reference_verify_cut(g, cut, shape, mode):
             valid.append(False)
     if cut.shape != shape:
         valid = [False] * len(valid)
-    seen, overlap = set(), set()
-    for mem in cut.members:
-        for lab in mem:
-            if lab in seen:
-                overlap.add(lab)
-            seen.add(lab)
     union = cut.vertex_union()
     rest = delete_vertices(g, union)
     comps = components(rest)
-    smallest = min(comps, key=lambda c: (len(c), sorted(c))) if comps else set()
     return VerificationReport(
         member_count=len(cut.members),
-        member_valid=tuple(valid),
-        overlap=bool(overlap),
-        overlap_vertices=tuple(sorted(overlap)),
         removed_vertices=len(union),
-        remaining_vertices=rest.vertex_count,
         component_count=len(comps),
         component_sizes=tuple(sorted(len(c) for c in comps)),
-        smallest_component=tuple(sorted(smallest)),
         passed=all(valid) and bool(valid) and (len(comps) >= 2 or rest.vertex_count <= 1),
     )
 

@@ -1,8 +1,9 @@
 """The library imports nothing outside the standard library, every name a
 library module imports is used (by `__init__.py`: exported in `__all__`),
-every parameter of a library function is read, every public function, class,
-method and dataclass field is read by library or benchmark code (or named as
-kept on purpose), and only the CLI writes to the terminal."""
+every parameter of a library function is read, every top-level function,
+class and constant, private or public, and every public method and dataclass
+field is read by library or benchmark code (or named as kept on purpose), and
+only the CLI writes to the terminal."""
 
 import ast
 import sys
@@ -173,13 +174,6 @@ UNREAD_BY_DESIGN = {
     "line_graph": "the independent reference that B_n is checked against",
     "build_graph": "the constructor from label edges, for graphs no builder makes",
     "t_size": "the paper's t_{m,n}, the server count of D(m,n)",
-    "parse_edgelist": "reads the edge lists that `dcnconn gen` writes",
-    "parse_cut": "reads the cut files that `dcnconn cut` writes",
-    **dict.fromkeys(
-        [f"VerificationReport.{field}" for field in (
-            "member_valid", "overlap", "overlap_vertices", "remaining_vertices",
-            "smallest_component")],
-        "the verifier's report; tests check the isolated base vertex"),
 }
 
 
@@ -189,17 +183,31 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
                and d.func.id == "dataclass" for d in node.decorator_list)
 
 
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    plain-name targets of an assignment; dunder names are left out."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def _unread_names(modules: list[Path], readers: list[Path]) -> list[str]:
-    """Public top-level functions and classes of `modules`, and the public
-    methods of those classes, whose name no code in `readers` reads, as a
-    name or an attribute; and the public fields of those classes that are
-    dataclasses, which no code in `readers` reads as an attribute. Strings,
-    docstrings, imports and keyword arguments are not reads, and neither is
-    the definition itself."""
+    """Top-level functions, classes and constants of `modules`, private ones
+    included, and the public methods of the public classes, whose name no
+    code in `readers` reads, as a name or an attribute; and the public fields
+    of those classes that are dataclasses, which no code in `readers` reads
+    as an attribute. Strings, docstrings, imports, keyword arguments and
+    assignments are not reads, and neither is the definition itself."""
     read, attributes = set(), set()
     for path in readers:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
@@ -207,11 +215,8 @@ def _unread_names(modules: list[Path], readers: list[Path]) -> list[str]:
     out = []
     for path in modules:
         for node in ast.parse(path.read_text(), str(path)).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            if node.name not in read:
-                out.append(f"{path.name} {node.name}")
-            if isinstance(node, ast.ClassDef):
+            out += [f"{path.name} {name}" for name in _top_level_names(node) if name not in read]
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 out += [f"{path.name} {node.name}.{sub.name}" for sub in node.body
                         if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
                         and sub.name not in read]
@@ -233,7 +238,7 @@ def test_every_public_name_is_read_by_the_library_or_the_benchmark():
 
 def test_the_check_sees_an_unread_name(tmp_path):
     probe = tmp_path / "probe.py"
-    probe.write_text("def used():\n    return 1\n\n\ndef unused():\n    \"used()\"\n\n\n"
+    probe.write_text("def used():\n    return _private()\n\n\ndef unused():\n    \"used()\"\n\n\n"
                      "def _private():\n    pass\n\n\nclass C:\n    def called(self):\n"
                      "        pass\n\n    def uncalled(self):\n        return used()\n\n"
                      "    def _hidden(self):\n        pass\n\n\n"
@@ -245,3 +250,15 @@ def test_the_check_sees_an_unread_name(tmp_path):
                       "branch = D(kept=1, branch='x').kept\nE(tag='t')\nF()\n")
     assert _unread_names([probe], [probe, reader]) == [
         "probe.py unused", "probe.py C.uncalled", "probe.py D.branch", "probe.py E.tag"]
+
+
+def test_the_check_sees_an_orphaned_private_helper(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("_LIMIT = 3\n_UNUSED: int = 4\n__all__ = []\n\n\ndef run():\n"
+                     "    return _helper(_LIMIT)\n\n\ndef _helper(x):\n    return x\n\n\n"
+                     "def _orphan():\n    _UNUSED = 5\n    return '_helper()'\n\n\n"
+                     "class _Box:\n    def uncalled(self):\n        pass\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from probe import run\n\nrun()\n")
+    assert _unread_names([probe], [probe, reader]) == [
+        "probe.py _UNUSED", "probe.py _orphan", "probe.py _Box"]
