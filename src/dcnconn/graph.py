@@ -6,9 +6,38 @@ table per group of 8 vertex ids maps each byte of a vertex set to the union
 of those vertices' neighbourhoods, so a breadth-first step reads one table
 entry per 8 vertices (the Four-Russians table trick). Table entries are
 filled on first use; a fill stores the value every caller would compute, so
-sharing stays safe. The minimum vertex cut uses vertex-split maximum flow,
-independent of the brute-force search in `dcnconn.search` that
-cross-validates it, and is likewise computed once per graph and kept on it.
+sharing stays safe. The minimum vertex cut counts vertex-disjoint paths on
+the same tables, independent of the brute-force search in `dcnconn.search`
+that cross-validates it, and is computed once per graph and kept on it.
+
+The paths are counted as the maximum flow of the vertex-split network, which
+is, by Menger's theorem, the least number of vertices separating two
+non-adjacent vertices s and t. Vertex v becomes v_in and v_out, joined by a
+unit arc of capacity 1; each edge uw becomes the arcs u_out -> w_in and
+w_out -> u_in of capacity n = |V|; the flow runs from s_out to t_in. An
+integral flow puts at most one unit on an edge arc u_out -> w_in: what it
+carries passes u's unit arc unless u = s, and w's unless w = t, and s, t are
+not adjacent. The augmenting paths below start at s_out, reached first, and
+stop at t_in, so no flow enters s or leaves t. The flow is thus a set of
+directed edges (u, w) of one unit each, and every other vertex has one flow
+edge in and one out, or none; call it busy when it has them, and pred(w)
+the tail of the edge into w. The residual network of such a flow has
+exactly these arcs, the only rules the kernel follows:
+- u_out -> w_in for every edge uw, since at most 1 of its n units is used;
+- w_in -> w_out when w is free (its unit arc is empty);
+- w_out -> w_in when w is busy (the reverse of its full unit arc);
+- w_in -> pred(w)_out when w is busy (the reverse of the edge arc that
+  carries its unit).
+An augmenting path on these arcs changes the flow arc by arc: a step
+u_out -> w_in adds (u, w), a step w_in -> pred(w)_out removes (pred(w), w),
+and the unit arcs follow. If (u, w) and (w, u) would both carry a unit, they
+close a cycle through the unit arcs of u and w; cancelling the pair leaves a
+flow of the same value, and the set stays as above. Each round thus raises
+the flow by one, as an augmenting path of the split network would. The
+search follows every arc out of every node it reaches, so it fails to reach
+t_in exactly when no augmenting path is left, that is when the flow is
+maximum (Ford and Fulkerson). The count therefore equals the split network's
+maximum flow, capped at the limit the caller asks about.
 
 The flows run over the Esfahanian-Hakimi (1984) candidate pairs, with v0 a
 vertex of minimum degree δ: v0 and each vertex not adjacent to it, and each
@@ -250,12 +279,12 @@ def min_vertex_cut(g: Graph) -> int:
     """κ(g): minimum vertices whose removal disconnects g or leaves one vertex.
 
     Complete graphs return n-1 by convention. Otherwise κ is the least
-    vertex-split maximum flow over the Esfahanian-Hakimi candidate pairs (see
-    the module docstring for why they suffice). A graph that is not complete
-    has δ < n-1, so v0 has a non-neighbour and removing its δ neighbours
-    isolates it: the search starts from δ and asks each flow only whether it
-    falls below the best so far. The first call stores κ on the graph; later
-    calls return it without a flow.
+    number of vertex-disjoint paths over the Esfahanian-Hakimi candidate
+    pairs (see the module docstring for why they suffice). A graph that is
+    not complete has δ < n-1, so v0 has a non-neighbour and removing its δ
+    neighbours isolates it: the search starts from δ and asks each flow only
+    whether it falls below the best so far. The first call stores κ on the
+    graph; later calls return it without a flow.
     """
     if g._kappa is not None:
         return g._kappa
@@ -268,66 +297,92 @@ def min_vertex_cut(g: Graph) -> int:
     near = g.neighbor_ids(v0)
     best = len(near)
     if best < n - 1:
-        net = _split_network(g)
         pairs = [(v0, t) for t in range(n) if t != v0 and t not in near]
         pairs += [(x, y) for x, y in combinations(sorted(near), 2)
                   if y not in g.neighbor_ids(x)]
         for s, t in pairs:
-            best = _max_flow(net, 2 * s + 1, 2 * t, best)
+            best = _disjoint_paths(g.neighbor_tables, s, t, best)
     g._kappa = best
     return best
 
 
-def _split_network(g: Graph) -> tuple[list[int], list[int], list[list[tuple[int, int]]]]:
-    """The vertex-split flow network of g as (arc heads, arc capacities, the
-    (arc, head) pairs out of each node). Vertex v becomes v_in = 2v and v_out = 2v+1 joined by
-    a unit arc; each edge becomes arcs of capacity n both ways. Arc a ^ 1 is
-    the reverse of arc a."""
-    n = g.vertex_count
-    arc_to: list[int] = []
-    arc_cap: list[int] = []
-    arc_adj: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
+def _disjoint_paths(tables: Sequence[list[int]], s: int, t: int, limit: int) -> int:
+    """The number of internally vertex-disjoint paths between the non-adjacent
+    vertices s and t, or `limit` once it reaches that: the s-t maximum flow of
+    the vertex-split network, by augmenting paths that follow its residual
+    rules (see the module docstring). `tables` are the graph's
+    `neighbor_tables`.
 
-    def add_arc(u: int, w: int, c: int) -> None:
-        arc_adj[u].append((len(arc_to), w))
-        arc_to.append(w)
-        arc_cap.append(c)
-        arc_adj[w].append((len(arc_to), u))
-        arc_to.append(u)
-        arc_cap.append(0)
-
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edge_ids():
-        add_arc(2 * u + 1, 2 * v, n)
-        add_arc(2 * v + 1, 2 * u, n)
-    return arc_to, arc_cap, arc_adj
-
-
-def _max_flow(net, s: int, t: int, limit: int) -> int:
-    """The s-t maximum flow of `net` (see `_split_network`), or `limit` once
-    the flow reaches it: augmenting paths by breadth-first search."""
-    arc_to, arc_cap, arc_adj = net
-    cap = arc_cap.copy()
+    The flow is held as `pred[w] = u` for each busy vertex w, the head of a
+    flow edge (u, w) other than t, and `succ[u] = w` for each busy u, the
+    tail of one other than s. Each round is a breadth-first search by
+    layers. Layer 0 is s_out. Layer k holds the in-nodes first reached from
+    the out-nodes of layer k-1 (their neighbours, one byte per table lookup
+    as in `flood_mask`, and the busy ones' own in-nodes), then `outs[k]`, the
+    out-nodes first reached from those in-nodes (a free vertex's own, a busy
+    vertex's pred's, taken bit by bit). Once t_in is reached, the path is
+    walked back from it. An in-node's parent is the out-node of lowest id
+    among those of the layer before with an arc into it. An out-node u's
+    parent is, in its own layer, succ(u)_in if u is busy, else u_in.
+    """
+    width = len(tables)
+    tbit = 1 << t
+    pred: dict[int, int] = {}
+    succ: dict[int, int] = {}
+    busy = 0  # the vertices in pred
     flow = 0
     while flow < limit:
-        parent = [-1] * len(arc_adj)
-        parent[s] = -2
-        queue = [s]
-        for x in queue:
-            for a, y in arc_adj[x]:
-                if cap[a] and parent[y] == -1:
-                    parent[y] = a
-                    queue.append(y)
-            if parent[t] != -1:
+        reached_in, reached_out = 0, 1 << s
+        front = 1 << s
+        outs = [front]
+        while True:
+            ins = front & busy
+            for table, b in zip(tables, front.to_bytes(width, "little")):
+                if b:
+                    ins |= table[b] or _fill_entry(table, b)
+            ins &= ~reached_in
+            if ins & tbit:
                 break
-        else:  # the queue ran dry: no augmenting path is left
-            break
-        x = t
-        while x != s:
-            a = parent[x]
-            cap[a] -= 1
-            cap[a ^ 1] += 1
-            x = arc_to[a ^ 1]
+            reached_in |= ins
+            front = ins & ~busy
+            rest = ins & busy
+            while rest:
+                low = rest & -rest
+                front |= 1 << pred[low.bit_length() - 1]
+                rest ^= low
+            front &= ~reached_out
+            if not front:  # t_in is out of reach: the flow is maximum
+                return flow
+            reached_out |= front
+            outs.append(front)
+        # walk back from t_in: a step u_out -> w_in (u != w) adds the flow edge
+        # (u, w), a step succ(u)_in -> u_out drops (u, succ(u))
+        add, drop = [], []
+        w = t
+        for front in reversed(outs):
+            into = front & (tables[w >> 3][256 + (w & 7)] | busy & 1 << w)
+            u = (into & -into).bit_length() - 1
+            if u != w:
+                add.append((u, w))
+            if busy >> u & 1:
+                w = succ[u]
+                drop.append((u, w))
+            else:
+                w = u
+        # drops first: a vertex the path enters loses its old edge before it
+        # gains the new one, and a cancelling add sees what the path leaves
+        for u, w in drop:
+            del succ[u], pred[w]
+            busy ^= 1 << w
+        for u, w in add:
+            if pred.get(u) == w:  # (w, u) carries a unit too: cancel the pair
+                del pred[u], succ[w]
+                busy ^= 1 << u
+            else:
+                if w != t:
+                    pred[w] = u
+                    busy |= 1 << w
+                if u != s:
+                    succ[u] = w
         flow += 1
     return flow

@@ -354,18 +354,20 @@ def _pool_task(task):
     return _scan_range(_worker_ctx, size, lead, lead + 1, cap)
 
 
-def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
+def _scan_sizes(ctx, sizes, budget: SearchBudget,
+                jobs: int) -> tuple[OracleResult, tuple[int, ...] | None]:
     """Scan each size in turn until a subset hits or a cap trips.
 
-    Returns the result with the hitting subset's indices as the witness:
-    CERTIFIED with `value` the size that hit, BUDGET, or NO after every size.
+    Returns the result, with no witness, and the hitting subset's indices or
+    None: CERTIFIED with `value` the size that hit, BUDGET, or NO after
+    every size.
     The bound proven is the size before the one where the scan stopped, or the
     last size after NO. With `jobs > 1`, sizes of at least 2
     and below the copy count are split into one pool task per leading index
     (the pool starts at the first such size, with no more workers than that
     size has tasks, and serves the rest of the call),
     and the results are read in leading-index order and settled as the serial
-    scan would settle them: the witness is the lexicographically first,
+    scan would settle them: the hit is the lexicographically first,
     `checks` is the length of the lexicographic prefix the answer rests on
     (never above `budget.max_checks`, the same for every job count), and any
     note from a task stops the scan. Work that workers do past that point is
@@ -387,7 +389,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
         for size in sizes:
             start = logged = total
             flooded = 0
-            res = None
+            res = hit = None
             cap = budget.max_checks - start
             if jobs > 1 and size >= 2 and n > size:
                 tasks = [(size, lead, cap) for lead in range(n - size + 1)]
@@ -402,11 +404,12 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
                 results = [_scan_range(ctx, size, 0, n, cap)]
-            for witness, checks, note, floods in results:
+            for found, checks, note, floods in results:
                 flooded += floods
                 left = budget.max_checks - total
-                if witness is not None and checks <= left:
-                    res = OracleResult(CERTIFIED, size, size - 1, witness, total + checks, n)
+                if found is not None and checks <= left:
+                    res = OracleResult(CERTIFIED, size, size - 1, None, total + checks, n)
+                    hit = found
                     break
                 if checks > left:
                     total, note = budget.max_checks, "check cap reached"
@@ -421,13 +424,13 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget, jobs: int) -> OracleResult:
             log.info("size=%d subsets flooded=%s of %s examined", size, f"{flooded:,}",
                      f"{(res.checks if res else total) - start:,}")
             if res:
-                return res
+                return res, hit
     finally:
         if pool is not None:
             stop.value = 1
             pool.close()
             pool.join()
-    return OracleResult(NO, None, sizes.stop - 1, None, total, n)
+    return OracleResult(NO, None, sizes.stop - 1, None, total, n), None
 
 
 # --- public oracles ---------------------------------------------------------
@@ -442,23 +445,23 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
 
 
 def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: SearchBudget,
-                  jobs: int, h: int = 0) -> OracleResult:
+                  jobs: int, h: int = 0) -> tuple[OracleResult, tuple[int, ...] | None]:
     """Scan the unions of `sizes` copies of `shape`, never more than there are
-    copies, for one that `_separates` g with `h`: CERTIFIED with the first
-    one's ascending copy indices as the witness, NO, or BUDGET. With no size
-    of 1 or more nothing is enumerated: the empty set never cuts a connected
-    graph."""
+    copies, for one that `_separates` g with `h`: CERTIFIED, NO, or BUDGET,
+    with no witness, beside the first hit's ascending copy indices or None
+    (see `_scan_sizes`). With no size of 1 or more nothing is enumerated: the
+    empty set never cuts a connected graph."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
     if sizes.stop <= 1:
-        return OracleResult(NO, None, 0, None, 0, 0)
+        return OracleResult(NO, None, 0, None, 0, 0), None
     # only the masks are kept: the caller rebuilds the few copies a witness needs
     bits = [1 << i for i in range(g.vertex_count)]
     copies = islice(enumerate_shape_copies(g, shape, mode), budget.max_candidates + 1)
     unit_masks = [sum(map(bits.__getitem__, ids)) for ids in copies]
     if len(unit_masks) > budget.max_candidates:
         return OracleResult(BUDGET, None, 0, None, 0, budget.max_candidates,
-                            "candidate cap reached")
+                            "candidate cap reached"), None
     sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
     # a size-1 scan floods each copy once, which costs less than the family
     family = _dominating_family(g) if sizes and sizes[-1] >= 2 else []
@@ -482,10 +485,10 @@ def exists_cut_of_size(
     `value`, with a witness that `verify_cut` checks again."""
     if bound < 0:
         raise ValueError("size bound must be >= 0")
-    res = _shape_oracle(g, shape, mode, range(1, bound + 1), budget or SearchBudget(), jobs)
-    if res.witness is None:
+    res, hit = _shape_oracle(g, shape, mode, range(1, bound + 1), budget or SearchBudget(), jobs)
+    if hit is None:
         return res
-    res = replace(res, witness=_cut_of(g, shape, mode, res.witness))
+    res = replace(res, witness=_cut_of(g, shape, mode, hit))
     if not verify_cut(g, res.witness, shape, mode).passed:
         raise AssertionError("oracle witness failed independent verification")
     return res
@@ -562,8 +565,8 @@ def g_extra_connectivity(
     if h < 0:
         raise ValueError("h must be >= 0")
     start = 1 if h == 0 else min_vertex_cut(g)
-    res = _shape_oracle(g, ShapeSpec.single(), STRUCTURE, range(start, g.vertex_count - 1),
-                        budget or SearchBudget(), jobs, h)
-    if res.witness is None:
+    res, hit = _shape_oracle(g, ShapeSpec.single(), STRUCTURE, range(start, g.vertex_count - 1),
+                             budget or SearchBudget(), jobs, h)
+    if hit is None:
         return res
-    return replace(res, witness=tuple(map(g.label_of, res.witness)))
+    return replace(res, witness=tuple(map(g.label_of, hit)))

@@ -104,7 +104,7 @@ def test_order_size_regularity(n):
     assert all(g.degree(v) == 2 * n - 2 for v in g.labels)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_min_cut_bn(n):
     assert min_vertex_cut(build_bcdc(n)) == 2 * n - 2
 

@@ -107,6 +107,11 @@ def test_min_cut_d22():
     assert min_vertex_cut(build_dcell(2, 2)) == 3
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_min_cut_level2(n):
+    assert min_vertex_cut(build_dcell(2, n)) == n + 1
+
+
 def test_growth_bound_exact_rationals():
     # t_{m,n} >= (n + 1/2)^(2^m) - 1/2 in exact arithmetic
     for m in range(0, 4):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -13,6 +13,7 @@ from dcnconn import (
     min_vertex_cut,
 )
 from dcnconn.bcdc import build_bcdc, build_crossed_cube
+from dcnconn.dcell import build_dcell
 from dcnconn import graph as graph_module
 from dcnconn.graph import Graph, flood_mask
 
@@ -137,7 +138,7 @@ def test_min_cut_rejects_disconnected():
 
 def test_min_cut_matches_networkx():
     nx = pytest.importorskip("networkx")
-    for build, arg in ((build_crossed_cube, 4), (build_bcdc, 3)):
+    for build, arg in ((build_crossed_cube, 4), (build_bcdc, 3), (build_bcdc, 6)):
         g = build(arg)
         h = nx.Graph(list(g.edges()))
         assert min_vertex_cut(g) == nx.node_connectivity(h)
@@ -208,6 +209,70 @@ def test_min_cut_needs_the_neighbour_pairs():
     assert min_vertex_cut(g) == 1
 
 
+def _least_separator(adj, s, t):
+    """The fewest vertices other than s and t whose removal leaves no s-t
+    path, by trying every vertex subset in order of size."""
+    others = [v for v in range(len(adj)) if v not in (s, t)]
+    for k in range(len(others) + 1):
+        for removed in map(set, combinations(others, k)):
+            seen, stack = {s}, [s]
+            while stack:
+                for w in adj[stack.pop()] - removed - seen:
+                    seen.add(w)
+                    stack.append(w)
+            if t not in seen:
+                return k
+    raise AssertionError("unreachable: s and t are not adjacent")
+
+
+def test_disjoint_paths_match_brute_force_separators_at_every_limit():
+    """Menger: the path count of each ordered non-adjacent pair is the least
+    s-t separator, and a limit caps it."""
+    rng = random.Random(1736)
+    pairs = 0
+    for _ in range(150):
+        n = rng.randint(6, 10)
+        density = rng.random()
+        edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
+        edges |= {p for p in combinations(range(n), 2) if rng.random() < density}
+        g = _id_graph(n, sorted(edges))
+        adj = [set(g.neighbor_ids(v)) for v in range(n)]
+        for s, t in permutations(range(n), 2):
+            if t in adj[s]:
+                continue
+            want = _least_separator(adj, s, t)
+            for limit in range(1, n + 1):
+                got = graph_module._disjoint_paths(g.neighbor_tables, s, t, limit)
+                assert got == min(want, limit), (n, sorted(edges), s, t, limit)
+            pairs += 1
+    assert pairs > 1000
+
+
+def test_disjoint_paths_walk_back_over_a_path():
+    """The first path found, 2-0-1-3-7, meets both paths of the only pair,
+    2-0-4-6-7 and 2-8-5-3-7. The second round must enter 3 from 5 and walk
+    back over 3 and 1 to 0 before it leaves by 4: it takes the reverse unit
+    arc 1_out -> 1_in, and the walk back from 7 finds 1_out as 1_in's only
+    parent."""
+    edges = [(0, 1), (0, 2), (0, 4), (1, 3), (2, 8), (3, 5), (3, 7), (4, 6), (5, 8), (6, 7)]
+    g = _id_graph(9, edges)
+    assert graph_module._disjoint_paths(g.neighbor_tables, 2, 7, 1) == 1
+    assert graph_module._disjoint_paths(g.neighbor_tables, 2, 7, 9) == 2
+    assert _least_separator([set(g.neighbor_ids(v)) for v in range(9)], 2, 7) == 2
+
+
+def test_disjoint_paths_match_networkx_local_connectivity():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(84)
+    for g in (build_bcdc(4), build_dcell(1, 4), build_dcell(2, 3)):
+        h = nx.Graph(list(g.edges()))
+        n = g.vertex_count
+        pairs = [(s, t) for s, t in permutations(range(n), 2) if t not in g.neighbor_ids(s)]
+        for s, t in rng.sample(pairs, 30):
+            want = nx.node_connectivity(h, g.label_of(s), g.label_of(t))
+            assert graph_module._disjoint_paths(g.neighbor_tables, s, t, n) == want, (s, t)
+
+
 def test_min_cut_is_computed_once_per_graph(monkeypatch):
     flows = []
 
@@ -215,8 +280,8 @@ def test_min_cut_is_computed_once_per_graph(monkeypatch):
         flows.append(args)
         return real_flow(*args)
 
-    real_flow = graph_module._max_flow
-    monkeypatch.setattr(graph_module, "_max_flow", counting_flow)
+    real_flow = graph_module._disjoint_paths
+    monkeypatch.setattr(graph_module, "_disjoint_paths", counting_flow)
     g = build_bcdc(4)
     assert min_vertex_cut(g) == 6
     assert flows
