@@ -77,7 +77,7 @@ from types import SimpleNamespace
 
 from .cuts import verify_cut
 from .graph import Graph, component_masks, flood_mask, is_connected, min_vertex_cut
-from .shapes import STRUCTURE, ShapeSpec, StructureCut, enumerate_shape_copies
+from .shapes import STRUCTURE, ShapeSpec, StructureCut, _leaf_families, enumerate_shape_copies
 
 CERTIFIED = "certified"
 NO = "no"
@@ -455,13 +455,22 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
         raise ValueError("the structure-cut oracles require a connected graph")
     if sizes.stop <= 1:
         return OracleResult(NO, None, 0, None, 0, 0), None
+    # count the copies a family at a time, by popcount, before keeping any: a
+    # shape past the candidate cap builds no mask and holds no family, and one
+    # within it is enumerated again for its masks
+    copies = 0
+    for _, _, leaves in _leaf_families(g, shape, mode):
+        copies += leaves.bit_count()
+        if copies > budget.max_candidates:
+            return OracleResult(BUDGET, None, 0, None, 0, budget.max_candidates,
+                                "candidate cap reached"), None
     # only the masks are kept: the caller rebuilds the few copies a witness needs
-    bits = [1 << i for i in range(g.vertex_count)]
-    copies = islice(enumerate_shape_copies(g, shape, mode), budget.max_candidates + 1)
-    unit_masks = [sum(map(bits.__getitem__, ids)) for ids in copies]
-    if len(unit_masks) > budget.max_candidates:
-        return OracleResult(BUDGET, None, 0, None, 0, budget.max_candidates,
-                            "candidate cap reached"), None
+    unit_masks = []
+    for _, prefix_mask, leaves in _leaf_families(g, shape, mode):
+        while leaves:
+            low = leaves & -leaves
+            leaves ^= low
+            unit_masks.append(prefix_mask | low)
     sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
     # a size-1 scan floods each copy once, which costs less than the family
     family = _dominating_family(g) if sizes and sizes[-1] >= 2 else []

@@ -6,7 +6,13 @@ order. `is_shape` validates a member against a shape in structure mode (the
 list realizes exactly the shape) or substructure mode (a connected subgraph).
 `enumerate_shape_copies` streams the vertex-id tuple of every accepted
 member once, in a canonical deterministic order, which the exhaustive
-oracle relies on.
+oracle relies on. It expands `_leaf_families`, which streams the copies in
+groups: a leaf family `(prefix, mask, leaves)` holds a tuple of vertex ids,
+the mask of those ids, and a mask `leaves` disjoint from `mask`, and stands
+for the copies `(*prefix, v)` for every bit v of `leaves`, in ascending
+order. The oracle counts the copies of a family by one popcount and builds
+each copy's vertex mask as `mask | 1 << v`. Neighbour masks are read from
+the graph's `neighbor_tables`.
 
 Paths and cycles are grown depth-first from each start in id order, over
 neighbours in id order. A path is kept when its first id is below its last,
@@ -20,8 +26,26 @@ edge, form a walk of `k - len(path)` edges from `nb` back to the start, and
 every vertex on it other than the start is greater than the start. So
 `dist[nb] <= k - len(path)`, and a neighbour farther away begins no cycle.
 At the last vertex the bound reads `dist[nb] == 1`: `nb` closes the cycle.
-Both prunes only skip branches that yield nothing, so the order of the
-copies is the order of the unpruned search.
+That last vertex is also above `path[1]`, so the vertex before it, once
+`path[1]` is chosen, is drawn only from the neighbours of the start's
+neighbours above `path[1]`. These prunes only skip branches that yield
+nothing, so the order of the copies is the order of the unpruned search.
+
+Every shape's families come from a depth-first walk whose last step is one
+mask: for a path, the neighbours of the prefix's last vertex above the
+start, minus the prefix; for a cycle, the neighbours of the prefix's last
+vertex at distance 1 from the start and above `path[1]`, minus the prefix;
+for a star, the center's neighbours above the last leaf (above the center
+for K_{1,1}); for a clique, the common neighbours of the members above the
+last one. The single-vertex copies are
+one family, the empty prefix with every vertex; substructure cliques, grown
+as connected sets, are one-bit families. Lemma (the families keep the order
+of the per-copy walk over neighbours in id order): that walk yields, after
+a given prefix, the ids that pass the last step's tests, in ascending id
+order and with no other copy between them, and visits the prefixes in the
+same depth-first order as the families. The leaf mask holds exactly those
+ids, and its bits are taken in ascending order, so the families, expanded
+in the order found, repeat that walk's stream copy for copy.
 """
 
 from __future__ import annotations
@@ -36,6 +60,9 @@ from .graph import Graph, component_masks
 STRUCTURE = "structure"
 SUBSTRUCTURE = "substructure"
 MODES = (STRUCTURE, SUBSTRUCTURE)
+
+# a leaf family: prefix ids, the mask of those ids, and the mask of the last ids
+_Family = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -157,121 +184,131 @@ def is_shape(g: Graph, shape: ShapeSpec, member: tuple[str, ...], mode: str) -> 
     return all(ids[i + 1] in adj(ids[i]) for i in range(k - 1))
 
 
-def _single_ids(g: Graph) -> Iterator[tuple[int, ...]]:
-    for v in range(g.vertex_count):
-        yield (v,)
-
-
-def _star_ids(g: Graph, t: int) -> Iterator[tuple[int, ...]]:
-    # K_{1,1} is symmetric: canonical center = smaller endpoint (one copy per
-    # edge); for t >= 2 the center is structurally distinguished.
-    if t == 1:
-        yield from g.edge_ids()
-        return
-    for c in range(g.vertex_count):
-        nbrs = sorted(g.neighbor_ids(c))
-        if len(nbrs) >= t:
-            for leaves in combinations(nbrs, t):
-                yield (c, *leaves)
-
-
-def _clique_ids(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
+def _clique_families(adj: list[int], s: int) -> Iterator[_Family]:
+    # K_1 is one family: every vertex after the empty prefix
     if s == 1:
-        yield from _single_ids(g)
+        yield (), 0, (1 << len(adj)) - 1
         return
 
-    def extend(base: tuple[int, ...], common: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        for w in sorted(common):
-            nxt = base + (w,)
-            if len(nxt) == s:
-                yield nxt
-            else:
-                yield from extend(nxt, frozenset(x for x in common & g.neighbor_ids(w) if x > w))
-
-    for v in range(g.vertex_count):
-        yield from extend((v,), frozenset(x for x in g.neighbor_ids(v) if x > v))
-
-
-def _sorted_neighbors(g: Graph) -> list[list[int]]:
-    return [sorted(g.neighbor_ids(v)) for v in range(g.vertex_count)]
-
-
-def _path_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield from _single_ids(g)
-        return
-    nbrs = _sorted_neighbors(g)
-
-    def extend(path: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
-        if len(path) == k - 1:  # the last vertex: the larger endpoint
-            first = path[0]
-            for nb in nbrs[path[-1]]:
-                if nb > first and nb not in used:
-                    yield (*path, nb)
+    def extend(base: tuple[int, ...], mask: int, common: int) -> Iterator[_Family]:
+        if len(base) == s - 1:
+            if common:
+                yield base, mask, common
             return
-        for nb in nbrs[path[-1]]:
-            if nb not in used:
-                path.append(nb)
-                used.add(nb)
-                yield from extend(path, used)
-                used.discard(nb)
-                path.pop()
+        while common:
+            low = common & -common
+            common ^= low
+            w = low.bit_length() - 1
+            yield from extend(base + (w,), mask | low, common & adj[w] & -(2 << w))
 
-    for start in range(g.vertex_count):
-        yield from extend([start], {start})
+    for v in range(len(adj)):
+        yield from extend((v,), 1 << v, adj[v] & -(2 << v))
 
 
-def _distances_above(nbrs: list[list[int]], start: int, depth: int) -> list[int]:
-    """Breadth-first distance to `start` inside the subgraph induced by
-    `start` and the ids above it; depth + 1 for the vertices farther than
-    `depth` or outside the subgraph."""
-    far = depth + 1
-    dist = [far] * len(nbrs)
-    dist[start] = 0
-    frontier = [start]
-    for d in range(1, far):
-        nxt = []
-        for u in frontier:
-            for v in nbrs[u]:
-                if v > start and dist[v] == far:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _star_families(g: Graph, adj: list[int], t: int) -> Iterator[_Family]:
+    # K_{1,1} is symmetric: canonical center = smaller endpoint (one copy per
+    # edge); for t >= 2 the center is structurally distinguished. Either way
+    # the last leaf lies above the one before it (above the center for t = 1).
+    for c in range(len(adj)):
+        for leaves in combinations(sorted(g.neighbor_ids(c)), t - 1):
+            last = adj[c] & -(2 << (leaves[-1] if leaves else c))
+            if last:
+                yield (c, *leaves), sum(1 << v for v in leaves) | 1 << c, last
 
 
-def _cycle_ids(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+def _walks(adj: list[int], path: list[int], used: int, k: int,
+           reach: list[int]) -> Iterator[_Family]:
+    """The leaf families of the simple walks of k vertices that extend `path`
+    (of at most k - 2 vertices, whose mask is `used`), depth first over
+    neighbours in id order: after a walk of L vertices the next vertex is a
+    neighbour of its last, outside it, in `reach[k - L]`."""
+    todo = [adj[path[-1]] & reach[k - len(path)] & ~used]  # the next vertices left, per depth
+    while todo:
+        nxt = todo[-1]
+        if not nxt:  # every walk through the path's last vertex is done
+            todo.pop()
+            used ^= 1 << path.pop()
+            continue
+        low = nxt & -nxt
+        todo[-1] = nxt ^ low
+        v = low.bit_length() - 1
+        path.append(v)
+        if len(path) < k - 1:
+            used |= low
+            todo.append(adj[v] & reach[k - len(path)] & ~used)
+            continue
+        last = adj[v] & reach[1] & ~used
+        if last:
+            yield tuple(path), used | low, last
+        path.pop()
+
+
+def _path_families(adj: list[int], k: int) -> Iterator[_Family]:
+    # a path of at most 2 vertices is a clique; otherwise the last vertex is
+    # the larger endpoint
+    if k <= 2:
+        yield from _clique_families(adj, k)
+        return
+    for start in range(len(adj)):
+        yield from _walks(adj, [start], 1 << start, k, [-1, -(2 << start)] + [-1] * (k - 2))
+
+
+def _neighborhood(adj: list[int], mask: int) -> int:
+    """The union of the neighbour masks of the vertices in `mask`."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= adj[low.bit_length() - 1]
+    return out
+
+
+def _distances_above(adj: list[int], start: int, depth: int) -> list[int]:
+    """Breadth-first balls around `start` inside the subgraph induced by
+    `start` and the ids above it: entry d is the mask of the vertices at
+    distance at most d from `start` there, for d = 0..depth."""
+    above = -(1 << start)
+    ball = frontier = 1 << start
+    balls = [ball]
+    for _ in range(depth):
+        frontier = _neighborhood(adj, frontier) & above & ~ball
+        ball |= frontier
+        balls.append(ball)
+    return balls
+
+
+def _cycle_families(adj: list[int], k: int) -> Iterator[_Family]:
     # Canonical form: rotation starts at the minimum id, direction toward the
     # smaller second id; every vertex after the start exceeds the start, which
-    # the distance test enforces too (ids below the start read as far). The
-    # distance prune is the module docstring's lemma.
-    nbrs = _sorted_neighbors(g)
-
-    def extend(path: list[int], used: set[int], dist: list[int]) -> Iterator[tuple[int, ...]]:
-        left = k - len(path)  # edges from the next vertex back to the start
-        if left == 1:
-            second = path[1]
-            for nb in nbrs[path[-1]]:
-                if dist[nb] == 1 and nb > second and nb not in used:
-                    yield (*path, nb)
-            return
-        for nb in nbrs[path[-1]]:
-            if dist[nb] <= left and nb not in used:
-                path.append(nb)
-                used.add(nb)
-                yield from extend(path, used, dist)
-                used.discard(nb)
-                path.pop()
-
-    for start in range(g.vertex_count):
-        yield from extend([start], {start}, _distances_above(nbrs, start, k - 1))
+    # the distance balls enforce (they hold no id below the start). The
+    # distance prune is the module docstring's lemma: the vertex after a walk
+    # of L vertices lies within k - L edges of the start. The last vertex is
+    # one of `ends`, the start's neighbours above the second, and the one
+    # before it a neighbour of one of them.
+    for start in range(len(adj)):
+        reach = _distances_above(adj, start, k - 1)
+        seconds = reach[1] ^ 1 << start
+        while seconds:
+            low = seconds & -seconds
+            seconds ^= low
+            second = low.bit_length() - 1
+            ends = reach[1] & -(2 << second)
+            if k == 3:  # a triangle: the second vertex is the next-to-last
+                last = adj[second] & ends
+                if last:
+                    yield (start, second), 1 << start | low, last
+                continue
+            yield from _walks(adj, [start, second], 1 << start | low, k,
+                              [reach[0], ends, reach[2] & _neighborhood(adj, ends), *reach[3:]])
 
 
-def _connected_set_ids(g: Graph, smax: int) -> Iterator[tuple[int, ...]]:
-    """Connected vertex sets of size 1..smax, each exactly once, sorted ids."""
+def _connected_set_families(g: Graph, smax: int) -> Iterator[_Family]:
+    """Connected vertex sets of size 1..smax, each exactly once, as one-bit
+    families of their sorted ids."""
 
-    def extend(sub: tuple[int, ...], ext: list[int], root: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(sorted(sub))
+    def extend(sub: tuple[int, ...], ext: list[int], root: int) -> Iterator[_Family]:
+        *base, top = sorted(sub)
+        yield tuple(base), sum(1 << v for v in base), 1 << top
         if len(sub) == smax:
             return
         ext = list(ext)
@@ -290,6 +327,39 @@ def _connected_set_ids(g: Graph, smax: int) -> Iterator[tuple[int, ...]]:
         yield from extend((v,), [x for x in sorted(g.neighbor_ids(v)) if x > v], v)
 
 
+def _leaf_families(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[_Family]:
+    """The copies of `enumerate_shape_copies`, in its order, as leaf families
+    (see the module docstring)."""
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode: {mode!r}")
+    tables = g.neighbor_tables
+    adj = [tables[v >> 3][256 + (v & 7)] for v in range(g.vertex_count)]
+
+    if mode == STRUCTURE:
+        if shape.kind == "star":
+            yield from _star_families(g, adj, shape.size)
+        elif shape.kind == "path":
+            yield from _path_families(adj, shape.size)
+        elif shape.kind == "cycle":
+            yield from _cycle_families(adj, shape.size)
+        else:
+            yield from _clique_families(adj, shape.size)
+        return
+
+    # substructure mode
+    if shape.kind == "star":
+        yield from _clique_families(adj, 1)
+        for tp in range(1, shape.size + 1):
+            yield from _star_families(g, adj, tp)
+    elif shape.kind in ("path", "cycle"):
+        # every connected subgraph of C_k is a path P_j (j <= k) or C_k itself,
+        # and each canonical C_k tuple already appears among the P_k tuples
+        for j in range(1, shape.size + 1):
+            yield from _path_families(adj, j)
+    else:
+        yield from _connected_set_families(g, shape.size)
+
+
 def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tuple[int, ...]]:
     """Stream the vertex ids of every member accepted by `is_shape`,
     canonicalized, no duplicates.
@@ -300,29 +370,8 @@ def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tu
     Order is deterministic and stable across runs. A copy `ids` is the member
     `tuple(g.label_of(i) for i in ids)`.
     """
-    if mode not in MODES:
-        raise ParameterError(f"unknown mode: {mode!r}")
-
-    if mode == STRUCTURE:
-        if shape.kind == "star":
-            yield from _star_ids(g, shape.size)
-        elif shape.kind == "path":
-            yield from _path_ids(g, shape.size)
-        elif shape.kind == "cycle":
-            yield from _cycle_ids(g, shape.size)
-        else:
-            yield from _clique_ids(g, shape.size)
-        return
-
-    # substructure mode
-    if shape.kind == "star":
-        yield from _single_ids(g)
-        for tp in range(1, shape.size + 1):
-            yield from _star_ids(g, tp)
-    elif shape.kind in ("path", "cycle"):
-        # every connected subgraph of C_k is a path P_j (j <= k) or C_k itself,
-        # and each canonical C_k tuple already appears among the P_k tuples
-        for j in range(1, shape.size + 1):
-            yield from _path_ids(g, j)
-    else:
-        yield from _connected_set_ids(g, shape.size)
+    for prefix, _, leaves in _leaf_families(g, shape, mode):
+        while leaves:
+            low = leaves & -leaves
+            leaves ^= low
+            yield (*prefix, low.bit_length() - 1)

@@ -1,3 +1,7 @@
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 import pytest
 
 from dcnconn import (
@@ -9,8 +13,9 @@ from dcnconn import (
     build_graph,
     components,
     delete_vertices,
+    enumerate_shape_copies,
 )
-from dcnconn.shapes import STRUCTURE
+from dcnconn.shapes import STRUCTURE, _leaf_families
 
 
 def neighbor_labels(g, label):
@@ -22,6 +27,132 @@ def smallest_component(g, cut):
     are removed from g, the first by label among components of one size."""
     comps = components(delete_vertices(g, cut.vertex_union()))
     return min((tuple(sorted(c)) for c in comps), key=lambda c: (len(c), c), default=())
+
+
+# --- the per-copy enumeration: the reference for the leaf families ----------
+
+
+def reference_path_ids(g, k):
+    """Every simple path of k vertices grown from each start in id order, kept
+    when its first id is below its last (the enumeration before the prunes)."""
+    if k == 1:
+        yield from ((v,) for v in range(g.vertex_count))
+        return
+
+    def extend(path, used):
+        if len(path) == k:
+            if path[0] < path[-1]:
+                yield tuple(path)
+            return
+        for nb in sorted(g.neighbor_ids(path[-1])):
+            if nb not in used:
+                path.append(nb)
+                used.add(nb)
+                yield from extend(path, used)
+                used.discard(nb)
+                path.pop()
+
+    for start in range(g.vertex_count):
+        yield from extend([start], {start})
+
+
+def reference_cycle_ids(g, k):
+    """Every path of k vertices above its start, kept when it closes into a
+    cycle toward the smaller second id (the enumeration before the prunes)."""
+
+    def extend(path, used):
+        if len(path) == k:
+            if path[0] in g.neighbor_ids(path[-1]) and path[1] < path[-1]:
+                yield tuple(path)
+            return
+        for nb in sorted(g.neighbor_ids(path[-1])):
+            if nb > path[0] and nb not in used:
+                path.append(nb)
+                used.add(nb)
+                yield from extend(path, used)
+                used.discard(nb)
+                path.pop()
+
+    for start in range(g.vertex_count):
+        yield from extend([start], {start})
+
+
+def reference_star_ids(g, t):
+    """Each center in id order with every t-set of its sorted neighbours; a
+    K_{1,1} is each edge once, its smaller end first."""
+    if t == 1:
+        yield from g.edge_ids()
+        return
+    for c in range(g.vertex_count):
+        yield from ((c, *leaves) for leaves in combinations(sorted(g.neighbor_ids(c)), t))
+
+
+def reference_clique_ids(g, s):
+    """Every s-clique as sorted ids, grown member by member over common
+    neighbours above the last member, in id order."""
+    if s == 1:
+        yield from ((v,) for v in range(g.vertex_count))
+        return
+
+    def extend(base, common):
+        for w in sorted(common):
+            if len(base) + 1 == s:
+                yield (*base, w)
+            else:
+                yield from extend((*base, w), {x for x in common & g.neighbor_ids(w) if x > w})
+
+    for v in range(g.vertex_count):
+        yield from extend((v,), {x for x in g.neighbor_ids(v) if x > v})
+
+
+def reference_connected_sets(g, smax):
+    """Connected vertex sets of 1..smax vertices, each once as sorted ids:
+    from each root, every set whose least id is the root, grown by the
+    neighbours above the root that no member had offered before."""
+
+    def extend(sub, ext, root):
+        yield tuple(sorted(sub))
+        if len(sub) == smax:
+            return
+        ext = list(ext)
+        while ext:
+            w = ext.pop(0)
+            fresh = [x for x in sorted(g.neighbor_ids(w)) if x > root and x not in sub
+                     and x not in ext and not any(x in g.neighbor_ids(y) for y in sub)]
+            yield from extend(sub + (w,), ext + fresh, root)
+
+    for v in range(g.vertex_count):
+        yield from extend((v,), [x for x in sorted(g.neighbor_ids(v)) if x > v], v)
+
+
+def reference_copies(g, shape, mode):
+    """The copies `enumerate_shape_copies` streams, one at a time, in its order."""
+    if mode == STRUCTURE:
+        return {"star": reference_star_ids, "path": reference_path_ids,
+                "cycle": reference_cycle_ids, "clique": reference_clique_ids}[shape.kind](
+                    g, shape.size)
+    if shape.kind == "star":
+        return (ids for t in range(shape.size + 1)
+                for ids in (reference_clique_ids(g, 1) if t == 0 else reference_star_ids(g, t)))
+    if shape.kind == "clique":
+        return reference_connected_sets(g, shape.size)
+    return (ids for j in range(1, shape.size + 1) for ids in reference_path_ids(g, j))
+
+
+def check_leaf_families(g, shape, mode):
+    """The leaf families of `shape` expand, bit by ascending bit, to the
+    per-copy reference stream and to `enumerate_shape_copies`; each prefix
+    mask is the OR of its prefix ids, each leaf mask is disjoint from it, and
+    the leaf popcounts add up to the copy count."""
+    families = list(_leaf_families(g, shape, mode))
+    expanded = []
+    for prefix, mask, leaves in families:
+        assert mask == reduce(or_, (1 << v for v in prefix), 0), (shape.tag, mode, prefix)
+        assert leaves & mask == 0, (shape.tag, mode, prefix)
+        expanded += [(*prefix, v) for v in range(g.vertex_count) if leaves >> v & 1]
+    assert expanded == list(reference_copies(g, shape, mode)), (shape.tag, mode)
+    assert list(enumerate_shape_copies(g, shape, mode)) == expanded, (shape.tag, mode)
+    assert sum(leaves.bit_count() for _, _, leaves in families) == len(expanded)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbor_labels
+from conftest import check_leaf_families, neighbor_labels
 from dcnconn import (
     ShapeSpec,
     StructureCut,
@@ -125,6 +125,7 @@ def test_enumeration_canonical_and_valid(g, kind, size):
         assert copies == list(enumerate_shape_copies(g, shape, mode))
         for ids in copies:
             assert is_shape(g, shape, tuple(g.label_of(i) for i in ids), mode)
+        check_leaf_families(g, shape, mode)
 
 
 @given(connected_graphs(max_vertices=7), st.integers(1, 3))

@@ -549,6 +549,38 @@ def test_a_zero_candidate_cap_enumerates_no_copy(d14):
     assert (scan.status, scan.note, scan.checks) == (BUDGET, "candidate cap reached", 0)
 
 
+def _family_caps():
+    """Candidate caps around the leaf families of D_{1,4} K_{1,2}: 0, one
+    inside the first family (of 3 leaves), one at the edge after the second
+    family, and the copy count less one and itself."""
+    from itertools import accumulate
+
+    from dcnconn.shapes import _leaf_families
+
+    sizes = [leaves.bit_count() for _, _, leaves in
+             _leaf_families(build_dcell(1, 4), ShapeSpec.star(2), STRUCTURE)]
+    ends = list(accumulate(sizes))
+    assert sizes[0] == 3 and ends[-1] == 120
+    caps = {"zero": 0, "inside": 1, "edge": ends[1], "one-short": ends[-1] - 1, "all": ends[-1]}
+    return [pytest.param(cap, id=name) for name, cap in caps.items()]
+
+
+@pytest.mark.parametrize("cap", _family_caps())
+def test_the_candidate_cap_trips_as_the_copy_at_a_time_rule(d14, cap):
+    # the oracle counts copies a leaf family at a time; the rule it keeps
+    # reads one copy past the cap, and trips when that copy exists
+    from itertools import islice
+
+    shape = ShapeSpec.star(2)
+    res = exists_cut_of_size(d14, shape, STRUCTURE, 2, SearchBudget(max_candidates=cap))
+    if sum(1 for _ in islice(enumerate_shape_copies(d14, shape, STRUCTURE), cap + 1)) > cap:
+        want = (BUDGET, cap, 0, "candidate cap reached")
+    else:
+        plain = exists_cut_of_size(d14, shape, STRUCTURE, 2)
+        want = (plain.status, plain.copies, plain.checks, plain.note)
+    assert (res.status, res.copies, res.checks, res.note) == want
+
+
 def test_budget_rejects_a_negative_candidate_cap():
     with pytest.raises(ValueError, match="the candidate cap may be 0"):
         SearchBudget(max_candidates=-1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_leaf_families, reference_copies, reference_cycle_ids
 from dcnconn import (
     ShapeSpec,
     build_bcdc,
@@ -169,59 +170,6 @@ def test_c5_cycle_count(c5):
 # --- the pruned path and cycle DFS against the unpruned reference -----------
 
 
-def _reference_path_ids(g, k):
-    """Every simple path of k vertices grown from each start in id order, kept
-    when its first id is below its last (the enumeration before the prunes)."""
-    if k == 1:
-        yield from ((v,) for v in range(g.vertex_count))
-        return
-
-    def extend(path, used):
-        if len(path) == k:
-            if path[0] < path[-1]:
-                yield tuple(path)
-            return
-        for nb in sorted(g.neighbor_ids(path[-1])):
-            if nb not in used:
-                path.append(nb)
-                used.add(nb)
-                yield from extend(path, used)
-                used.discard(nb)
-                path.pop()
-
-    for start in range(g.vertex_count):
-        yield from extend([start], {start})
-
-
-def _reference_cycle_ids(g, k):
-    """Every path of k vertices above its start, kept when it closes into a
-    cycle toward the smaller second id (the enumeration before the prunes)."""
-
-    def extend(path, used):
-        if len(path) == k:
-            if path[0] in g.neighbor_ids(path[-1]) and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        for nb in sorted(g.neighbor_ids(path[-1])):
-            if nb > path[0] and nb not in used:
-                path.append(nb)
-                used.add(nb)
-                yield from extend(path, used)
-                used.discard(nb)
-                path.pop()
-
-    for start in range(g.vertex_count):
-        yield from extend([start], {start})
-
-
-def _reference_copies(g, shape, mode):
-    if mode == SUBSTRUCTURE:
-        return (ids for j in range(1, shape.size + 1) for ids in _reference_path_ids(g, j))
-    if shape.kind == "path":
-        return _reference_path_ids(g, shape.size)
-    return _reference_cycle_ids(g, shape.size)
-
-
 def _same_stream(one, two) -> bool:
     end = object()
     return all(a == b for a, b in zip_longest(one, two, fillvalue=end))
@@ -257,7 +205,7 @@ def test_path_and_cycle_streams_match_the_unpruned_dfs(name, kind):
         shape = ShapeSpec(kind, k)
         for mode in MODES:
             assert _same_stream(
-                enumerate_shape_copies(g, shape, mode), _reference_copies(g, shape, mode)
+                enumerate_shape_copies(g, shape, mode), reference_copies(g, shape, mode)
             ), (name, shape.tag, mode)
 
 
@@ -267,7 +215,7 @@ def test_b5_streams_match_the_unpruned_dfs(b5, kind):
         shape = ShapeSpec(kind, k)
         for mode in MODES:
             assert _same_stream(
-                enumerate_shape_copies(b5, shape, mode), _reference_copies(b5, shape, mode)
+                enumerate_shape_copies(b5, shape, mode), reference_copies(b5, shape, mode)
             ), (shape.tag, mode)
 
 
@@ -284,7 +232,7 @@ def _small_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_streams_match_the_unpruned_dfs_on_random_graphs(g, kind, k, mode):
     shape = ShapeSpec(kind, k)
-    assert _same_stream(enumerate_shape_copies(g, shape, mode), _reference_copies(g, shape, mode))
+    assert _same_stream(enumerate_shape_copies(g, shape, mode), reference_copies(g, shape, mode))
 
 
 @pytest.mark.parametrize("name", ["B4", "D14"])
@@ -310,7 +258,7 @@ def test_b5_c8_prefix_read_by_the_table_matches_the_unpruned_dfs(b5):
     shape = ShapeSpec.cycle(8)
     got = list(islice(enumerate_shape_copies(b5, shape, STRUCTURE), 30001))
     assert len(got) == 30001
-    assert got == list(islice(_reference_cycle_ids(b5, 8), 30001))
+    assert got == list(islice(reference_cycle_ids(b5, 8), 30001))
 
 
 # --- is_shape against the kind-by-mode reference ------------------------------
@@ -431,3 +379,14 @@ def test_is_shape_matches_the_reference_on_random_graphs(g, data, shape, mode):
     ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 8), unique=True))
     member = tuple(g.label_of(i) for i in ids)
     assert is_shape(g, shape, member, mode) == _reference_is_shape(g, shape, member, mode)
+
+
+# --- leaf families against the per-copy reference ----------------------------
+
+
+@pytest.mark.parametrize("name", ["B3", "B4", "D05", "D14"])
+@pytest.mark.parametrize("mode", MODES)
+def test_leaf_families_expand_to_the_per_copy_stream(name, mode):
+    g = _ORDER_GRAPHS[name]()
+    for shape in _SHAPES:
+        check_leaf_families(g, shape, mode)
