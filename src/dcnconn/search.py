@@ -59,6 +59,20 @@ unfiltered scan reaches too, with no hit before it. `suffix[i]` only loses
 bits as i grows, so a failed test fails again at every later index, and the
 block runs to the end of depth d. If no copy meets some set of the family,
 every union misses it, and the test fails at the range's first index.
+
+`certify_min`'s scan, and no other, also skips every subset whose union has
+fewer than κ(G) vertices: the size bound applied to one union. Removing
+fewer than κ vertices leaves G connected, and since κ <= n-1 it leaves at
+least 2 vertices, so `_separates` is False for every h. The test comes after
+the dominating-set test, just before the flood, so it costs one bit count per
+subset that would be flooded. It never skips a hit, and a skipped subset is
+still counted, so every field of the answer is that of the unpruned scan for
+every worker count. κ is computed only once the copies have passed the
+candidate cap, and only when some copy has fewer than δ vertices: a union is
+at least as large as each of its members and κ <= δ, so otherwise the rule
+skips nothing and its flow is not paid. `exists_cut_of_size` (behind
+`--bound`) and `g_extra_connectivity` scan without it, so the max-flow
+cross-check compares κ with a scan that does not rest on κ.
 """
 
 from __future__ import annotations
@@ -85,6 +99,7 @@ BUDGET = "budget_exceeded"
 
 log = logging.getLogger(__name__)
 _LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
+_POOL_MIN = 1 << 17  # a size with no more subsets to check than this is scanned serially
 _RANDOM_TIES = 14  # shuffled tie orders per start vertex, beside ascending and descending id
 
 
@@ -262,11 +277,13 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
     `ctx` is (neighbour tables, full mask, unit masks, h, family masks, all
-    family bits, suffix masks): a subset hits when removing the union of its
-    unit masks `_separates` the graph. `suffix[i]` is the OR of the family
-    masks of copies i and later. The walk is depth first; a member at depth
-    d is taken from index i only while the family masks of the members
-    before it, ORed with `suffix[i]`, give every family bit. Otherwise every
+    family bits, suffix masks, κ): a subset hits when removing the union of
+    its unit masks `_separates` the graph. A union of fewer than κ vertices
+    is counted and skipped without a flood (κ is 0 when the rule is off).
+    `suffix[i]` is the OR of the family masks of copies i and later. The
+    walk is depth first; a member at depth d is taken from index i only
+    while the family masks of the members before it, ORed with `suffix[i]`,
+    give every family bit. Otherwise every
     subset that takes index i or a later one at depth d misses a connected
     dominating set, and the whole block is counted and skipped without a
     flood (see the module docstring); a full subset whose own family masks
@@ -281,7 +298,7 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     while subsets are left). Progress is logged likewise each time `checks`
     has passed another multiple of `_LOG_EVERY`.
     """
-    tables, full, unit_masks, h, family_masks, every_set, suffix = ctx
+    tables, full, unit_masks, h, family_masks, every_set, suffix, kappa = ctx
     n = len(unit_masks)
     last = size - 1
     chosen = [0] * size  # the index taken at each depth
@@ -324,10 +341,12 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
             i = end
             continue
         if meets[d] | family_masks[i] == every_set:
-            flooded += 1
-            if _separates(tables, full, removed[d] | unit_masks[i], h):
-                chosen[d] = i
-                return tuple(chosen), checks, "", flooded
+            union = removed[d] | unit_masks[i]
+            if union.bit_count() >= kappa:
+                flooded += 1
+                if _separates(tables, full, union, h):
+                    chosen[d] = i
+                    return tuple(chosen), checks, "", flooded
         i += 1
 
 
@@ -362,10 +381,12 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
     None: CERTIFIED with `value` the size that hit, BUDGET, or NO after
     every size.
     The bound proven is the size before the one where the scan stopped, or the
-    last size after NO. With `jobs > 1`, sizes of at least 2
-    and below the copy count are split into one pool task per leading index
-    (the pool starts at the first such size, with no more workers than that
-    size has tasks, and serves the rest of the call),
+    last size after NO. With `jobs > 1`, a size of at least 2 with more than
+    `_POOL_MIN` subsets to check (the fewer of its subset count and the checks
+    left in the budget) is split into one pool task per leading index (the
+    pool starts at the first such size, with no more workers than that size
+    has tasks, and serves the rest of the call); a smaller size, which takes
+    less time than starting the workers, is scanned serially,
     and the results are read in leading-index order and settled as the serial
     scan would settle them: the hit is the lexicographically first,
     `checks` is the length of the lexicographic prefix the answer rests on
@@ -391,7 +412,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
             flooded = 0
             res = hit = None
             cap = budget.max_checks - start
-            if jobs > 1 and size >= 2 and n > size:
+            if jobs > 1 and size >= 2 and min(comb(n, size), cap) > _POOL_MIN:
                 tasks = [(size, lead, cap) for lead in range(n - size + 1)]
                 if pool is None:  # sized to this size's tasks: no later size has more
                     import multiprocessing as mp
@@ -437,20 +458,31 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
 
 
 def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
-    """The cut made of the copies at the ascending indices `found`; the
-    enumeration order is deterministic, so it stops at the last of them."""
+    """The cut made of the copies at the ascending indices `found`, checked
+    again by `verify_cut`; the enumeration order is deterministic, so it
+    stops at the last of them."""
     copies = islice(enumerate_shape_copies(g, shape, mode), found[-1] + 1)
-    return StructureCut(shape, tuple(tuple(g.label_of(v) for v in ids)
-                                     for i, ids in enumerate(copies) if i in found), mode)
+    cut = StructureCut(shape, tuple(tuple(g.label_of(v) for v in ids)
+                                    for i, ids in enumerate(copies) if i in found), mode)
+    if not verify_cut(g, cut, shape, mode).passed:
+        raise AssertionError("oracle witness failed independent verification")
+    return cut
+
+
+def _min_degree(g: Graph) -> int:
+    """δ(g), the least vertex degree (0 for a graph with no vertex)."""
+    return min((len(g.neighbor_ids(v)) for v in range(g.vertex_count)), default=0)
 
 
 def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: SearchBudget,
-                  jobs: int, h: int = 0) -> tuple[OracleResult, tuple[int, ...] | None]:
+                  jobs: int, h: int = 0,
+                  kappa_rule: bool = False) -> tuple[OracleResult, tuple[int, ...] | None]:
     """Scan the unions of `sizes` copies of `shape`, never more than there are
     copies, for one that `_separates` g with `h`: CERTIFIED, NO, or BUDGET,
     with no witness, beside the first hit's ascending copy indices or None
     (see `_scan_sizes`). With no size of 1 or more nothing is enumerated: the
-    empty set never cuts a connected graph."""
+    empty set never cuts a connected graph. `kappa_rule` skips the unions of
+    fewer than κ vertices without a flood (see the module docstring)."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
     if sizes.stop <= 1:
@@ -476,8 +508,13 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     family = _dominating_family(g) if sizes and sizes[-1] >= 2 else []
     family_masks = _family_masks(unit_masks, family, g.vertex_count)
     suffix = list(accumulate(reversed(family_masks), or_))[::-1]
+    kappa = 0
+    if kappa_rule:  # a union is at least as large as each member, and κ <= δ
+        degree = _min_degree(g)
+        if any(unit.bit_count() < degree for unit in unit_masks):
+            kappa = min_vertex_cut(g)
     ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
-           (1 << len(family)) - 1, suffix)
+           (1 << len(family)) - 1, suffix, kappa)
     return _scan_sizes(ctx, sizes, budget, jobs)
 
 
@@ -495,12 +532,7 @@ def exists_cut_of_size(
     if bound < 0:
         raise ValueError("size bound must be >= 0")
     res, hit = _shape_oracle(g, shape, mode, range(1, bound + 1), budget or SearchBudget(), jobs)
-    if hit is None:
-        return res
-    res = replace(res, witness=_cut_of(g, shape, mode, hit))
-    if not verify_cut(g, res.witness, shape, mode).passed:
-        raise AssertionError("oracle witness failed independent verification")
-    return res
+    return res if hit is None else replace(res, witness=_cut_of(g, shape, mode, hit))
 
 
 def size_bound(g: Graph, shape: ShapeSpec, value: int) -> str:
@@ -509,8 +541,7 @@ def size_bound(g: Graph, shape: ShapeSpec, value: int) -> str:
     is tested first, so a value the bound cannot reach costs no flow; so is
     connectivity, which κ needs."""
     covered = (value - 1) * shape.vertex_count
-    degree = min((len(g.neighbor_ids(v)) for v in range(g.vertex_count)), default=0)
-    if covered >= degree or not is_connected(g):
+    if covered >= _min_degree(g) or not is_connected(g):
         return ""
     kappa = min_vertex_cut(g)
     if covered >= kappa:
@@ -530,16 +561,27 @@ def certify_min(
     """Certify a claimed minimum: refute sizes 1..value-1, then verify
     `witness`, a cut of `value` members (e.g. a constructed one). The size
     bound refutes the smaller sizes with no copy enumerated (`checks` and
-    `copies` 0, the rule in `note`) where it reaches them; otherwise
-    `exists_cut_of_size(value - 1)` scans them, and the least cut it finds
-    refutes the value and becomes the reported one."""
+    `copies` 0, the rule in `note`) where it reaches them; otherwise a scan
+    of sizes 1..value-1 does, and the least cut it finds refutes the value
+    and becomes the reported one.
+
+    The scan is that of `exists_cut_of_size(value - 1)` with one rule more,
+    the size bound applied to each union: a union of fewer than κ vertices
+    is counted and skipped without a flood, since removing fewer than κ
+    vertices leaves g connected with at least 2 vertices (κ <= n-1). The
+    rule never skips a cut, so the answer is the plain scan's, field for
+    field. It stays out of `exists_cut_of_size`, which is the unpruned
+    reference for both forms of the size bound and for κ itself."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
     bound = size_bound(g, shape, value)
     if bound:
         res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
     else:
-        res = exists_cut_of_size(g, shape, mode, value - 1, budget, jobs)
+        res, hit = _shape_oracle(g, shape, mode, range(1, value), budget or SearchBudget(), jobs,
+                                 kappa_rule=True)
+        if hit is not None:
+            res = replace(res, witness=_cut_of(g, shape, mode, hit))
     if res.status == BUDGET:
         return replace(res, value=value)
     if res.status == CERTIFIED:

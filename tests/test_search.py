@@ -1,5 +1,6 @@
 import logging
 import re
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,7 @@ class TestExists:
         # a pool logs each task's result, counting from 0 again at each size;
         # each size ends with the subsets flooded, the same for every job count
         monkeypatch.setattr(search, "_LOG_EVERY", 1)
+        monkeypatch.setattr(search, "_POOL_MIN", 0)
         with caplog.at_level(logging.INFO, logger="dcnconn.search"):
             res = exists_cut_of_size(d14, ShapeSpec.star(1), STRUCTURE, 3, jobs=jobs)
         assert (res.status, res.value, res.checks) == (CERTIFIED, 3, 40 + 780 + 33)
@@ -224,6 +226,33 @@ class TestGExtra:
         assert res.value is None
 
 
+@pytest.fixture
+def pool_every_size(monkeypatch):
+    """Send every size of 2 or more to the pool when jobs > 1: the test
+    inputs are far below the subset count at which a scan starts one."""
+    monkeypatch.setattr(search, "_POOL_MIN", 0)
+
+
+def _pool_sizes(monkeypatch) -> list[int]:
+    """The worker count of each pool started from now on, as it starts."""
+    import multiprocessing
+    from types import SimpleNamespace
+
+    real, workers = multiprocessing.get_context, []
+
+    def context(*args):
+        ctx = real(*args)
+
+        def pool(processes, **kwargs):
+            workers.append(processes)
+            return ctx.Pool(processes, **kwargs)
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", context)
+    return workers
+
+
+@pytest.mark.usefixtures("pool_every_size")
 class TestJobsParity:
     """Capped scans settle the same at every job count: same status, witness,
     note and checks, and never more checks than the cap."""
@@ -260,7 +289,7 @@ class TestJobsParity:
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0, [0] * units, 0,
-               [0] * units)
+               [0] * units, 0)
         assert search._scan_range(ctx, 1, 0, units, 10**6) == want
 
     @pytest.mark.parametrize("lo, hi, cap, want", [
@@ -273,26 +302,13 @@ class TestJobsParity:
         # no copy meets the one family set, so the pairs of 10 copies with a
         # leading index in [lo, hi) are one skipped block: 45, or 6 from index 3
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * 10, 0, [0] * 10, 1,
-               [0] * 10)
+               [0] * 10, 0)
         assert search._scan_range(ctx, 2, lo, hi, cap) == want
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         # K_4 has 6 K_{1,1} copies: size 1 is scanned serially, and size 2, the
         # first to take the pool, has 5 leading-index tasks, so 8 jobs start 5
-        import multiprocessing
-        from types import SimpleNamespace
-
-        real, workers = multiprocessing.get_context, []
-
-        def context(*args):
-            ctx = real(*args)
-
-            def pool(processes, **kwargs):
-                workers.append(processes)
-                return ctx.Pool(processes, **kwargs)
-            return SimpleNamespace(Pool=pool)
-
-        monkeypatch.setattr(multiprocessing, "get_context", context)
+        workers = _pool_sizes(monkeypatch)
         k4 = build_dcell(0, 4)
         one = exists_cut_of_size(k4, K11, STRUCTURE, 3, jobs=1)
         assert exists_cut_of_size(k4, K11, STRUCTURE, 3, jobs=8) == one
@@ -730,6 +746,7 @@ class TestDominatingFamily:
         assert run() == plain and plain.checks == 4656
         assert floods == [4656, 0]
 
+    @pytest.mark.usefixtures("pool_every_size")
     def test_a_cap_at_a_skipped_block_edge_answers_as_the_plain_scan(self, b4, monkeypatch):
         # B_4 K_{1,1} at bound 2, 4,656 subsets. A block is the run of subsets
         # of one size and prefix whose next member comes at or after the
@@ -778,6 +795,7 @@ class TestDominatingFamily:
                 assert exists_cut_of_size(b4, K11, STRUCTURE, 2, budget, jobs) == plains[cap], (
                     cap, jobs)
 
+    @pytest.mark.usefixtures("pool_every_size")
     @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
     def test_filtered_scan_matches_the_plain_scan(self, request, graph):
         # every shape and mode at bound 2; a graph with no copy answers alike
@@ -789,6 +807,7 @@ class TestDominatingFamily:
                     assert exists_cut_of_size(g, shape, mode, 2, jobs=jobs) == plain, (
                         shape.tag, mode, jobs)
 
+    @pytest.mark.usefixtures("pool_every_size")
     @pytest.mark.parametrize("graph", ["b3", "d14"])
     @pytest.mark.parametrize("h", [0, 1])
     def test_filtered_g_extra_matches_the_plain_scan(self, request, graph, h):
@@ -809,7 +828,10 @@ class TestDominatingFamily:
         calls = [lambda j: exists_cut_of_size(g, shape, mode, 3, jobs=j),
                  lambda j: g_extra_connectivity(g, h, jobs=j)]
         for call in calls:
-            assert call(jobs) == _unfiltered(lambda: call(1))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(search, "_POOL_MIN", 0)
+                pooled = call(jobs)
+            assert pooled == _unfiltered(lambda: call(1))
 
     def test_a_size_1_scan_builds_no_family(self, d14, monkeypatch):
         # K_{1,3} on D_{1,4}: 1 x 4 vertices is not below kappa 4, so size 1
@@ -822,3 +844,171 @@ class TestDominatingFamily:
         cut = structure_cut_for("dcell", {"m": 1, "n": 4}, star, STRUCTURE)
         res = certify_min(d14, star, STRUCTURE, 2, cut)
         assert (res.status, res.lower_bound_proven, res.checks) == ("certified", 1, 80)
+
+
+def test_a_size_at_or_under_the_pool_threshold_is_scanned_serially(d14, monkeypatch):
+    # D_{1,4} K_{1,1} at bound 2: 40 edges, then 780 pairs. Size 2 takes the
+    # pool only when it has more than _POOL_MIN subsets to check, the fewer of
+    # its 780 and the checks the budget has left after size 1
+    workers = _pool_sizes(monkeypatch)
+    for threshold, max_checks, pooled in [(search._POOL_MIN, 10**8, False),
+                                          (780, 10**8, False), (779, 10**8, True),
+                                          (779, 40 + 779, False), (778, 40 + 779, True)]:
+        monkeypatch.setattr(search, "_POOL_MIN", threshold)
+        budget = SearchBudget(max_checks=max_checks)
+        workers.clear()
+        two = exists_cut_of_size(d14, K11, STRUCTURE, 2, budget, jobs=2)
+        assert workers == ([2] if pooled else []), (threshold, max_checks)
+        assert two == exists_cut_of_size(d14, K11, STRUCTURE, 2, budget, jobs=1)
+
+
+# --- the kappa rule of certify_min's scan -------------------------------------
+
+
+def _without_kappa_rule(call):
+    """`call()` with certify_min's scan run without the kappa rule."""
+    real = search._shape_oracle
+
+    def plain(*args, **kwargs):
+        return real(*args, **{**kwargs, "kappa_rule": False})
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_shape_oracle", plain)
+        return call()
+
+
+def _with_floods(call):
+    """`call()`'s answer and the floods it made."""
+    floods = 0
+    real = search.flood_mask
+
+    def counted(*args):
+        nonlocal floods
+        floods += 1
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "flood_mask", counted)
+        res = call()
+    return res, floods
+
+
+class TestKappaRule:
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
+    def test_pruned_certification_matches_the_plain_one(self, request, graph):
+        # the table's shapes, up to B_4's K_{1,5}: every value from 2 whose
+        # scan of the sizes below fits in 30,000 subsets, as a table row at
+        # that check cap is scanned, and one check cap that trips; the least
+        # cut found at the largest such value is the witness for its own
+        # value, an empty cut for the others
+        g = request.getfixturevalue(graph)
+        skipped = 0
+        for shape in [ShapeSpec.single(), *GRID_SHAPES, ShapeSpec.star(5), ShapeSpec.path(6),
+                      ShapeSpec.cycle(6)]:
+            for mode in MODES:
+                copies = sum(1 for _ in enumerate_shape_copies(g, shape, mode))
+                values = [v for v in range(2, 7)
+                          if sum(comb(copies, s) for s in range(1, v)) <= 30_000
+                          and not size_bound(g, shape, v)]
+                if not values:
+                    continue
+                least = exists_cut_of_size(g, shape, mode, values[-1])
+                for value in values:
+                    witness = (least.witness if least.value == value
+                               else StructureCut(shape, (), mode))
+                    for budget in (None, SearchBudget(max_checks=copies + 1)):
+                        def call():
+                            return certify_min(g, shape, mode, value, witness, budget)
+
+                        plain, plain_floods = _with_floods(lambda: _without_kappa_rule(call))
+                        pruned, floods = _with_floods(call)
+                        case = (shape.tag, mode, value, budget)
+                        assert pruned == plain, case
+                        assert floods <= plain_floods, case
+                        skipped += plain_floods - floods
+        assert skipped > 0
+
+    @pytest.mark.usefixtures("pool_every_size")
+    @pytest.mark.parametrize("cap", [1, 40, 821, 10**8])
+    def test_pruned_certification_matches_at_every_job_count(self, d14, cap):
+        # K_{1,1} at value 4 on D_{1,4}: 3 x 2 vertices is not below kappa 4,
+        # so sizes 1..3 are scanned, and the pairs and single edges fall below it
+        plain = _without_kappa_rule(lambda: certify_min(
+            d14, K11, STRUCTURE, 4, _d14_cut(3), SearchBudget(max_checks=cap)))
+        for jobs in (1, 2):
+            assert certify_min(d14, K11, STRUCTURE, 4, _d14_cut(3), SearchBudget(max_checks=cap),
+                               jobs) == plain, jobs
+
+    @given(g=_connected_graphs(3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pruned_certification_matches_on_random_graphs(self, g, data):
+        shape = data.draw(st.sampled_from([ShapeSpec.single(), K11, ShapeSpec.star(2),
+                                           ShapeSpec.path(3), ShapeSpec.cycle(3)]))
+        mode = data.draw(st.sampled_from(MODES))
+        value = data.draw(st.integers(1, 4))
+        budget = SearchBudget(max_checks=data.draw(st.sampled_from([1, 5, 30, 10**8])))
+        least = exists_cut_of_size(g, shape, mode, value)
+        witness = least.witness if least.value == value else StructureCut(shape, (), mode)
+
+        def call():
+            return certify_min(g, shape, mode, value, witness, budget)
+
+        assert call() == _without_kappa_rule(call)
+
+    @pytest.mark.parametrize("n, flooded, copies", [(4, 192, 1920), (5, 640, 20080)])
+    def test_rule_floods_only_unions_of_kappa_vertices(self, caplog, n, flooded, copies):
+        # K_{1,2n-3} substructure at value 2: the copies of fewer than kappa
+        # vertices are the smaller stars, and only the full stars, of
+        # 2n-2 = kappa vertices, are flooded
+        g = build_bcdc(n)
+        shape = ShapeSpec.star(2 * n - 3)
+        cut = structure_cut_for("bcdc", {"n": n}, shape, SUBSTRUCTURE)
+        with caplog.at_level(logging.INFO, logger="dcnconn.search"):
+            res = certify_min(g, shape, SUBSTRUCTURE, 2, cut)
+        assert (res.status, res.copies, res.checks) == ("certified", copies, copies)
+        assert [r.getMessage() for r in caplog.records if "flooded" in r.getMessage()] == [
+            f"size=1 subsets flooded={flooded:,} of {copies:,} examined"]
+
+    def test_rule_computes_no_flow_where_it_cannot_skip(self, monkeypatch):
+        from dcnconn import graph as graph_module
+
+        flows = []
+        real = graph_module._disjoint_paths
+
+        def counting_flow(*args):
+            flows.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(graph_module, "_disjoint_paths", counting_flow)
+        # fresh graphs: kappa is stored on a graph once computed
+        b4, b5 = build_bcdc(4), build_bcdc(5)
+        # B_4 K_{1,1} at value 4: 3 x 2 vertices is not below the min degree 6,
+        # so the size bound needs no flow, and the candidate cap stops the scan
+        # before kappa is asked for
+        nothing = StructureCut(K11, (), STRUCTURE)
+        res = certify_min(b4, K11, STRUCTURE, 4, nothing, SearchBudget(max_candidates=10))
+        assert (res.status, res.note, flows) == (BUDGET, "candidate cap reached", [])
+        # B_5 C_8 at value 2: every copy has 8 vertices, the min degree, so no
+        # union falls below kappa and the scan runs without it
+        c8 = ShapeSpec.cycle(8)
+        res = certify_min(b5, c8, STRUCTURE, 2, StructureCut(c8, (), STRUCTURE),
+                          SearchBudget(max_checks=1000))
+        assert (res.status, res.checks, flows) == (BUDGET, 1000, [])
+        # a scan whose copies fall below the min degree computes kappa
+        res = certify_min(b4, K11, STRUCTURE, 4, nothing, SearchBudget(max_checks=1000))
+        assert res.status == BUDGET and flows
+
+    def test_rule_stays_out_of_the_other_oracles(self, d14, monkeypatch):
+        # exists_cut_of_size and g_extra_connectivity are the unpruned references
+        calls = []
+        real = search._shape_oracle
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kappa_rule", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_shape_oracle", spy)
+        exists_cut_of_size(d14, K11, STRUCTURE, 3)
+        g_extra_connectivity(d14, 0)
+        certify_min(d14, K11, STRUCTURE, 3, _d14_cut(3))
+        assert calls == [False, False, True]
