@@ -203,8 +203,10 @@ def test_oracle_prints_one_report_line(capsys, argv, call):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_progress_restarts_at_each_size(capsys, caplog, monkeypatch, jobs):
-    # B_3 has 12 vertices: sizes 1..3 leave it connected, size 4 cuts
+    # B_3 has 12 vertices: sizes 1..3 leave it connected, size 4 cuts. Every
+    # size of 2 or more takes the pool, whose results the parent process logs
     monkeypatch.setattr(search, "_LOG_EVERY", 1)
+    monkeypatch.setattr(search, "_POOL_MIN", 0)
     with caplog.at_level(logging.INFO, logger="dcnconn.search"):
         code, out, _ = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0", "--progress",
                            "--jobs", jobs)
@@ -228,7 +230,7 @@ def test_progress_restarts_at_each_size(capsys, caplog, monkeypatch, jobs):
 
 def test_progress_goes_to_stderr():
     code = ("import sys; from dcnconn import search; from dcnconn.cli import main; "
-            "search._LOG_EVERY = 1; sys.exit(main(sys.argv[1:]))")
+            "search._LOG_EVERY = 1; search._POOL_MIN = 0; sys.exit(main(sys.argv[1:]))")
     path = [str(Path(search.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", code, "oracle", "bcdc", "--n", "3",
@@ -338,7 +340,8 @@ def _table_rows(capsys, tmp_path, *extra, cap="300"):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_table_oracle_matches_the_probe_rule(capsys, tmp_path, probed_grid, jobs):
+def test_table_oracle_matches_the_probe_rule(capsys, tmp_path, probed_grid, monkeypatch, jobs):
+    monkeypatch.setattr(search, "_POOL_MIN", 0)  # with jobs=2, every size of 2 or more pools
     code, rows, summary = _table_rows(capsys, tmp_path, "--jobs", jobs)
     assert code == 0
     want = ["certified" if bound or sum(comb(copies, s) for s in range(1, predicted)) <= 300

@@ -154,6 +154,7 @@ class TestMinCut:
         assert sub <= st
         assert sub == st == 3
 
+    @pytest.mark.usefixtures("pool_every_size")
     def test_jobs_do_not_change_witness(self, b3):
         one = exists_cut_of_size(b3, ShapeSpec.star(1), STRUCTURE, 8, jobs=1)
         two = exists_cut_of_size(b3, ShapeSpec.star(1), STRUCTURE, 8, jobs=2)
