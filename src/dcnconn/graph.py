@@ -66,7 +66,7 @@ DEFAULT_MAX_VERTICES = 100_000
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("_labels", "_index", "_adj", "_tables", "_kappa")
+    __slots__ = ("_labels", "_index", "_adj", "_tables", "_kappa", "_family")
 
     def __init__(self, labels: Sequence[str], id_edges: Iterable[tuple[int, int]]):
         self._labels: tuple[str, ...] = tuple(labels)
@@ -93,6 +93,8 @@ class Graph:
             masks.append(m)
         self._tables = _neighbor_tables(masks)
         self._kappa: int | None = None  # filled by the first min_vertex_cut call
+        # the dominating-set family of `search`, filled by its first build
+        self._family: tuple[int, ...] | None = None
 
     @property
     def vertex_count(self) -> int:

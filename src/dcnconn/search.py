@@ -60,6 +60,34 @@ bits as i grows, so a failed test fails again at every later index, and the
 block runs to the end of depth d. If no copy meets some set of the family,
 every union misses it, and the test fails at the range's first index.
 
+The kernel settles the last member's run at one step. When it takes the
+next-to-last member of a size s >= 2, the last member's run is the indices
+[i, e) after it, to the depth's end e. Let `need` be the family bits that
+the prefix's family masks miss, and `meeting[j]` the mask of the copy
+indices that meet D_j. The per-index walk floods the subset that ends at k
+exactly when the prefix's family masks ORed with k's give every bit, that
+is when k meets every D_j with j in `need`, that is when bit k is set in
+every `meeting[j]` with j in `need`. So its survivors in [i, e) are the AND
+of those masks with the window, and the sweep gives them the κ test and the
+flood in ascending order: the same floods in the same order. The walk
+counts one check per index up to k0, the first index whose `suffix` misses
+a bit of `need`, and then [k0, e) as one block. A survivor meets every set
+of `need`, so it lies below k0: a hit at k returns the checks before i plus
+k-i+1, and a run without one adds e-i, as the walk does. The walk tests
+the poll (a multiple of 8192) and then the cap at the start of each step.
+Let `room` be the checks left before the lower of the two. The unit steps
+at the indices below i+room start below both, so the sweep covers them;
+at i+room it polls, or stops at the cap, as the walk does at the step that
+starts there, and goes on from i+room. If the index before i+room already
+misses a bit, then k0 < i+room and the block starts below both too: no
+poll falls in the rest of the run, and the cap trips exactly when the
+checks before i plus e-i exceed it, after the survivors, which the sweep
+tests first. So `checks`, the note, "stopped", the cap and the progress
+records are those of the per-index walk. A sweep costs one AND per bit of
+`need` (it stops once no index is left), so a run where the walk would take
+fewer than `_SWEEP_MIN` unit steps (k0 < i + `_SWEEP_MIN`, one `suffix`
+test), and the one run of a size-1 scan, are walked one index at a time.
+
 `certify_min`'s scan, and no other, also skips every subset whose union has
 fewer than κ(G) vertices: the size bound applied to one union. Removing
 fewer than κ vertices leaves G connected, and since κ <= n-1 it leaves at
@@ -101,6 +129,9 @@ log = logging.getLogger(__name__)
 _LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
 _POOL_MIN = 1 << 14  # a size with no more subsets to check than this is scanned serially
 _RANDOM_TIES = 14  # shuffled tie orders per start vertex, beside ascending and descending id
+# a last-member run is swept when the per-index walk would take at least this
+# many unit steps in it (set from the measurement in `BENCH_leaf_sweep.json`)
+_SWEEP_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -239,12 +270,15 @@ def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]
     return taken
 
 
-def _dominating_family(g: Graph) -> list[int]:
+def _dominating_family(g: Graph) -> tuple[int, ...]:
     """Greedy connected dominating sets of g, as vertex masks in the order
     first found, each of at least 2 vertices: one `_greedy_cds` run per start
     vertex and tie order. Each set is checked anyway, connected and
     dominating, before it is kept; duplicates and single vertices are
-    dropped."""
+    dropped. The first call stores the family on the graph; later calls
+    return it without a run."""
+    if g._family is not None:
+        return g._family
     n = g.vertex_count
     closed = [sum(1 << u for u in g.neighbor_ids(v)) | 1 << v for v in range(n)]
     orders = _tie_orders(n)
@@ -253,11 +287,12 @@ def _dominating_family(g: Graph) -> list[int]:
         for order, rank in orders:
             found[sum(1 << v for v in _greedy_cds(closed, start, order, rank))] = None
     full = (1 << n) - 1
-    return [d for d in found if d.bit_count() >= 2 and component_masks(g, d) == [d]
-            and reduce(or_, (closed[v] for v in _ids(d))) == full]
+    g._family = tuple(d for d in found if d.bit_count() >= 2 and component_masks(g, d) == [d]
+                      and reduce(or_, (closed[v] for v in _ids(d))) == full)
+    return g._family
 
 
-def _family_masks(unit_masks: list[int], family: list[int], n: int) -> list[int]:
+def _family_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> list[int]:
     """For each unit mask over n vertices, the mask of the family sets it
     meets: bit j is set when the unit shares a vertex with `family[j]`."""
     if not family:  # it skips nothing, and a size-1 scan can have many copies
@@ -269,25 +304,52 @@ def _family_masks(unit_masks: list[int], family: list[int], n: int) -> list[int]
     return [reduce(or_, (of_vertex[v] for v in _ids(unit)), 0) for unit in unit_masks]
 
 
+def _meeting_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> list[int]:
+    """For each family set, the mask of the unit indices that meet it: bit k
+    is set when unit k shares a vertex with the set. Built from each vertex's
+    mask of the units that hold it, one bit set per unit vertex."""
+    rows = [bytearray((len(unit_masks) + 7) // 8) for _ in range(n)]
+    for k, unit in enumerate(unit_masks):
+        byte, bit = k >> 3, 1 << (k & 7)
+        for v in _ids(unit):
+            rows[v][byte] |= bit
+    holding = [int.from_bytes(row, "little") for row in rows]
+    return [reduce(or_, (holding[v] for v in _ids(d))) for d in family]
+
+
 def _log_progress(size: int, checks: int, n: int) -> None:
     log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
+
+
+def _progress(size: int, checks: int, n: int, log_at: int) -> int:
+    """Log the kernel's progress if `checks` has reached `log_at`; the count
+    at which to log next."""
+    if checks < log_at:
+        return log_at
+    _log_progress(size, checks, n)
+    return (checks // _LOG_EVERY + 1) * _LOG_EVERY
 
 
 def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
     `ctx` is (neighbour tables, full mask, unit masks, h, family masks, all
-    family bits, suffix masks, κ): a subset hits when removing the union of
-    its unit masks `_separates` the graph. A union of fewer than κ vertices
-    is counted and skipped without a flood (κ is 0 when the rule is off).
-    `suffix[i]` is the OR of the family masks of copies i and later. The
-    walk is depth first; a member at depth d is taken from index i only
-    while the family masks of the members before it, ORed with `suffix[i]`,
-    give every family bit. Otherwise every
+    family bits, suffix masks, κ, meeting masks): a subset hits when
+    removing the union of its unit masks `_separates` the graph. A union of
+    fewer than κ vertices is counted and skipped without a flood (κ is 0
+    when the rule is off). `suffix[i]` is the OR of the family masks of
+    copies i and later. The walk is depth first; a member at depth d is
+    taken from index i only while the family masks of the members before it,
+    ORed with `suffix[i]`, give every family bit. Otherwise every
     subset that takes index i or a later one at depth d misses a connected
     dominating set, and the whole block is counted and skipped without a
     flood (see the module docstring); a full subset whose own family masks
-    miss a bit is counted and skipped alike.
+    miss a bit is counted and skipped alike. `meeting[j]` is the mask of
+    the copy indices that meet family set j, or `meeting` is empty: then
+    the last member is taken one index at a time. Otherwise a run of the
+    last member of a size of 2 or more that holds at least `_SWEEP_MIN`
+    unit steps is settled by one sweep, polled and capped as the per-index
+    walk (see the module docstring).
     Returns (first hitting subset or None, checks made, note, subsets
     flooded); the note is "check cap reached" when `cap` checks were made
     with subsets left to check. The cap is tested before a subset or block,
@@ -298,9 +360,10 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     while subsets are left). Progress is logged likewise each time `checks`
     has passed another multiple of `_LOG_EVERY`.
     """
-    tables, full, unit_masks, h, family_masks, every_set, suffix, kappa = ctx
+    tables, full, unit_masks, h, family_masks, every_set, suffix, kappa, meeting = ctx
     n = len(unit_masks)
     last = size - 1
+    sweep_min = _SWEEP_MIN if meeting else n + 1  # no run is that long
     chosen = [0] * size  # the index taken at each depth
     meets = [0] * size  # the family bits of the members before each depth
     removed = [0] * size  # the union of the members before each depth
@@ -324,15 +387,52 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
             d += 1
             i += 1
             end = n - left + 1
+            if (left > 1 or end - i < sweep_min
+                    or meets[d] | suffix[i + sweep_min - 1] != every_set):
+                continue
+            # settle the last member's run [i, end) by one sweep (see the module docstring)
+            need = every_set ^ meets[d]
+            hits = (1 << end) - (1 << i)
+            while need and hits:
+                low = need & -need
+                need ^= low
+                hits &= meeting[low.bit_length() - 1]
+            while i < end:
+                if checks >= poll:
+                    if _worker_stop.value:
+                        return None, checks, "stopped", flooded
+                    log_at = _progress(size, checks, n, log_at)
+                    poll = (checks // 8192 + 1) * 8192
+                room = min(poll, cap) - checks  # unit steps before the next poll or the cap
+                if room <= 0:
+                    return None, cap, "check cap reached", flooded
+                if room >= end - i or meets[d] | suffix[i + room - 1] != every_set:
+                    stop = end  # neither falls before the run's end or its skipped block
+                else:
+                    stop = i + room
+                while hits:
+                    low = hits & -hits
+                    k = low.bit_length() - 1
+                    if k >= stop:
+                        break
+                    hits ^= low
+                    union = removed[d] | unit_masks[k]
+                    if union.bit_count() >= kappa:
+                        flooded += 1
+                        if _separates(tables, full, union, h):
+                            chosen[d] = k
+                            return tuple(chosen), checks + k - i + 1, "", flooded
+                if checks + stop - i > cap:  # the run ends in a skipped block past the cap
+                    return None, cap, "check cap reached", flooded
+                checks += stop - i
+                i = stop
             continue
         # settle one full subset, or the block that starts at index i
         block = 1 if coverable else comb(n - i, left + 1) - comb(n - end, left + 1)
         if checks >= poll:
             if _worker_stop.value:
                 return None, checks, "stopped", flooded
-            if checks >= log_at:
-                _log_progress(size, checks, n)
-                log_at = (checks // _LOG_EVERY + 1) * _LOG_EVERY
+            log_at = _progress(size, checks, n, log_at)
             poll = (checks // 8192 + 1) * 8192
         if checks + block > cap:
             return None, cap, "check cap reached", flooded
@@ -391,7 +491,13 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
     on a scan whose rules skip most floods (0.1-0.5 us a subset), up to
     2-6*10^5 subsets, and saved 35-175 ms on a flood-heavy one (2-20 us a
     subset) from 2*10^4 to 10^5. Of the powers of 2, 2^14 lost the least
-    on those scans, in total and at worst (62 ms). The pooled
+    on those scans, in total and at worst (62 ms). Twelve of them, re-timed
+    with the leaf sweep (`BENCH_leaf_sweep.json`): the skip-heavy ones run
+    at 0.13-0.31 us a subset and still lose 10-100 ms with a pool; the
+    flood-heavy D(2,3) K_{1,4} size (12,090 subsets) fell from 22 to 13 us a
+    subset and no longer gains from one, while D(2,3) C_3 size 3 (22,100)
+    and the D(1,5) C_5 sizes above 2^15 still gain 105-190 ms. So 2^14
+    still loses the least. The pooled
     results are read in leading-index order and settled as the serial
     scan would settle them: the hit is the lexicographically first,
     `checks` is the length of the lexicographic prefix the answer rests on
@@ -510,16 +616,22 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
             unit_masks.append(prefix_mask | low)
     sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
     # a size-1 scan floods each copy once, which costs less than the family
-    family = _dominating_family(g) if sizes and sizes[-1] >= 2 else []
+    family = _dominating_family(g) if sizes and sizes[-1] >= 2 else ()
     family_masks = _family_masks(unit_masks, family, g.vertex_count)
-    suffix = list(accumulate(reversed(family_masks), or_))[::-1]
+    # equal suffix masks share one int: most hold every bit, which offsets
+    # the memory of the meeting masks
+    shared: dict[int, int] = {}
+    suffix = [shared.setdefault(m, m) for m in accumulate(reversed(family_masks), or_)][::-1]
     kappa = 0
     if kappa_rule:  # a union is at least as large as each member, and κ <= δ
         degree = _min_degree(g)
         if any(unit.bit_count() < degree for unit in unit_masks):
             kappa = min_vertex_cut(g)
+    # a size s >= 2 sweeps runs of the last member of at most len(unit_masks) - s + 1 indices
+    sweeps = family and len(unit_masks) - max(sizes.start, 2) + 1 >= _SWEEP_MIN
+    meeting = _meeting_masks(unit_masks, family, g.vertex_count) if sweeps else []
     ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
-           (1 << len(family)) - 1, suffix, kappa)
+           (1 << len(family)) - 1, suffix, kappa, meeting)
     return _scan_sizes(ctx, sizes, budget, jobs)
 
 

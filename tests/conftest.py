@@ -1,5 +1,7 @@
+from bisect import bisect_right
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 from operator import or_
 
 import pytest
@@ -153,6 +155,55 @@ def check_leaf_families(g, shape, mode):
     assert expanded == list(reference_copies(g, shape, mode)), (shape.tag, mode)
     assert list(enumerate_shape_copies(g, shape, mode)) == expanded, (shape.tag, mode)
     assert sum(leaves.bit_count() for _, _, leaves in families) == len(expanded)
+
+
+# every shape kind at the sizes the member tests reach
+ALL_SHAPES = (
+    [ShapeSpec.single()]
+    + [ShapeSpec.star(t) for t in range(1, 5)]
+    + [ShapeSpec.path(k) for k in range(1, 7)]
+    + [ShapeSpec.cycle(k) for k in range(3, 7)]
+    + [ShapeSpec.clique(s) for s in range(1, 6)]
+)
+
+
+def brute_force_first_cut(g, units, sizes, h=0, limit=None):
+    """The reference scan: the subsets of `sizes` unit masks in lexicographic
+    order of their indices (`itertools.combinations`), each tested by
+    `search._separates` with `h`, no subset skipped by any rule. Returns
+    (position, indices) of the first subset that separates, counting
+    positions from 1, or (subsets examined, None) once every subset, or
+    `limit` of them, separated nothing."""
+    from dcnconn import search
+
+    full = (1 << g.vertex_count) - 1
+    position = 0
+    for size in sizes:
+        for combo in combinations(range(len(units)), size):
+            if position == limit:
+                return position, None
+            position += 1
+            if search._separates(g.neighbor_tables, full, reduce(or_, (units[i] for i in combo)),
+                                 h):
+                return position, combo
+    return position, None
+
+
+def reference_answer(n, sizes, first, cap):
+    """A scan's answer at check cap `cap` over n units, read off the
+    brute-force scan's `first` (see `brute_force_first_cut`): (status, value,
+    lower bound proven, hit indices, checks, note). The hit if it lies
+    within the cap; else the cap's trip in the size that holds subset cap + 1;
+    else "no" after every subset. `first` must reach past the cap."""
+    position, hit = first
+    if hit is not None and position <= cap:
+        return "certified", len(hit), len(hit) - 1, hit, position, ""
+    ends = list(accumulate(comb(n, s) for s in sizes))
+    if not ends or cap >= ends[-1]:
+        return "no", None, sizes.stop - 1, None, ends[-1] if ends else 0, ""
+    assert cap < position, "the brute-force scan stopped before the cap"
+    size = sizes[bisect_right(ends, cap)]
+    return "budget_exceeded", None, size - 1, None, cap, "check cap reached"
 
 
 @pytest.fixture(scope="session")

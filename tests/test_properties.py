@@ -1,10 +1,14 @@
 """Property-based checks over random small graphs."""
 
+from math import comb
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_leaf_families, neighbor_labels
+from conftest import brute_force_first_cut, check_leaf_families, neighbor_labels, reference_answer
 from dcnconn import (
+    SearchBudget,
     ShapeSpec,
     StructureCut,
     build_graph,
@@ -12,12 +16,14 @@ from dcnconn import (
     delete_vertices,
     enumerate_shape_copies,
     exists_cut_of_size,
+    g_extra_connectivity,
     is_connected,
     is_shape,
     line_graph,
     min_vertex_cut,
     verify_cut,
 )
+from dcnconn import search
 from dcnconn.cuts import VerificationReport
 from dcnconn.shapes import STRUCTURE, SUBSTRUCTURE
 
@@ -189,3 +195,37 @@ def test_verify_cut_matches_the_rebuilt_graph_reference(g, data, cut_shape, shap
     members = data.draw(st.lists(st.lists(ids, min_size=1, max_size=5), max_size=5))
     cut = StructureCut(cut_shape, tuple(tuple(g.label_of(i) for i in m) for m in members), mode)
     assert verify_cut(g, cut, shape, mode) == _reference_verify_cut(g, cut, shape, mode)
+
+
+@given(connected_graphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_swept_scans_match_the_brute_force_reference(g, data):
+    # a sweep threshold of 1 sweeps every run of the last member, since
+    # these graphs have few copies; the cap falls anywhere in the scan
+    shape = data.draw(st.sampled_from([ShapeSpec.single(), ShapeSpec.star(1), ShapeSpec.star(2),
+                                       ShapeSpec.path(3), ShapeSpec.cycle(3)]))
+    mode = data.draw(st.sampled_from([STRUCTURE, SUBSTRUCTURE]))
+    h = data.draw(st.integers(0, 2))
+    copies = list(enumerate_shape_copies(g, shape, mode))
+    units = [sum(1 << v for v in ids) for ids in copies]
+    n, vertices = len(copies), g.vertex_count
+    cuts = range(1, min(3, n) + 1)
+    extras = range(1 if h == 0 else min_vertex_cut(g), vertices - 1)
+    total = sum(comb(n, s) for s in cuts) + sum(comb(vertices, s) for s in extras)
+    cap = data.draw(st.integers(1, total + 1))
+    budget = SearchBudget(max_checks=cap)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_SWEEP_MIN", data.draw(st.sampled_from([1, 2, 4])))
+        got = exists_cut_of_size(g, shape, mode, 3, budget)
+        extra = g_extra_connectivity(g, h, budget)
+    status, value, bound, hit, checks, note = reference_answer(
+        n, cuts, brute_force_first_cut(g, units, cuts), cap)
+    witness = hit and StructureCut(shape, tuple(tuple(map(g.label_of, copies[i])) for i in hit),
+                                   mode)
+    assert got == search.OracleResult(status, value, bound, witness, checks, n, note)
+    status, value, bound, hit, checks, note = reference_answer(
+        vertices, extras, brute_force_first_cut(g, [1 << v for v in range(vertices)], extras, h),
+        cap)
+    # with no size of 1 or more to scan, the oracle enumerates no copy
+    assert extra == search.OracleResult(status, value, bound, hit and tuple(map(g.label_of, hit)),
+                                        checks, vertices if extras.stop > 1 else 0, note)

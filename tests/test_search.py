@@ -1,12 +1,15 @@
 import logging
+import random
 import re
+from itertools import accumulate
 from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbor_labels
+from conftest import ALL_SHAPES, brute_force_first_cut, neighbor_labels, reference_answer
 from dcnconn import (
     SearchBudget,
     ShapeSpec,
@@ -290,7 +293,7 @@ class TestJobsParity:
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0, [0] * units, 0,
-               [0] * units, 0)
+               [0] * units, 0, [])
         assert search._scan_range(ctx, 1, 0, units, 10**6) == want
 
     @pytest.mark.parametrize("lo, hi, cap, want", [
@@ -303,7 +306,7 @@ class TestJobsParity:
         # no copy meets the one family set, so the pairs of 10 copies with a
         # leading index in [lo, hi) are one skipped block: 45, or 6 from index 3
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * 10, 0, [0] * 10, 1,
-               [0] * 10, 0)
+               [0] * 10, 0, [0])
         assert search._scan_range(ctx, 2, lo, hi, cap) == want
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
@@ -1013,3 +1016,133 @@ class TestKappaRule:
         g_extra_connectivity(d14, 0)
         certify_min(d14, K11, STRUCTURE, 3, _d14_cut(3))
         assert calls == [False, False, True]
+
+
+# --- the leaf sweep ------------------------------------------------------------
+
+
+def _kernel_ctx(g, units, fam, bits, kappa=0, sweep=True):
+    """A scan context over the unit masks `units`, unit k meeting the family
+    sets of the bits of `fam[k]`, out of `bits` sets. With `sweep`, it holds
+    the meeting masks, so the kernel settles long runs of the last member by
+    one sweep; without, it takes them one index at a time."""
+    suffix = list(accumulate(reversed(fam), or_))[::-1]
+    meeting = [sum(1 << k for k, f in enumerate(fam) if f >> j & 1) for j in range(bits)]
+    return (g.neighbor_tables, (1 << g.vertex_count) - 1, units, 0, fam, (1 << bits) - 1,
+            suffix, kappa, meeting if sweep else [])
+
+
+def _both_kernels(g, units, fam, bits, size, cap, kappa=0):
+    """The swept and the per-index kernel's answers over the whole range."""
+    return [search._scan_range(_kernel_ctx(g, units, fam, bits, kappa, sweep), size, 0,
+                               len(units), cap) for sweep in (True, False)]
+
+
+class TestLeafSweep:
+    @pytest.mark.parametrize("graph, sweep_min", [
+        ("b3", search._SWEEP_MIN), ("b3", 1), ("b4", search._SWEEP_MIN),
+        ("d14", search._SWEEP_MIN), ("d14", 1)], ids=["b3", "b3-every-run", "b4", "d14",
+                                                     "d14-every-run"])
+    def test_swept_scan_matches_the_brute_force_reference(self, request, graph, sweep_min,
+                                                         monkeypatch):
+        # bound 3, at caps one before, at and one past the end of the size-1
+        # run, of the first size-2 and size-3 runs, and of the first hit,
+        # where the brute-force scan reaches them within `limit` subsets; and
+        # uncapped, where it settles the answer within them. A sweep threshold
+        # of 1 sweeps every run, also those of the shapes with few copies.
+        monkeypatch.setattr(search, "_SWEEP_MIN", sweep_min)
+        g = request.getfixturevalue(graph)
+        limit = 20_000
+        swept = 0
+        for shape in ALL_SHAPES:
+            for mode in MODES:
+                copies = list(enumerate_shape_copies(g, shape, mode))
+                n = len(copies)
+                sizes = range(1, min(3, n) + 1)
+                first = brute_force_first_cut(
+                    g, [sum(1 << v for v in ids) for ids in copies], sizes, limit=limit)
+                marks = [n, 2 * n - 1, n + comb(n, 2) + n - 2]
+                if first[1] is not None:
+                    marks.append(first[0])
+                reach = first[0] + 1 if first[1] is not None else limit
+                caps = {c for m in marks for c in (m - 1, m, m + 1) if 1 <= c <= reach}
+                if first[1] is not None or first[0] < limit:
+                    caps.add(10**8)
+                swept += n > sweep_min
+                for cap in sorted(caps):
+                    status, value, bound, hit, checks, note = reference_answer(
+                        n, sizes, first, cap)
+                    witness = hit and StructureCut(
+                        shape, tuple(tuple(map(g.label_of, copies[i])) for i in hit), mode)
+                    want = search.OracleResult(status, value, bound, witness, checks, n, note)
+                    got = exists_cut_of_size(g, shape, mode, 3, SearchBudget(max_checks=cap))
+                    assert got == want, (shape.tag, mode, cap)
+        assert swept
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_swept_run_crossing_the_poll_stops_where_the_per_index_scan_stops(
+            self, k5, seed, monkeypatch):
+        # 200 empty units never cut K_5, so every pair is examined; the caller's
+        # flag is up before the scan. Seed 0 gives every unit the one family
+        # set, so all 19,900 pairs are flooded, and the poll at 8192 checks
+        # falls inside the run of leading index 46 (8,120 to 8,272), 153
+        # indices long. Other seeds draw two sets per unit at random, so some
+        # runs end in skipped blocks, and a block may carry the count past a
+        # poll, where the per-index scan stops later.
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
+        rng = random.Random(seed)
+        bits = 1 if not seed else 2
+        fam = [1 if not seed else rng.choice([1, 2, 3, 3]) for _ in range(200)]
+        swept, plain = _both_kernels(k5, [0] * 200, fam, bits, 2, 10**6)
+        assert swept == plain and swept[2] == "stopped"
+        if not seed:
+            assert swept == (None, 8192, "stopped", 8192)
+
+    def test_a_block_at_the_poll_inside_a_swept_run_stops_there(self, k5, monkeypatch):
+        # 300 empty units, pairs; every unit meets family set 0 and only unit
+        # 226 set 1, so in the run of each leading index below 226 unit 226
+        # is the one survivor and the indices past it are one skipped block.
+        # The run of leading index 28 starts after 7,994 pairs, so its block
+        # starts at check 8192, where the per-index scan polls the flag.
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
+        fam = [3 if k == 226 else 1 for k in range(300)]
+        assert _both_kernels(k5, [0] * 300, fam, 2, 2, 10**6) == [(None, 8192, "stopped", 29)] * 2
+
+    def test_a_cap_inside_a_swept_run_trips_as_the_per_index_scan(self, c6):
+        # 100 units of C_6, pairs. Every unit meets family set 0; units 10,
+        # 40, 41 and 90 meet set 1 too, so in the run of each leading index
+        # below 10 they are the only survivors, flooded 4 to a run. Unit 5
+        # holds vertex 0 and unit 40 vertex 3: the first cut is (5, 40), the
+        # 35th pair of leading index 5, whose run starts after 485 pairs;
+        # survivor 10 is its 5th.
+        units = [0] * 100
+        units[5], units[40] = 1 << 0, 1 << 3
+        fam = [3 if k in (10, 40, 41, 90) else 1 for k in range(100)]
+        floods = {484: 20, 485: 20, 486: 20, 489: 20, 490: 21, 491: 21, 519: 21}
+        for cap, flooded in floods.items():
+            answer = (None, cap, "check cap reached", flooded)
+            assert _both_kernels(c6, units, fam, 2, 2, cap) == [answer, answer], cap
+        for cap in (520, 521):
+            assert _both_kernels(c6, units, fam, 2, 2, cap) == [((5, 40), 520, "", 22)] * 2, cap
+        # a κ of 2 skips, unflooded, every survivor but unit 40 with unit 5
+        assert _both_kernels(c6, units, fam, 2, 2, 10**6, kappa=2) == [((5, 40), 520, "", 1)] * 2
+
+    def test_the_family_is_built_once_per_graph(self, monkeypatch):
+        runs = []
+        real = search._greedy_cds
+
+        def counted(*args):
+            runs.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(search, "_greedy_cds", counted)
+        g = build_dcell(1, 4)
+        one = exists_cut_of_size(g, K11, STRUCTURE, 2)
+        first = len(runs)
+        assert exists_cut_of_size(g, K11, STRUCTURE, 2) == one
+        assert certify_min(g, K11, STRUCTURE, 3, _d14_cut(3)).status == CERTIFIED
+        assert first == 20 * len(search._tie_orders(20)) and len(runs) == first

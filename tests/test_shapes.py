@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import check_leaf_families, reference_copies, reference_cycle_ids
+from conftest import ALL_SHAPES, check_leaf_families, reference_copies, reference_cycle_ids
 from dcnconn import (
     ShapeSpec,
     build_bcdc,
@@ -317,14 +317,6 @@ def _reference_is_shape(g, shape, member, mode):
     return len(seen) == k
 
 
-_SHAPES = (
-    [ShapeSpec.single()]
-    + [ShapeSpec.star(t) for t in range(1, 5)]
-    + [ShapeSpec.path(k) for k in range(1, 7)]
-    + [ShapeSpec.cycle(k) for k in range(3, 7)]
-    + [ShapeSpec.clique(s) for s in range(1, 6)]
-)
-
 _MEMBER_GRAPHS = {
     "B3": lambda: build_bcdc(3),
     "D14": lambda: build_dcell(1, 4),
@@ -364,7 +356,7 @@ def test_is_shape_matches_the_reference(name):
     accepted = 0
     for ids in tuples:
         labels = tuple(g.label_of(i) for i in ids)
-        for shape in _SHAPES:
+        for shape in ALL_SHAPES:
             for mode in MODES:
                 want = _reference_is_shape(g, shape, labels, mode)
                 assert is_shape(g, shape, labels, mode) == want, (name, ids, shape.tag, mode)
@@ -372,7 +364,7 @@ def test_is_shape_matches_the_reference(name):
     assert accepted > len(tuples)  # both answers are exercised
 
 
-@given(_small_graphs(), st.data(), st.sampled_from(_SHAPES), st.sampled_from(MODES))
+@given(_small_graphs(), st.data(), st.sampled_from(ALL_SHAPES), st.sampled_from(MODES))
 @settings(max_examples=300, deadline=None)
 def test_is_shape_matches_the_reference_on_random_graphs(g, data, shape, mode):
     n = g.vertex_count
@@ -388,5 +380,5 @@ def test_is_shape_matches_the_reference_on_random_graphs(g, data, shape, mode):
 @pytest.mark.parametrize("mode", MODES)
 def test_leaf_families_expand_to_the_per_copy_stream(name, mode):
     g = _ORDER_GRAPHS[name]()
-    for shape in _SHAPES:
+    for shape in ALL_SHAPES:
         check_leaf_families(g, shape, mode)
