@@ -220,7 +220,7 @@ def cmd_table(args) -> int:
     manifest_cases = []
     counts = {"pass": 0, "fail": 0, "rejected": 0, "skipped": 0}
     graphs: dict[tuple, Graph] = {}
-    t_start = time.time()
+    t_start = time.perf_counter()
 
     for family, params, shape, mode in _default_grid():
         key = (family, tuple(sorted(params.items())))
@@ -282,7 +282,7 @@ def cmd_table(args) -> int:
             "output": args.out,
             "cases": manifest_cases,
             "totals": counts,
-            "timing_secs": round(time.time() - t_start, 3),
+            "timing_secs": round(time.perf_counter() - t_start, 3),
         }
         with open(args.manifest, "w") as f:
             json.dump(manifest, f, indent=1)

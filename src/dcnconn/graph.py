@@ -1,6 +1,10 @@
 """Undirected simple graphs with string labels and dense integer ids.
 
 Graphs are immutable after construction and safe to share across workers.
+A graph holds its adjacency in one form, a neighbour mask per vertex
+(`Graph.neighbor_masks`: bit v of mask u is set when u and v are adjacent),
+and `ids` lists the vertex ids of a mask. Only this module knows how the
+neighbour tables below lay the masks out.
 Connectivity runs on byte-sliced neighbour tables over vertex bitmasks: one
 table per group of 8 vertex ids maps each byte of a vertex set to the union
 of those vertices' neighbourhoods, so a breadth-first step reads one table
@@ -66,7 +70,7 @@ DEFAULT_MAX_VERTICES = 100_000
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("_labels", "_index", "_adj", "_tables", "_kappa", "_family")
+    __slots__ = ("_labels", "_index", "_masks", "_tables", "_kappa", "_family")
 
     def __init__(self, labels: Sequence[str], id_edges: Iterable[tuple[int, int]]):
         self._labels: tuple[str, ...] = tuple(labels)
@@ -76,22 +80,16 @@ class Graph:
                 raise ValueError(f"duplicate label: {lab!r}")
             self._index[lab] = i
         n = len(self._labels)
-        adj: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in id_edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint id out of range: ({u}, {v})")
             if u == v:
                 raise ValueError(f"self-loop at {self._labels[u]!r}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        masks = []
-        for s in self._adj:
-            m = 0
-            for v in s:
-                m |= 1 << v
-            masks.append(m)
-        self._tables = _neighbor_tables(masks)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self._masks: tuple[int, ...] = tuple(masks)
+        self._tables = _neighbor_tables(self._masks)
         self._kappa: int | None = None  # filled by the first min_vertex_cut call
         # the dominating-set family of `search`, filled by its first build
         self._family: tuple[int, ...] | None = None
@@ -102,16 +100,22 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(m.bit_count() for m in self._masks) // 2
 
     @property
     def labels(self) -> tuple[str, ...]:
         return self._labels
 
     @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """The adjacency: bit v of entry u is set when u and v are adjacent."""
+        return self._masks
+
+    @property
     def neighbor_tables(self) -> tuple[list[int], ...]:
-        """Table j maps a byte b to the union of the neighbour masks of the
-        vertices 8j + i for the bits i set in b (see `_neighbor_tables`)."""
+        """Table j maps a byte b to the union of the `neighbor_masks` of the
+        vertices 8j + i for the bits i set in b, and holds those masks
+        themselves, the same ints, at entries 256.. (see `_neighbor_tables`)."""
         return self._tables
 
     def id_of(self, label: str) -> int:
@@ -126,18 +130,14 @@ class Graph:
     def has_vertex(self, label: str) -> bool:
         return label in self._index
 
-    def neighbor_ids(self, vid: int) -> frozenset[int]:
-        return self._adj[vid]
-
     def degree(self, label: str) -> int:
-        return len(self._adj[self.id_of(label)])
+        return self._masks[self.id_of(label)].bit_count()
 
     def edge_ids(self) -> Iterator[tuple[int, int]]:
         """Edges as id pairs (u, v) with u < v, ordered by (u, v)."""
-        for u in range(len(self._labels)):
-            for v in sorted(self._adj[u]):
-                if v > u:
-                    yield (u, v)
+        for u, m in enumerate(self._masks):
+            for v in ids(m & -(2 << u)):
+                yield (u, v)
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Edges as label pairs, in `edge_ids` order."""
@@ -184,6 +184,16 @@ def _fill_entry(table: list[int], b: int) -> int:
     return entry
 
 
+def ids(mask: int) -> list[int]:
+    """The vertex ids in `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
 def flood_mask(tables: Sequence[list[int]], alive: int, seed: int) -> int:
     """Bitmask BFS: the component of `seed` (single-bit mask) within `alive`.
 
@@ -218,16 +228,8 @@ def component_masks(g: Graph, alive: int) -> list[int]:
 
 def components(g: Graph) -> list[set[str]]:
     """Connected components as label sets, ordered by smallest member id."""
-    out = []
-    for comp in component_masks(g, (1 << g.vertex_count) - 1):
-        labs = set()
-        m = comp
-        while m:
-            b = m & -m
-            labs.add(g.label_of(b.bit_length() - 1))
-            m ^= b
-        out.append(labs)
-    return out
+    return [{g.label_of(v) for v in ids(comp)}
+            for comp in component_masks(g, (1 << g.vertex_count) - 1)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -241,11 +243,7 @@ def delete_vertices(g: Graph, labels: Iterable[str]) -> Graph:
     keep = [i for i in range(g.vertex_count) if i not in drop]
     remap = {old: new for new, old in enumerate(keep)}
     new_labels = [g.label_of(i) for i in keep]
-    id_edges = []
-    for old in keep:
-        for nb in g.neighbor_ids(old):
-            if nb > old and nb in remap:
-                id_edges.append((remap[old], remap[nb]))
+    id_edges = [(remap[u], remap[v]) for u, v in g.edge_ids() if u in remap and v in remap]
     return Graph(new_labels, id_edges)
 
 
@@ -295,13 +293,13 @@ def min_vertex_cut(g: Graph) -> int:
         raise ValueError("min_vertex_cut requires at least two vertices")
     if not is_connected(g):
         raise ValueError("min_vertex_cut requires a connected graph")
-    v0 = min(range(n), key=lambda v: len(g.neighbor_ids(v)))
-    near = g.neighbor_ids(v0)
-    best = len(near)
+    adj = g.neighbor_masks
+    v0 = min(range(n), key=lambda v: adj[v].bit_count())
+    near = adj[v0]
+    best = near.bit_count()
     if best < n - 1:
-        pairs = [(v0, t) for t in range(n) if t != v0 and t not in near]
-        pairs += [(x, y) for x, y in combinations(sorted(near), 2)
-                  if y not in g.neighbor_ids(x)]
+        pairs = [(v0, t) for t in ids(((1 << n) - 1) ^ near ^ (1 << v0))]
+        pairs += [(x, y) for x, y in combinations(ids(near), 2) if not adj[x] >> y & 1]
         for s, t in pairs:
             best = _disjoint_paths(g.neighbor_tables, s, t, best)
     g._kappa = best

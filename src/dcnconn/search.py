@@ -108,7 +108,6 @@ from __future__ import annotations
 import logging
 import os
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
 from heapq import heapify, heappop, heappush
@@ -118,7 +117,7 @@ from operator import or_
 from types import SimpleNamespace
 
 from .cuts import verify_cut
-from .graph import Graph, component_masks, flood_mask, is_connected, min_vertex_cut
+from .graph import Graph, component_masks, flood_mask, ids, is_connected, min_vertex_cut
 from .shapes import STRUCTURE, ShapeSpec, StructureCut, _leaf_families, enumerate_shape_copies
 
 CERTIFIED = "certified"
@@ -205,14 +204,6 @@ def _separates(tables, full: int, removed: int, h: int) -> bool:
     return False
 
 
-def _ids(mask: int) -> Iterator[int]:
-    """The vertex ids in `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
 def _tie_orders(n: int) -> list[tuple[list[int], list[int]]]:
     """The tie orders of the greedy over n vertices, each with its ranks (each
     vertex's place in it): ascending id, descending id, then `_RANDOM_TIES`
@@ -251,7 +242,7 @@ def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]
     rest = ((1 << n) - 1) ^ closed[start]  # the vertices not yet dominated
     # a key (n - gain)·n + rank orders by most gain, then by rank
     heap = [(n - (closed[v] & rest).bit_count()) * n + rank[v]
-            for v in _ids(closed[start] ^ 1 << start)]
+            for v in ids(closed[start] ^ 1 << start)]
     heapify(heap)
     while rest:
         v = order[heappop(heap) % n]
@@ -280,7 +271,7 @@ def _dominating_family(g: Graph) -> tuple[int, ...]:
     if g._family is not None:
         return g._family
     n = g.vertex_count
-    closed = [sum(1 << u for u in g.neighbor_ids(v)) | 1 << v for v in range(n)]
+    closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
     orders = _tie_orders(n)
     found: dict[int, None] = {}
     for start in range(n):
@@ -288,7 +279,7 @@ def _dominating_family(g: Graph) -> tuple[int, ...]:
             found[sum(1 << v for v in _greedy_cds(closed, start, order, rank))] = None
     full = (1 << n) - 1
     g._family = tuple(d for d in found if d.bit_count() >= 2 and component_masks(g, d) == [d]
-                      and reduce(or_, (closed[v] for v in _ids(d))) == full)
+                      and reduce(or_, (closed[v] for v in ids(d))) == full)
     return g._family
 
 
@@ -299,9 +290,9 @@ def _family_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> lis
         return [0] * len(unit_masks)
     of_vertex = [0] * n
     for j, d in enumerate(family):
-        for v in _ids(d):
+        for v in ids(d):
             of_vertex[v] |= 1 << j
-    return [reduce(or_, (of_vertex[v] for v in _ids(unit)), 0) for unit in unit_masks]
+    return [reduce(or_, (of_vertex[v] for v in ids(unit)), 0) for unit in unit_masks]
 
 
 def _meeting_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> list[int]:
@@ -311,10 +302,10 @@ def _meeting_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> li
     rows = [bytearray((len(unit_masks) + 7) // 8) for _ in range(n)]
     for k, unit in enumerate(unit_masks):
         byte, bit = k >> 3, 1 << (k & 7)
-        for v in _ids(unit):
+        for v in ids(unit):
             rows[v][byte] |= bit
     holding = [int.from_bytes(row, "little") for row in rows]
-    return [reduce(or_, (holding[v] for v in _ids(d))) for d in family]
+    return [reduce(or_, (holding[v] for v in ids(d))) for d in family]
 
 
 def _log_progress(size: int, checks: int, n: int) -> None:
@@ -573,8 +564,8 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
     again by `verify_cut`; the enumeration order is deterministic, so it
     stops at the last of them."""
     copies = islice(enumerate_shape_copies(g, shape, mode), found[-1] + 1)
-    cut = StructureCut(shape, tuple(tuple(g.label_of(v) for v in ids)
-                                    for i, ids in enumerate(copies) if i in found), mode)
+    cut = StructureCut(shape, tuple(tuple(g.label_of(v) for v in copy)
+                                    for i, copy in enumerate(copies) if i in found), mode)
     if not verify_cut(g, cut, shape, mode).passed:
         raise AssertionError("oracle witness failed independent verification")
     return cut
@@ -582,7 +573,7 @@ def _cut_of(g: Graph, shape: ShapeSpec, mode: str, found) -> StructureCut:
 
 def _min_degree(g: Graph) -> int:
     """δ(g), the least vertex degree (0 for a graph with no vertex)."""
-    return min((len(g.neighbor_ids(v)) for v in range(g.vertex_count)), default=0)
+    return min((m.bit_count() for m in g.neighbor_masks), default=0)
 
 
 def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: SearchBudget,

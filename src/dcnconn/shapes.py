@@ -11,8 +11,8 @@ groups: a leaf family `(prefix, mask, leaves)` holds a tuple of vertex ids,
 the mask of those ids, and a mask `leaves` disjoint from `mask`, and stands
 for the copies `(*prefix, v)` for every bit v of `leaves`, in ascending
 order. The oracle counts the copies of a family by one popcount and builds
-each copy's vertex mask as `mask | 1 << v`. Neighbour masks are read from
-the graph's `neighbor_tables`.
+each copy's vertex mask as `mask | 1 << v`. Every generator reads the
+graph's adjacency as its `neighbor_masks`, one mask per vertex.
 
 Paths and cycles are grown depth-first from each start in id order, over
 neighbours in id order. A path is kept when its first id is below its last,
@@ -55,7 +55,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import ParameterError
-from .graph import Graph, component_masks
+from .graph import Graph, component_masks, ids
 
 STRUCTURE = "structure"
 SUBSTRUCTURE = "substructure"
@@ -144,7 +144,7 @@ class StructureCut:
         return out
 
 
-def _ids(g: Graph, member: tuple[str, ...]) -> list[int]:
+def _member_ids(g: Graph, member: tuple[str, ...]) -> list[int]:
     ids = [g.id_of(v) for v in member]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate vertex in member: {member}")
@@ -164,27 +164,27 @@ def is_shape(g: Graph, shape: ShapeSpec, member: tuple[str, ...], mode: str) -> 
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
-    ids = _ids(g, member)
+    ids = _member_ids(g, member)
     k = len(ids)
     if k > shape.vertex_count or (mode == STRUCTURE and k < shape.vertex_count):
         return False
-    adj = g.neighbor_ids
+    adj = g.neighbor_masks
     if shape.kind == "star":
-        return all(leaf in adj(ids[0]) for leaf in ids[1:])
+        return all(adj[ids[0]] >> leaf & 1 for leaf in ids[1:])
     if shape.kind == "clique":
         if mode == STRUCTURE:
-            return all(b in adj(a) for a, b in combinations(ids, 2))
+            return all(adj[a] >> b & 1 for a, b in combinations(ids, 2))
         alive = 0
         for v in ids:
             alive |= 1 << v
         return len(component_masks(g, alive)) == 1
     # path and cycle: consecutive ids adjacent, a structure cycle closed
-    if shape.kind == "cycle" and mode == STRUCTURE and ids[0] not in adj(ids[-1]):
+    if shape.kind == "cycle" and mode == STRUCTURE and not adj[ids[-1]] >> ids[0] & 1:
         return False
-    return all(ids[i + 1] in adj(ids[i]) for i in range(k - 1))
+    return all(adj[ids[i]] >> ids[i + 1] & 1 for i in range(k - 1))
 
 
-def _clique_families(adj: list[int], s: int) -> Iterator[_Family]:
+def _clique_families(adj: tuple[int, ...], s: int) -> Iterator[_Family]:
     # K_1 is one family: every vertex after the empty prefix
     if s == 1:
         yield (), 0, (1 << len(adj)) - 1
@@ -205,18 +205,18 @@ def _clique_families(adj: list[int], s: int) -> Iterator[_Family]:
         yield from extend((v,), 1 << v, adj[v] & -(2 << v))
 
 
-def _star_families(g: Graph, adj: list[int], t: int) -> Iterator[_Family]:
+def _star_families(adj: tuple[int, ...], t: int) -> Iterator[_Family]:
     # K_{1,1} is symmetric: canonical center = smaller endpoint (one copy per
     # edge); for t >= 2 the center is structurally distinguished. Either way
     # the last leaf lies above the one before it (above the center for t = 1).
     for c in range(len(adj)):
-        for leaves in combinations(sorted(g.neighbor_ids(c)), t - 1):
+        for leaves in combinations(ids(adj[c]), t - 1):
             last = adj[c] & -(2 << (leaves[-1] if leaves else c))
             if last:
                 yield (c, *leaves), sum(1 << v for v in leaves) | 1 << c, last
 
 
-def _walks(adj: list[int], path: list[int], used: int, k: int,
+def _walks(adj: tuple[int, ...], path: list[int], used: int, k: int,
            reach: list[int]) -> Iterator[_Family]:
     """The leaf families of the simple walks of k vertices that extend `path`
     (of at most k - 2 vertices, whose mask is `used`), depth first over
@@ -243,7 +243,7 @@ def _walks(adj: list[int], path: list[int], used: int, k: int,
         path.pop()
 
 
-def _path_families(adj: list[int], k: int) -> Iterator[_Family]:
+def _path_families(adj: tuple[int, ...], k: int) -> Iterator[_Family]:
     # a path of at most 2 vertices is a clique; otherwise the last vertex is
     # the larger endpoint
     if k <= 2:
@@ -253,17 +253,15 @@ def _path_families(adj: list[int], k: int) -> Iterator[_Family]:
         yield from _walks(adj, [start], 1 << start, k, [-1, -(2 << start)] + [-1] * (k - 2))
 
 
-def _neighborhood(adj: list[int], mask: int) -> int:
+def _neighborhood(adj: tuple[int, ...], mask: int) -> int:
     """The union of the neighbour masks of the vertices in `mask`."""
     out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= adj[low.bit_length() - 1]
+    for v in ids(mask):
+        out |= adj[v]
     return out
 
 
-def _distances_above(adj: list[int], start: int, depth: int) -> list[int]:
+def _distances_above(adj: tuple[int, ...], start: int, depth: int) -> list[int]:
     """Breadth-first balls around `start` inside the subgraph induced by
     `start` and the ids above it: entry d is the mask of the vertices at
     distance at most d from `start` there, for d = 0..depth."""
@@ -277,7 +275,7 @@ def _distances_above(adj: list[int], start: int, depth: int) -> list[int]:
     return balls
 
 
-def _cycle_families(adj: list[int], k: int) -> Iterator[_Family]:
+def _cycle_families(adj: tuple[int, ...], k: int) -> Iterator[_Family]:
     # Canonical form: rotation starts at the minimum id, direction toward the
     # smaller second id; every vertex after the start exceeds the start, which
     # the distance balls enforce (they hold no id below the start). The
@@ -287,44 +285,41 @@ def _cycle_families(adj: list[int], k: int) -> Iterator[_Family]:
     # before it a neighbour of one of them.
     for start in range(len(adj)):
         reach = _distances_above(adj, start, k - 1)
-        seconds = reach[1] ^ 1 << start
-        while seconds:
-            low = seconds & -seconds
-            seconds ^= low
-            second = low.bit_length() - 1
+        for second in ids(reach[1] ^ 1 << start):
+            used = 1 << start | 1 << second
             ends = reach[1] & -(2 << second)
             if k == 3:  # a triangle: the second vertex is the next-to-last
                 last = adj[second] & ends
                 if last:
-                    yield (start, second), 1 << start | low, last
+                    yield (start, second), used, last
                 continue
-            yield from _walks(adj, [start, second], 1 << start | low, k,
+            yield from _walks(adj, [start, second], used, k,
                               [reach[0], ends, reach[2] & _neighborhood(adj, ends), *reach[3:]])
 
 
-def _connected_set_families(g: Graph, smax: int) -> Iterator[_Family]:
+def _connected_set_families(adj: tuple[int, ...], smax: int) -> Iterator[_Family]:
     """Connected vertex sets of size 1..smax, each exactly once, as one-bit
-    families of their sorted ids."""
+    families of their sorted ids.
 
-    def extend(sub: tuple[int, ...], ext: list[int], root: int) -> Iterator[_Family]:
-        *base, top = sorted(sub)
-        yield tuple(base), sum(1 << v for v in base), 1 << top
-        if len(sub) == smax:
+    A set `sub` (a mask) whose least id is the root grows by the candidates
+    `ext` in order, each taken once: after taking w the later candidates
+    stay, and w's neighbours above the root outside the closed neighbourhood
+    `closed` of `sub` join them in id order. Every candidate is a neighbour
+    of `sub`, so the closed neighbourhood keeps out both `sub` and `ext`."""
+
+    def extend(sub: int, closed: int, ext: list[int], above: int) -> Iterator[_Family]:
+        top = sub.bit_length() - 1
+        base = sub ^ 1 << top
+        yield tuple(ids(base)), base, 1 << top
+        if sub.bit_count() == smax:
             return
-        ext = list(ext)
-        while ext:
-            w = ext.pop(0)
-            fresh = [
-                x
-                for x in sorted(g.neighbor_ids(w))
-                if x > root and x not in sub and x not in ext and not any(
-                    x in g.neighbor_ids(y) for y in sub
-                )
-            ]
-            yield from extend(sub + (w,), ext + fresh, root)
+        for i, w in enumerate(ext):
+            fresh = adj[w] & above & ~closed
+            yield from extend(sub | 1 << w, closed | adj[w], ext[i + 1:] + ids(fresh), above)
 
-    for v in range(g.vertex_count):
-        yield from extend((v,), [x for x in sorted(g.neighbor_ids(v)) if x > v], v)
+    for v in range(len(adj)):
+        above = -(2 << v)
+        yield from extend(1 << v, adj[v] | 1 << v, ids(adj[v] & above), above)
 
 
 def _leaf_families(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[_Family]:
@@ -332,12 +327,11 @@ def _leaf_families(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[_Family]:
     (see the module docstring)."""
     if mode not in MODES:
         raise ParameterError(f"unknown mode: {mode!r}")
-    tables = g.neighbor_tables
-    adj = [tables[v >> 3][256 + (v & 7)] for v in range(g.vertex_count)]
+    adj = g.neighbor_masks
 
     if mode == STRUCTURE:
         if shape.kind == "star":
-            yield from _star_families(g, adj, shape.size)
+            yield from _star_families(adj, shape.size)
         elif shape.kind == "path":
             yield from _path_families(adj, shape.size)
         elif shape.kind == "cycle":
@@ -350,14 +344,14 @@ def _leaf_families(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[_Family]:
     if shape.kind == "star":
         yield from _clique_families(adj, 1)
         for tp in range(1, shape.size + 1):
-            yield from _star_families(g, adj, tp)
+            yield from _star_families(adj, tp)
     elif shape.kind in ("path", "cycle"):
         # every connected subgraph of C_k is a path P_j (j <= k) or C_k itself,
         # and each canonical C_k tuple already appears among the P_k tuples
         for j in range(1, shape.size + 1):
             yield from _path_families(adj, j)
     else:
-        yield from _connected_set_families(g, shape.size)
+        yield from _connected_set_families(adj, shape.size)
 
 
 def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tuple[int, ...]]:
@@ -371,7 +365,5 @@ def enumerate_shape_copies(g: Graph, shape: ShapeSpec, mode: str) -> Iterator[tu
     `tuple(g.label_of(i) for i in ids)`.
     """
     for prefix, _, leaves in _leaf_families(g, shape, mode):
-        while leaves:
-            low = leaves & -leaves
-            leaves ^= low
-            yield (*prefix, low.bit_length() - 1)
+        for v in ids(leaves):
+            yield (*prefix, v)

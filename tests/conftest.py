@@ -1,5 +1,5 @@
 from bisect import bisect_right
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from math import comb
 from operator import or_
@@ -20,8 +20,20 @@ from dcnconn import (
 from dcnconn.shapes import STRUCTURE, _leaf_families
 
 
+@lru_cache(maxsize=64)
+def _neighbor_sets(g):
+    return tuple(frozenset(u for u in range(g.vertex_count) if mask >> u & 1)
+                 for mask in g.neighbor_masks)
+
+
+def neighbor_set(g, v):
+    """The neighbour ids of vertex id v, as a set read off its neighbour mask
+    (once per graph), for the set-based reference enumerators."""
+    return _neighbor_sets(g)[v]
+
+
 def neighbor_labels(g, label):
-    return {g.label_of(i) for i in g.neighbor_ids(g.id_of(label))}
+    return {g.label_of(i) for i in neighbor_set(g, g.id_of(label))}
 
 
 def smallest_component(g, cut):
@@ -46,7 +58,7 @@ def reference_path_ids(g, k):
             if path[0] < path[-1]:
                 yield tuple(path)
             return
-        for nb in sorted(g.neighbor_ids(path[-1])):
+        for nb in sorted(neighbor_set(g, path[-1])):
             if nb not in used:
                 path.append(nb)
                 used.add(nb)
@@ -64,10 +76,10 @@ def reference_cycle_ids(g, k):
 
     def extend(path, used):
         if len(path) == k:
-            if path[0] in g.neighbor_ids(path[-1]) and path[1] < path[-1]:
+            if path[0] in neighbor_set(g, path[-1]) and path[1] < path[-1]:
                 yield tuple(path)
             return
-        for nb in sorted(g.neighbor_ids(path[-1])):
+        for nb in sorted(neighbor_set(g, path[-1])):
             if nb > path[0] and nb not in used:
                 path.append(nb)
                 used.add(nb)
@@ -86,7 +98,7 @@ def reference_star_ids(g, t):
         yield from g.edge_ids()
         return
     for c in range(g.vertex_count):
-        yield from ((c, *leaves) for leaves in combinations(sorted(g.neighbor_ids(c)), t))
+        yield from ((c, *leaves) for leaves in combinations(sorted(neighbor_set(g, c)), t))
 
 
 def reference_clique_ids(g, s):
@@ -101,10 +113,10 @@ def reference_clique_ids(g, s):
             if len(base) + 1 == s:
                 yield (*base, w)
             else:
-                yield from extend((*base, w), {x for x in common & g.neighbor_ids(w) if x > w})
+                yield from extend((*base, w), {x for x in common & neighbor_set(g, w) if x > w})
 
     for v in range(g.vertex_count):
-        yield from extend((v,), {x for x in g.neighbor_ids(v) if x > v})
+        yield from extend((v,), {x for x in neighbor_set(g, v) if x > v})
 
 
 def reference_connected_sets(g, smax):
@@ -119,12 +131,12 @@ def reference_connected_sets(g, smax):
         ext = list(ext)
         while ext:
             w = ext.pop(0)
-            fresh = [x for x in sorted(g.neighbor_ids(w)) if x > root and x not in sub
-                     and x not in ext and not any(x in g.neighbor_ids(y) for y in sub)]
+            fresh = [x for x in sorted(neighbor_set(g, w)) if x > root and x not in sub
+                     and x not in ext and not any(x in neighbor_set(g, y) for y in sub)]
             yield from extend(sub + (w,), ext + fresh, root)
 
     for v in range(g.vertex_count):
-        yield from extend((v,), [x for x in sorted(g.neighbor_ids(v)) if x > v], v)
+        yield from extend((v,), [x for x in sorted(neighbor_set(g, v)) if x > v], v)
 
 
 def reference_copies(g, shape, mode):

@@ -523,6 +523,20 @@ def test_table_has_no_max_members_and_records_the_default(capsys, tmp_path):
     assert "budget" not in json.loads(manifest.read_text())
 
 
+def test_table_timing_ignores_a_wall_clock_step_back(capsys, tmp_path, monkeypatch):
+    import json
+    import time
+
+    # every read of the wall clock is one second earlier than the one before
+    clock = iter(range(10**6, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(clock)))
+    manifest = tmp_path / "manifest.json"
+    code, _, _ = run(capsys, "table", "--oracle", "off", "--out", str(tmp_path / "t.csv"),
+                     "--manifest", str(manifest))
+    assert code == 0
+    assert json.loads(manifest.read_text())["timing_secs"] >= 0
+
+
 @pytest.mark.parametrize("argv", [("gen", "bcdc", "--n", "3"),
                                   ("cut", "dcell", "--n", "4", "--shape", "K1_1")],
                          ids=["gen", "cut"])

@@ -3,7 +3,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import neighbor_labels
+from conftest import neighbor_labels, neighbor_set
 from dcnconn import (
     build_graph,
     components,
@@ -202,7 +202,7 @@ def test_min_cut_needs_the_neighbour_pairs():
     edges = [(0, 1), (0, 2), (0, 6), (0, 7)]
     edges += list(combinations(range(1, 6), 2)) + list(combinations(range(6, 11), 2))
     g = _id_graph(11, edges)
-    assert min(range(11), key=lambda v: len(g.neighbor_ids(v))) == 0
+    assert min(range(11), key=lambda v: len(neighbor_set(g, v))) == 0
     assert _brute_kappa(11, edges) == 1
     assert [v for v in range(1, 11)
             if not is_connected(delete_vertices(g, [str(v)]))] == []
@@ -236,7 +236,7 @@ def test_disjoint_paths_match_brute_force_separators_at_every_limit():
         edges = {(rng.randrange(v), v) for v in range(1, n)}  # a spanning tree
         edges |= {p for p in combinations(range(n), 2) if rng.random() < density}
         g = _id_graph(n, sorted(edges))
-        adj = [set(g.neighbor_ids(v)) for v in range(n)]
+        adj = [neighbor_set(g, v) for v in range(n)]
         for s, t in permutations(range(n), 2):
             if t in adj[s]:
                 continue
@@ -258,7 +258,7 @@ def test_disjoint_paths_walk_back_over_a_path():
     g = _id_graph(9, edges)
     assert graph_module._disjoint_paths(g.neighbor_tables, 2, 7, 1) == 1
     assert graph_module._disjoint_paths(g.neighbor_tables, 2, 7, 9) == 2
-    assert _least_separator([set(g.neighbor_ids(v)) for v in range(9)], 2, 7) == 2
+    assert _least_separator([neighbor_set(g, v) for v in range(9)], 2, 7) == 2
 
 
 def test_disjoint_paths_match_networkx_local_connectivity():
@@ -267,7 +267,7 @@ def test_disjoint_paths_match_networkx_local_connectivity():
     for g in (build_bcdc(4), build_dcell(1, 4), build_dcell(2, 3)):
         h = nx.Graph(list(g.edges()))
         n = g.vertex_count
-        pairs = [(s, t) for s, t in permutations(range(n), 2) if t not in g.neighbor_ids(s)]
+        pairs = [(s, t) for s, t in permutations(range(n), 2) if t not in neighbor_set(g, s)]
         for s, t in rng.sample(pairs, 30):
             want = nx.node_connectivity(h, g.label_of(s), g.label_of(t))
             assert graph_module._disjoint_paths(g.neighbor_tables, s, t, n) == want, (s, t)
@@ -325,7 +325,7 @@ def _per_bit_flood(g, alive, seed):
         nxt = 0
         for v in range(g.vertex_count):
             if frontier >> v & 1:
-                for w in g.neighbor_ids(v):
+                for w in neighbor_set(g, v):
                     nxt |= 1 << w
         frontier = nxt & alive & ~comp
         comp |= frontier

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_first_cut, check_leaf_families, neighbor_labels, reference_answer
 from dcnconn import (
+    Graph,
     SearchBudget,
     ShapeSpec,
     StructureCut,
@@ -87,6 +88,31 @@ def test_components_match_networkx(g):
     h.add_edges_from(g.edges())
     expected = sorted(sorted(c) for c in nx.connected_components(h))
     assert sorted(sorted(c) for c in components(g)) == expected
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_the_neighbour_masks_are_the_given_edges(data):
+    n = data.draw(st.integers(1, 20))
+    ends = st.integers(0, n - 1)
+    # repeated, reversed and unsorted id pairs, no self-loops
+    given_edges = data.draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                                     max_size=3 * n))
+    g = Graph([f"v{i}" for i in range(n)], given_edges)
+    pairs = sorted({(min(p), max(p)) for p in given_edges})
+    masks = g.neighbor_masks
+    assert masks == tuple(sum(1 << v for v in range(n) if (min(u, v), max(u, v)) in pairs)
+                          for u in range(n))
+    assert all(masks[v] >> u & 1 for u in range(n) for v in range(n) if masks[u] >> v & 1)
+    assert not any(m >> u & 1 for u, m in enumerate(masks))
+    assert [g.degree(lab) for lab in g.labels] == [m.bit_count() for m in masks]
+    assert g.edge_count == sum(m.bit_count() for m in masks) // 2
+    assert list(g.edge_ids()) == pairs
+    drop = data.draw(st.sets(st.integers(0, n - 1)))
+    rest = delete_vertices(g, [g.label_of(v) for v in drop])
+    assert rest.labels == tuple(lab for v, lab in enumerate(g.labels) if v not in drop)
+    assert list(rest.edges()) == [(g.label_of(u), g.label_of(v)) for u, v in pairs
+                                  if u not in drop and v not in drop]
 
 
 @given(connected_graphs())

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SHAPES, brute_force_first_cut, neighbor_labels, reference_answer
+from conftest import (ALL_SHAPES, brute_force_first_cut, neighbor_labels, neighbor_set,
+                      reference_answer)
 from dcnconn import (
     SearchBudget,
     ShapeSpec,
@@ -422,7 +423,7 @@ def _isolating_witness(g, shape, mode, size):
     copies = list(enumerate_shape_copies(g, shape, mode))
     for x in range(g.vertex_count):
         usable = [c for c in copies if x not in c]
-        near = g.neighbor_ids(x)
+        near = neighbor_set(g, x)
 
         def extend(chosen, covered):
             left = near - covered
@@ -654,7 +655,7 @@ def _check_family(g) -> list[int]:
     for d in family:
         inside = _members(d)
         assert len(inside) >= 2
-        assert all(v in inside or g.neighbor_ids(v) & set(inside) for v in range(g.vertex_count))
+        assert all(v in inside or neighbor_set(g, v) & set(inside) for v in range(g.vertex_count))
         assert len(components(delete_vertices(
             g, [g.label_of(v) for v in range(g.vertex_count) if v not in inside]))) == 1
     return family
@@ -662,7 +663,7 @@ def _check_family(g) -> list[int]:
 
 def _closed(g) -> list[int]:
     """Each vertex's closed neighbourhood, as a mask."""
-    return [sum(1 << u for u in g.neighbor_ids(v)) | 1 << v for v in range(g.vertex_count)]
+    return [sum(1 << u for u in neighbor_set(g, v)) | 1 << v for v in range(g.vertex_count)]
 
 
 def _unfiltered(call):
@@ -692,7 +693,7 @@ class TestDominatingFamily:
         # a greedy run from a vertex that misses a neighbour ends with 2 or more
         # vertices, so the family is empty only when every vertex dominates alone
         n = g.vertex_count
-        complete = all(len(g.neighbor_ids(v)) == n - 1 for v in range(n))
+        complete = all(len(neighbor_set(g, v)) == n - 1 for v in range(n))
         assert (not _check_family(g)) == complete
 
     @given(g=_connected_graphs(), data=st.data())

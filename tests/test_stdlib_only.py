@@ -2,10 +2,12 @@
 library module imports is used (by `__init__.py`: exported in `__all__`),
 every parameter of a library function is read, every top-level function,
 class and constant, private or public, and every public method and dataclass
-field is read by library or benchmark code (or named as kept on purpose), and
-only the CLI writes to the terminal."""
+field is read by library or benchmark code (or named as kept on purpose),
+only the CLI writes to the terminal, and the library and benchmark parse as
+the oldest Python that `pyproject.toml` admits."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "dcnconn"
 BENCH = SRC.parent.parent / "bench"
+PYPROJECT = SRC.parent.parent / "pyproject.toml"
 
 
 def _outside_imports(path: Path) -> list[str]:
@@ -32,6 +35,35 @@ def _outside_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library(path):
     assert _outside_imports(path) == []
+
+
+def _declared_minimum() -> tuple[int, int]:
+    """The (major, minor) of `requires-python = ">=X.Y"` in pyproject.toml."""
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', PYPROJECT.read_text(), re.M)
+    return int(found[1]), int(found[2])
+
+
+def _too_new_syntax(path: Path, version: tuple[int, int]) -> list[str]:
+    """The syntax error `path` raises when parsed as Python `version`, if any."""
+    try:
+        ast.parse(path.read_text(), str(path), feature_version=version)
+    except SyntaxError as exc:
+        return [f"{path.name}:{exc.lineno} {exc.msg}"]
+    return []
+
+
+@pytest.mark.parametrize("path", sorted([*SRC.glob("*.py"), *BENCH.glob("*.py")]),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_parses_as_the_declared_minimum_python(path):
+    assert _too_new_syntax(path, _declared_minimum()) == []
+
+
+def test_the_check_sees_syntax_past_the_declared_minimum(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert _too_new_syntax(probe, (3, 10)) == [
+        "probe.py:4 Exception groups are only supported in Python 3.11 and greater"]
+    assert _too_new_syntax(probe, (3, 11)) == []
 
 
 def _unused_imports(path: Path) -> list[str]:
