@@ -88,6 +88,23 @@ records are those of the per-index walk. A sweep costs one AND per bit of
 fewer than `_SWEEP_MIN` unit steps (k0 < i + `_SWEEP_MIN`, one `suffix`
 test), and the one run of a size-1 scan, are walked one index at a time.
 
+The kernel floods each distinct union at most once per leading index. In one
+scan the tables, the vertex mask and h are fixed, so whether removing a
+union `_separates` the graph depends on the union alone. The kernel keeps
+the set of the unions it has flooded that did not separate, and a subset
+whose union is in the set is counted and answered "no" without a flood; a
+hit ends the scan, so none is ever stored. Every subset thus gets the
+verdict it gets without the set, in the same order, so status, value,
+bound, witness, `checks`, the note, "stopped" and the progress records are
+those of the kernel without it, for every worker count. The set is emptied
+each time the scan takes the next leading index, and a pool task is one
+leading index, so a size floods the same subsets serially and in a pool.
+It is also emptied once it holds `_MEMO_MAX` unions, which bounds its
+memory; within one leading index the floods, and so these points, are the
+same for every worker count. The set is not kept for single-vertex copies,
+whose distinct subsets have distinct unions, nor at size 1, where each
+subset has a leading index of its own.
+
 `certify_min`'s scan, and no other, also skips every subset whose union has
 fewer than κ(G) vertices: the size bound applied to one union. Removing
 fewer than κ vertices leaves G connected, and since κ <= n-1 it leaves at
@@ -131,6 +148,9 @@ _RANDOM_TIES = 14  # shuffled tie orders per start vertex, beside ascending and 
 # a last-member run is swept when the per-index walk would take at least this
 # many unit steps in it (set from the measurement in `BENCH_leaf_sweep.json`)
 _SWEEP_MIN = 16
+# the scan kernel's memo of unions is emptied when it holds this many (set
+# from the measurement in `BENCH_union_memo.json`)
+_MEMO_MAX = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -325,7 +345,7 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     """Scan, lexicographically, the `size`-subsets whose leading index is in [lo, hi).
 
     `ctx` is (neighbour tables, full mask, unit masks, h, family masks, all
-    family bits, suffix masks, κ, meeting masks): a subset hits when
+    family bits, suffix masks, κ, meeting masks, memo): a subset hits when
     removing the union of its unit masks `_separates` the graph. A union of
     fewer than κ vertices is counted and skipped without a flood (κ is 0
     when the rule is off). `suffix[i]` is the OR of the family masks of
@@ -340,34 +360,43 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     the last member is taken one index at a time. Otherwise a run of the
     last member of a size of 2 or more that holds at least `_SWEEP_MIN`
     unit steps is settled by one sweep, polled and capped as the per-index
-    walk (see the module docstring).
+    walk (see the module docstring). With `memo` true and a size of 2 or
+    more, a union already flooded under the same leading index is counted
+    and answered from the memo without a flood (see the module docstring).
     Returns (first hitting subset or None, checks made, note, subsets
-    flooded); the note is "check cap reached" when `cap` checks were made
-    with subsets left to check. The cap is tested before a subset or block,
-    so a range that ends as the cap trips is complete and carries no note, and
-    a cap inside a skipped block returns `cap` checks. In a pool worker the
-    scan also ends, with the note "stopped", once the caller has its answer
-    (tested each time `checks` has passed another multiple of 8192, only
-    while subsets are left). Progress is logged likewise each time `checks`
-    has passed another multiple of `_LOG_EVERY`.
+    flooded, subsets answered from the memo); the note is "check cap
+    reached" when `cap` checks were made with subsets left to check. The cap
+    is tested before a subset or block, so a range that ends as the cap
+    trips is complete and carries no note, and a cap inside a skipped block
+    returns `cap` checks. In a pool worker the scan also ends, with the note
+    "stopped", once the caller has its answer (tested each time `checks` has
+    passed another multiple of 8192, only while subsets are left). Progress
+    is logged likewise each time `checks` has passed another multiple of
+    `_LOG_EVERY`.
     """
-    tables, full, unit_masks, h, family_masks, every_set, suffix, kappa, meeting = ctx
+    tables, full, unit_masks, h, family_masks, every_set, suffix, kappa, meeting, memo = ctx
     n = len(unit_masks)
     last = size - 1
+    memo = memo and last  # a size-1 subset is its own leading index
+    seen = set()  # the unions flooded under this leading index that did not separate
     sweep_min = _SWEEP_MIN if meeting else n + 1  # no run is that long
     chosen = [0] * size  # the index taken at each depth
     meets = [0] * size  # the family bits of the members before each depth
     removed = [0] * size  # the union of the members before each depth
-    checks = flooded = 0
+    checks = flooded = repeated = 0
     poll, log_at = 8192, _LOG_EVERY
     d, i, end = 0, lo, min(hi, n - last)
     while True:
         if i >= end:  # depth d is done: take the next index one depth up
             if not d:
-                return None, checks, "", flooded
+                return None, checks, "", flooded, repeated
             d -= 1
             i = chosen[d] + 1
-            end = min(hi, n - last) if not d else n - last + d
+            if d:
+                end = n - last + d
+            else:  # the next leading index: the memo holds only this one's unions
+                end = min(hi, n - last)
+                seen.clear()
             continue
         left = last - d  # members still to take after this one
         coverable = meets[d] | suffix[i] == every_set
@@ -391,12 +420,12 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
             while i < end:
                 if checks >= poll:
                     if _worker_stop.value:
-                        return None, checks, "stopped", flooded
+                        return None, checks, "stopped", flooded, repeated
                     log_at = _progress(size, checks, n, log_at)
                     poll = (checks // 8192 + 1) * 8192
                 room = min(poll, cap) - checks  # unit steps before the next poll or the cap
                 if room <= 0:
-                    return None, cap, "check cap reached", flooded
+                    return None, cap, "check cap reached", flooded, repeated
                 if room >= end - i or meets[d] | suffix[i + room - 1] != every_set:
                     stop = end  # neither falls before the run's end or its skipped block
                 else:
@@ -409,12 +438,19 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
                     hits ^= low
                     union = removed[d] | unit_masks[k]
                     if union.bit_count() >= kappa:
-                        flooded += 1
-                        if _separates(tables, full, union, h):
-                            chosen[d] = k
-                            return tuple(chosen), checks + k - i + 1, "", flooded
+                        if memo and union in seen:
+                            repeated += 1
+                        else:
+                            flooded += 1
+                            if _separates(tables, full, union, h):
+                                chosen[d] = k
+                                return tuple(chosen), checks + k - i + 1, "", flooded, repeated
+                            if memo:
+                                if len(seen) >= _MEMO_MAX:
+                                    seen.clear()
+                                seen.add(union)
                 if checks + stop - i > cap:  # the run ends in a skipped block past the cap
-                    return None, cap, "check cap reached", flooded
+                    return None, cap, "check cap reached", flooded, repeated
                 checks += stop - i
                 i = stop
             continue
@@ -422,11 +458,11 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
         block = 1 if coverable else comb(n - i, left + 1) - comb(n - end, left + 1)
         if checks >= poll:
             if _worker_stop.value:
-                return None, checks, "stopped", flooded
+                return None, checks, "stopped", flooded, repeated
             log_at = _progress(size, checks, n, log_at)
             poll = (checks // 8192 + 1) * 8192
         if checks + block > cap:
-            return None, cap, "check cap reached", flooded
+            return None, cap, "check cap reached", flooded, repeated
         checks += block
         if not coverable:
             i = end
@@ -434,10 +470,17 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
         if meets[d] | family_masks[i] == every_set:
             union = removed[d] | unit_masks[i]
             if union.bit_count() >= kappa:
-                flooded += 1
-                if _separates(tables, full, union, h):
-                    chosen[d] = i
-                    return tuple(chosen), checks, "", flooded
+                if memo and union in seen:
+                    repeated += 1
+                else:
+                    flooded += 1
+                    if _separates(tables, full, union, h):
+                        chosen[d] = i
+                        return tuple(chosen), checks, "", flooded, repeated
+                    if memo:
+                        if len(seen) >= _MEMO_MAX:
+                            seen.clear()
+                        seen.add(union)
         i += 1
 
 
@@ -459,7 +502,7 @@ def _pool_init(ctx, stop) -> None:
 
 def _pool_task(task):
     if _worker_stop.value:
-        return None, 0, "stopped", 0
+        return None, 0, "stopped", 0, 0
     size, lead, cap = task
     return _scan_range(_worker_ctx, size, lead, lead + 1, cap)
 
@@ -502,8 +545,9 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
     the caller, whose shutdown then runs as after an answer. Results are
     logged at least `_LOG_EVERY` checks apart, counting from 0 at each size,
     and each size ends with a record of the subsets flooded among those it
-    examined (in the results read, so a pool task cut by the check cap counts
-    its floods past the cap too).
+    examined and of those answered from the memo, which a rule skip is not
+    (in the results read, so a pool task cut by the check cap counts its
+    floods past the cap too).
     """
     n = len(ctx[2])  # the number of unit masks
     total = 0
@@ -511,7 +555,7 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
     try:
         for size in sizes:
             start = logged = total
-            flooded = 0
+            flooded = repeated = 0
             res = hit = None
             cap = budget.max_checks - start
             if jobs > 1 and size >= 2 and min(comb(n, size), cap) > _POOL_MIN:
@@ -527,8 +571,9 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
                 results = pool.imap(_pool_task, tasks, chunksize=1)
             else:
                 results = [_scan_range(ctx, size, 0, n, cap)]
-            for found, checks, note, floods in results:
+            for found, checks, note, floods, repeats in results:
                 flooded += floods
+                repeated += repeats
                 left = budget.max_checks - total
                 if found is not None and checks <= left:
                     res = OracleResult(CERTIFIED, size, size - 1, None, total + checks, n)
@@ -544,8 +589,9 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
                 if total - logged >= _LOG_EVERY:
                     logged = total
                     _log_progress(size, total - start, n)
-            log.info("size=%d subsets flooded=%s of %s examined", size, f"{flooded:,}",
-                     f"{(res.checks if res else total) - start:,}")
+            log.info("size=%d subsets flooded=%s of %s examined, %s repeated unions not flooded",
+                     size, f"{flooded:,}", f"{(res.checks if res else total) - start:,}",
+                     f"{repeated:,}")
             if res:
                 return res, hit
     finally:
@@ -621,8 +667,9 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     # a size s >= 2 sweeps runs of the last member of at most len(unit_masks) - s + 1 indices
     sweeps = family and len(unit_masks) - max(sizes.start, 2) + 1 >= _SWEEP_MIN
     meeting = _meeting_masks(unit_masks, family, g.vertex_count) if sweeps else []
+    # distinct single-vertex copies have distinct unions, so the memo would never hit
     ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
-           (1 << len(family)) - 1, suffix, kappa, meeting)
+           (1 << len(family)) - 1, suffix, kappa, meeting, shape.vertex_count > 1)
     return _scan_sizes(ctx, sizes, budget, jobs)
 
 

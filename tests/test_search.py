@@ -109,7 +109,8 @@ class TestExists:
     def test_exists_scan_logs_each_size(self, d14, caplog, monkeypatch, jobs):
         # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness;
         # a pool logs each task's result, counting from 0 again at each size;
-        # each size ends with the subsets flooded, the same for every job count
+        # each size ends with the subsets flooded and those answered from the
+        # memo, the same for every job count: at size 3 two unions repeat
         monkeypatch.setattr(search, "_LOG_EVERY", 1)
         monkeypatch.setattr(search, "_POOL_MIN", 0)
         with caplog.at_level(logging.INFO, logger="dcnconn.search"):
@@ -117,9 +118,9 @@ class TestExists:
         assert (res.status, res.value, res.checks) == (CERTIFIED, 3, 40 + 780 + 33)
         messages = [r.getMessage() for r in caplog.records]
         assert [m for m in messages if "flooded" in m] == [
-            "size=1 subsets flooded=0 of 40 examined",
-            "size=2 subsets flooded=15 of 780 examined",
-            "size=3 subsets flooded=5 of 33 examined"]
+            "size=1 subsets flooded=0 of 40 examined, 0 repeated unions not flooded",
+            "size=2 subsets flooded=15 of 780 examined, 0 repeated unions not flooded",
+            "size=3 subsets flooded=3 of 33 examined, 2 repeated unions not flooded"]
         records = [_progress_record(m) for m in messages if "flooded" not in m]
         if jobs == 1:
             assert records == [(1, 40, 40), (2, 780, 780)]
@@ -285,8 +286,8 @@ class TestJobsParity:
                                  SearchBudget(max_checks=820), jobs)
         assert (res.status, res.checks, res.note) == (NO, 820, "")
 
-    @pytest.mark.parametrize("units, want", [(8192, (None, 8192, "", 8192)),
-                                             (8193, (None, 8192, "stopped", 8192))])
+    @pytest.mark.parametrize("units, want", [(8192, (None, 8192, "", 8192, 0)),
+                                             (8193, (None, 8192, "stopped", 8192, 0))])
     def test_kernel_tests_the_stop_flag_only_with_subsets_left(self, k5, units, want,
                                                                 monkeypatch):
         # empty unit masks never cut K_5; the caller's flag is up before the scan
@@ -294,20 +295,20 @@ class TestJobsParity:
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * units, 0, [0] * units, 0,
-               [0] * units, 0, [])
+               [0] * units, 0, [], True)
         assert search._scan_range(ctx, 1, 0, units, 10**6) == want
 
     @pytest.mark.parametrize("lo, hi, cap, want", [
-        (0, 10, 1, (None, 1, "check cap reached", 0)),
-        (0, 10, 44, (None, 44, "check cap reached", 0)),
-        (0, 10, 45, (None, 45, "", 0)),
-        (3, 4, 5, (None, 5, "check cap reached", 0)),
-        (3, 4, 6, (None, 6, "", 0))])
+        (0, 10, 1, (None, 1, "check cap reached", 0, 0)),
+        (0, 10, 44, (None, 44, "check cap reached", 0, 0)),
+        (0, 10, 45, (None, 45, "", 0, 0)),
+        (3, 4, 5, (None, 5, "check cap reached", 0, 0)),
+        (3, 4, 6, (None, 6, "", 0, 0))])
     def test_a_cap_inside_a_skipped_block_trips_at_the_cap(self, k5, lo, hi, cap, want):
         # no copy meets the one family set, so the pairs of 10 copies with a
         # leading index in [lo, hi) are one skipped block: 45, or 6 from index 3
         ctx = (k5.neighbor_tables, (1 << k5.vertex_count) - 1, [0] * 10, 0, [0] * 10, 1,
-               [0] * 10, 0, [0])
+               [0] * 10, 0, [0], True)
         assert search._scan_range(ctx, 2, lo, hi, cap) == want
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
@@ -673,6 +674,19 @@ def _unfiltered(call):
         return call()
 
 
+def _without_memo(call):
+    """`call()` with the scan kernel's memo of unions off, so every union
+    that passes the rules is flooded, repeated or not."""
+    real = search._scan_sizes
+
+    def plain(ctx, *args):
+        return real((*ctx[:-1], False), *args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_scan_sizes", plain)
+        return call()
+
+
 class TestDominatingFamily:
     @pytest.mark.parametrize("graph, sets", [("b3", 15), ("b4", 35), ("b5", 100), ("d14", 14)])
     def test_every_set_is_a_connected_dominating_set(self, request, graph, sets):
@@ -747,9 +761,21 @@ class TestDominatingFamily:
             floods.append(0)
             return exists_cut_of_size(b4, K11, STRUCTURE, 2)
 
-        plain = _unfiltered(run)
-        assert run() == plain and plain.checks == 4656
+        plain = _without_memo(lambda: _unfiltered(run))
+        assert _without_memo(run) == plain and plain.checks == 4656
         assert floods == [4656, 0]
+
+    def test_filter_skips_floods_with_the_memo(self, b4):
+        # as above with the memo on. Two pairs with one leading edge share a
+        # union only as ab, ac and ab, bc of a triangle abc, once per triangle:
+        # B_4, the line graph of the 4-regular CQ_4, has four triangles in
+        # each of its 16 K_4s, so 64 of the 4,560 pairs are not flooded
+        def run():
+            return exists_cut_of_size(b4, K11, STRUCTURE, 2)
+
+        plain, plain_floods = _with_floods(lambda: _unfiltered(run))
+        assert _with_floods(run) == (plain, 0)
+        assert plain_floods == 4656 - 64 and plain == _without_memo(lambda: _unfiltered(run))
 
     @pytest.mark.usefixtures("pool_every_size")
     def test_a_cap_at_a_skipped_block_edge_answers_as_the_plain_scan(self, b4, monkeypatch):
@@ -972,7 +998,8 @@ class TestKappaRule:
             res = certify_min(g, shape, SUBSTRUCTURE, 2, cut)
         assert (res.status, res.copies, res.checks) == ("certified", copies, copies)
         assert [r.getMessage() for r in caplog.records if "flooded" in r.getMessage()] == [
-            f"size=1 subsets flooded={flooded:,} of {copies:,} examined"]
+            f"size=1 subsets flooded={flooded:,} of {copies:,} examined, "
+            "0 repeated unions not flooded"]
 
     def test_rule_computes_no_flow_where_it_cannot_skip(self, monkeypatch):
         from dcnconn import graph as graph_module
@@ -1022,20 +1049,21 @@ class TestKappaRule:
 # --- the leaf sweep ------------------------------------------------------------
 
 
-def _kernel_ctx(g, units, fam, bits, kappa=0, sweep=True):
+def _kernel_ctx(g, units, fam, bits, kappa=0, sweep=True, memo=False):
     """A scan context over the unit masks `units`, unit k meeting the family
     sets of the bits of `fam[k]`, out of `bits` sets. With `sweep`, it holds
     the meeting masks, so the kernel settles long runs of the last member by
-    one sweep; without, it takes them one index at a time."""
+    one sweep; without, it takes them one index at a time. With `memo`, the
+    kernel floods a union once per leading index."""
     suffix = list(accumulate(reversed(fam), or_))[::-1]
     meeting = [sum(1 << k for k, f in enumerate(fam) if f >> j & 1) for j in range(bits)]
     return (g.neighbor_tables, (1 << g.vertex_count) - 1, units, 0, fam, (1 << bits) - 1,
-            suffix, kappa, meeting if sweep else [])
+            suffix, kappa, meeting if sweep else [], memo)
 
 
-def _both_kernels(g, units, fam, bits, size, cap, kappa=0):
+def _both_kernels(g, units, fam, bits, size, cap, kappa=0, memo=False):
     """The swept and the per-index kernel's answers over the whole range."""
-    return [search._scan_range(_kernel_ctx(g, units, fam, bits, kappa, sweep), size, 0,
+    return [search._scan_range(_kernel_ctx(g, units, fam, bits, kappa, sweep, memo), size, 0,
                                len(units), cap) for sweep in (True, False)]
 
 
@@ -1099,7 +1127,26 @@ class TestLeafSweep:
         swept, plain = _both_kernels(k5, [0] * 200, fam, bits, 2, 10**6)
         assert swept == plain and swept[2] == "stopped"
         if not seed:
-            assert swept == (None, 8192, "stopped", 8192)
+            assert swept == (None, 8192, "stopped", 8192, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_swept_run_crossing_the_poll_stops_there_with_the_memo(self, k5, seed,
+                                                                    monkeypatch):
+        # as above with the memo on: every union is empty, so each leading
+        # index floods its first survivor and answers the rest from the memo.
+        # Seed 0 stops inside the run of leading index 46, after 47 floods.
+        from types import SimpleNamespace
+
+        monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
+        rng = random.Random(seed)
+        bits = 1 if not seed else 2
+        fam = [1 if not seed else rng.choice([1, 2, 3, 3]) for _ in range(200)]
+        swept, plain = _both_kernels(k5, [0] * 200, fam, bits, 2, 10**6, memo=True)
+        unmemoized = _both_kernels(k5, [0] * 200, fam, bits, 2, 10**6)[0]
+        assert swept == plain and swept[:3] == unmemoized[:3]
+        assert swept[3] + swept[4] == unmemoized[3] and swept[3] <= 47
+        if not seed:
+            assert swept == (None, 8192, "stopped", 47, 8145)
 
     def test_a_block_at_the_poll_inside_a_swept_run_stops_there(self, k5, monkeypatch):
         # 300 empty units, pairs; every unit meets family set 0 and only unit
@@ -1111,7 +1158,8 @@ class TestLeafSweep:
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         fam = [3 if k == 226 else 1 for k in range(300)]
-        assert _both_kernels(k5, [0] * 300, fam, 2, 2, 10**6) == [(None, 8192, "stopped", 29)] * 2
+        assert _both_kernels(k5, [0] * 300, fam, 2, 2, 10**6) == [
+            (None, 8192, "stopped", 29, 0)] * 2
 
     def test_a_cap_inside_a_swept_run_trips_as_the_per_index_scan(self, c6):
         # 100 units of C_6, pairs. Every unit meets family set 0; units 10,
@@ -1125,12 +1173,33 @@ class TestLeafSweep:
         fam = [3 if k in (10, 40, 41, 90) else 1 for k in range(100)]
         floods = {484: 20, 485: 20, 486: 20, 489: 20, 490: 21, 491: 21, 519: 21}
         for cap, flooded in floods.items():
-            answer = (None, cap, "check cap reached", flooded)
+            answer = (None, cap, "check cap reached", flooded, 0)
             assert _both_kernels(c6, units, fam, 2, 2, cap) == [answer, answer], cap
         for cap in (520, 521):
-            assert _both_kernels(c6, units, fam, 2, 2, cap) == [((5, 40), 520, "", 22)] * 2, cap
+            assert _both_kernels(c6, units, fam, 2, 2, cap) == [((5, 40), 520, "", 22, 0)] * 2, cap
         # a κ of 2 skips, unflooded, every survivor but unit 40 with unit 5
-        assert _both_kernels(c6, units, fam, 2, 2, 10**6, kappa=2) == [((5, 40), 520, "", 1)] * 2
+        assert _both_kernels(c6, units, fam, 2, 2, 10**6, kappa=2) == [
+            ((5, 40), 520, "", 1, 0)] * 2
+
+    def test_a_cap_inside_a_swept_run_trips_there_with_the_memo(self, c6):
+        # the units above with the memo on: under a leading index i < 10 other
+        # than 5, the survivors' unions are units[i] | units[k], empty for
+        # k = 10, 41 and 90 and vertex 3 for k = 40, so each run floods 2
+        # unions and answers 2 from the memo; the run of index 5 floods its
+        # survivor 10 (vertex 0) and then hits at 40
+        units = [0] * 100
+        units[5], units[40] = 1 << 0, 1 << 3
+        fam = [3 if k in (10, 40, 41, 90) else 1 for k in range(100)]
+        counts = {484: (10, 10), 485: (10, 10), 486: (10, 10), 489: (10, 10), 490: (11, 10),
+                  491: (11, 10), 519: (11, 10)}
+        for cap, (flooded, repeated) in counts.items():
+            answer = (None, cap, "check cap reached", flooded, repeated)
+            assert _both_kernels(c6, units, fam, 2, 2, cap, memo=True) == [answer, answer], cap
+        for cap in (520, 521):
+            assert _both_kernels(c6, units, fam, 2, 2, cap, memo=True) == [
+                ((5, 40), 520, "", 12, 10)] * 2, cap
+        assert _both_kernels(c6, units, fam, 2, 2, 10**6, kappa=2, memo=True) == [
+            ((5, 40), 520, "", 1, 0)] * 2
 
     def test_the_family_is_built_once_per_graph(self, monkeypatch):
         runs = []
@@ -1147,3 +1216,160 @@ class TestLeafSweep:
         assert exists_cut_of_size(g, K11, STRUCTURE, 2) == one
         assert certify_min(g, K11, STRUCTURE, 3, _d14_cut(3)).status == CERTIFIED
         assert first == 20 * len(search._tie_orders(20)) and len(runs) == first
+
+
+# --- the memo of unions --------------------------------------------------------
+
+
+def _memo_sizes(monkeypatch) -> list[int]:
+    """The size of the kernel's memo after each union it stores from now on."""
+    sizes = []
+
+    class Memo(set):
+        def add(self, union):
+            super().add(union)
+            sizes.append(len(self))
+
+    monkeypatch.setattr(search, "set", Memo, raising=False)
+    return sizes
+
+
+def _flooded_lines(caplog, call) -> tuple:
+    """`call()`'s answer and the records that close its sizes."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="dcnconn.search"):
+        res = call()
+    return res, [r.getMessage() for r in caplog.records if "flooded" in r.getMessage()]
+
+
+class TestUnionMemo:
+    """The memo floods a union once per leading index: every field of the
+    answer is the plain kernel's, and floods never increase."""
+
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14"])
+    def test_memo_matches_the_brute_force_reference(self, request, graph):
+        # bound 3, every shape and mode, at caps one before, at and one past
+        # the first hit where the brute-force scan reaches it within `limit`
+        # subsets, uncapped where it settles the answer within them, and one
+        # below `limit` where it does not
+        g = request.getfixturevalue(graph)
+        limit = 20_000
+        saved = 0
+        for shape in ALL_SHAPES:
+            for mode in MODES:
+                copies = list(enumerate_shape_copies(g, shape, mode))
+                n = len(copies)
+                sizes = range(1, min(3, n) + 1)
+                first = brute_force_first_cut(
+                    g, [sum(1 << v for v in ids) for ids in copies], sizes, limit=limit)
+                if first[1] is not None:
+                    caps = {c for c in (first[0] - 1, first[0], first[0] + 1, 10**8) if c >= 1}
+                elif first[0] < limit:
+                    caps = {10**8}
+                else:
+                    caps = {limit - 1}
+                for cap in sorted(caps):
+                    status, value, bound, hit, checks, note = reference_answer(
+                        n, sizes, first, cap)
+                    witness = hit and StructureCut(
+                        shape, tuple(tuple(map(g.label_of, copies[i])) for i in hit), mode)
+                    want = search.OracleResult(status, value, bound, witness, checks, n, note)
+
+                    def call():
+                        return exists_cut_of_size(g, shape, mode, 3, SearchBudget(max_checks=cap))
+
+                    got, floods = _with_floods(call)
+                    plain, plain_floods = _with_floods(lambda: _without_memo(call))
+                    case = (shape.tag, mode, cap)
+                    assert got == plain == want, case
+                    assert floods <= plain_floods, case
+                    saved += plain_floods - floods
+        assert saved > 0
+
+    @pytest.mark.usefixtures("pool_every_size")
+    @pytest.mark.parametrize("graph", ["b3", "d14"])
+    def test_pooled_memo_matches_the_serial_plain_scan(self, request, graph, caplog):
+        # bound 3, every shape and mode, uncapped and capped at half the
+        # subsets the uncapped answer rests on: a pool task is one leading
+        # index, where the serial scan clears the memo too, so each size's
+        # flooded and repeated counts are the same at both job counts (a
+        # capped pool counts the floods of tasks past the cap, so only the
+        # answers are compared there)
+        g = request.getfixturevalue(graph)
+        for shape in ALL_SHAPES:
+            for mode in MODES:
+                full = _without_memo(lambda: exists_cut_of_size(g, shape, mode, 3))
+                lines = {}
+                for jobs in (1, 2):
+                    res, lines[jobs] = _flooded_lines(
+                        caplog, lambda: exists_cut_of_size(g, shape, mode, 3, jobs=jobs))
+                    assert res == full, (shape.tag, mode, jobs)
+                assert lines[1] == lines[2], (shape.tag, mode)
+                if full.checks < 2:
+                    continue
+                budget = SearchBudget(max_checks=full.checks // 2)
+                plain = _without_memo(lambda: exists_cut_of_size(g, shape, mode, 3, budget))
+                for jobs in (1, 2):
+                    assert exists_cut_of_size(g, shape, mode, 3, budget, jobs) == plain, (
+                        shape.tag, mode, jobs)
+
+    @given(g=_connected_graphs(3), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_memo_matches_the_plain_scan_on_random_graphs(self, g, data):
+        shape = data.draw(st.sampled_from([K11, ShapeSpec.star(2), ShapeSpec.path(3),
+                                           ShapeSpec.cycle(3), ShapeSpec.clique(3)]))
+        mode = data.draw(st.sampled_from(MODES))
+        jobs = data.draw(st.sampled_from([1, 2]))
+        budget = SearchBudget(max_checks=data.draw(st.sampled_from([1, 5, 30, 10**8])))
+
+        def call(j=1):
+            return exists_cut_of_size(g, shape, mode, 3, budget, j)
+
+        plain, plain_floods = _with_floods(lambda: _without_memo(call))
+        got, floods = _with_floods(call)
+        assert got == plain and floods <= plain_floods
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "_POOL_MIN", 0)
+            assert call(jobs) == plain
+
+    def test_memo_matches_the_plain_scan_on_b5_cycles(self, b5):
+        # the paper-refutation scan of B_5's 1,072 C_5 copies at bound 3,
+        # capped 1,424,872 subsets into size 3 (2,000,000 checks in all)
+        def call():
+            return exists_cut_of_size(b5, ShapeSpec.cycle(5), STRUCTURE, 3,
+                                      SearchBudget(max_checks=2_000_000))
+
+        plain, plain_floods = _with_floods(lambda: _without_memo(call))
+        got, floods = _with_floods(call)
+        assert got == plain
+        assert (got.status, got.lower_bound_proven, got.checks) == (BUDGET, 2, 2_000_000)
+        assert floods < plain_floods
+
+    def test_a_g_extra_scan_stores_no_union(self, b4, caplog, monkeypatch):
+        # distinct vertex subsets have distinct unions, so the memo is off for
+        # single-vertex copies; an unfiltered K_{1,1} scan of the same graph,
+        # which floods every pair, stores unions
+        sizes = _memo_sizes(monkeypatch)
+        res, lines = _flooded_lines(caplog, lambda: g_extra_connectivity(b4, 1))
+        assert res.value == 8 and sizes == []
+        assert all(line.endswith(", 0 repeated unions not flooded") for line in lines)
+        _unfiltered(lambda: exists_cut_of_size(b4, K11, STRUCTURE, 2))
+        assert sizes
+
+    def test_a_full_memo_is_cleared(self, d14, monkeypatch):
+        # with room for one union, the memo holds at most one, and the answer
+        # is still the plain scan's, with floods between the full memo's and
+        # the plain scan's
+        sizes = _memo_sizes(monkeypatch)
+
+        def call():
+            return exists_cut_of_size(d14, ShapeSpec.path(3), STRUCTURE, 3)
+
+        plain, plain_floods = _with_floods(lambda: _without_memo(call))
+        full, full_floods = _with_floods(call)
+        assert max(sizes) > 1
+        monkeypatch.setattr(search, "_MEMO_MAX", 1)
+        sizes.clear()
+        one, one_floods = _with_floods(call)
+        assert one == full == plain and max(sizes) == 1
+        assert full_floods < one_floods < plain_floods
