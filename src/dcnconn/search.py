@@ -60,33 +60,28 @@ bits as i grows, so a failed test fails again at every later index, and the
 block runs to the end of depth d. If no copy meets some set of the family,
 every union misses it, and the test fails at the range's first index.
 
-The kernel settles the last member's run at one step. When it takes the
-next-to-last member of a size s >= 2, the last member's run is the indices
-[i, e) after it, to the depth's end e. Let `need` be the family bits that
-the prefix's family masks miss, and `meeting[j]` the mask of the copy
-indices that meet D_j. The per-index walk floods the subset that ends at k
-exactly when the prefix's family masks ORed with k's give every bit, that
-is when k meets every D_j with j in `need`, that is when bit k is set in
-every `meeting[j]` with j in `need`. So its survivors in [i, e) are the AND
-of those masks with the window, and the sweep gives them the κ test and the
-flood in ascending order: the same floods in the same order. The walk
-counts one check per index up to k0, the first index whose `suffix` misses
-a bit of `need`, and then [k0, e) as one block. A survivor meets every set
-of `need`, so it lies below k0: a hit at k returns the checks before i plus
-k-i+1, and a run without one adds e-i, as the walk does. The walk tests
-the poll (a multiple of 8192) and then the cap at the start of each step.
-Let `room` be the checks left before the lower of the two. The unit steps
-at the indices below i+room start below both, so the sweep covers them;
-at i+room it polls, or stops at the cap, as the walk does at the step that
-starts there, and goes on from i+room. If the index before i+room already
-misses a bit, then k0 < i+room and the block starts below both too: no
-poll falls in the rest of the run, and the cap trips exactly when the
-checks before i plus e-i exceed it, after the survivors, which the sweep
-tests first. So `checks`, the note, "stopped", the cap and the progress
-records are those of the per-index walk. A sweep costs one AND per bit of
-`need` (it stops once no index is left), so a run where the walk would take
-fewer than `_SWEEP_MIN` unit steps (k0 < i + `_SWEEP_MIN`, one `suffix`
-test), and the one run of a size-1 scan, are walked one index at a time.
+The kernel settles the last member's run at one step. After the members
+before the last, the last member's run is the indices [i, e) after them, to
+the depth's end e. Let `need` be the family bits that the prefix's family
+masks miss; the subset that ends at k survives the rule when k's family
+mask gives every bit of `need`. When the per-index walk would take at least
+`_SWEEP_MIN` steps in the run and `need` is not empty, the survivors are
+the AND, over j in `need`, of `meeting[j]` (the mask of the copy indices
+that meet D_j) with the window; otherwise the run is walked index by index
+to the first index whose `suffix` misses a bit of `need`, past which no
+survivor lies. A prefix that meets every family set is walked: with nothing
+to AND, a sweep reads every index of the run off one int, in time quadratic
+in the run's length. The survivors pass in ascending order through one
+loop, which alone tests κ, the memo and `_separates`. Let `checks` count the
+subsets before the run. A scan that counts and tests one subset at a time
+reaches index k only if k-i < cap-checks, and the loop takes survivor k only
+then: a hit at k returns checks+k-i+1, and with no hit before that the cap
+trips exactly when the run's e-i checks exceed cap-checks, and otherwise the
+run adds them. So status, value, bound, witness, `checks` and the note are
+those of the scan one subset at a time. The stop flag and the progress log
+are polled at the start of a run or skipped block and just before a flood,
+so where a pool worker stops and where a progress record falls move with the
+floods, and no answer field reads either.
 
 The kernel floods each distinct union at most once per leading index. In one
 scan the tables, the vertex mask and h are fixed, so whether removing a
@@ -95,10 +90,10 @@ the set of the unions it has flooded that did not separate, and a subset
 whose union is in the set is counted and answered "no" without a flood; a
 hit ends the scan, so none is ever stored. Every subset thus gets the
 verdict it gets without the set, in the same order, so status, value,
-bound, witness, `checks`, the note, "stopped" and the progress records are
-those of the kernel without it, for every worker count. The set is emptied
-each time the scan takes the next leading index, and a pool task is one
-leading index, so a size floods the same subsets serially and in a pool.
+bound, witness, `checks` and the note are those of the kernel without it,
+for every worker count. The set is emptied each time the scan takes the
+next leading index, and a pool task is one leading index, so a size floods
+the same subsets serially and in a pool.
 It is also emptied once it holds `_MEMO_MAX` unions, which bounds its
 memory; within one leading index the floods, and so these points, are the
 same for every worker count. The set is not kept for single-vertex copies,
@@ -332,13 +327,15 @@ def _log_progress(size: int, checks: int, n: int) -> None:
     log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
 
 
-def _progress(size: int, checks: int, n: int, log_at: int) -> int:
-    """Log the kernel's progress if `checks` has reached `log_at`; the count
-    at which to log next."""
-    if checks < log_at:
-        return log_at
-    _log_progress(size, checks, n)
-    return (checks // _LOG_EVERY + 1) * _LOG_EVERY
+def _poll(size: int, checks: int, n: int, poll: int) -> int:
+    """At a poll, `checks` having reached `poll` (a multiple of 8192): 0 if
+    the caller has its answer, else the next poll. Progress is logged first
+    when `checks` has passed a multiple of `_LOG_EVERY` since the last poll."""
+    if _worker_stop.value:
+        return 0
+    if checks // _LOG_EVERY > (poll - 8192) // _LOG_EVERY:
+        _log_progress(size, checks, n)
+    return (checks // 8192 + 1) * 8192
 
 
 def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
@@ -356,35 +353,35 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     dominating set, and the whole block is counted and skipped without a
     flood (see the module docstring); a full subset whose own family masks
     miss a bit is counted and skipped alike. `meeting[j]` is the mask of
-    the copy indices that meet family set j, or `meeting` is empty: then
-    the last member is taken one index at a time. Otherwise a run of the
-    last member of a size of 2 or more that holds at least `_SWEEP_MIN`
-    unit steps is settled by one sweep, polled and capped as the per-index
-    walk (see the module docstring). With `memo` true and a size of 2 or
-    more, a union already flooded under the same leading index is counted
-    and answered from the memo without a flood (see the module docstring).
-    Returns (first hitting subset or None, checks made, note, subsets
-    flooded, subsets answered from the memo); the note is "check cap
-    reached" when `cap` checks were made with subsets left to check. The cap
-    is tested before a subset or block, so a range that ends as the cap
+    the copy indices that meet family set j. The last member's run is
+    settled at one step: its survivors come from one sweep of the meeting
+    masks when the per-index walk would take at least `_SWEEP_MIN` unit
+    steps in it and the members before it miss a family set, and from the
+    walk otherwise (see the module docstring). With `memo` true and a size
+    of 2 or more, a union already flooded under the same leading index is
+    counted and answered from the memo without a flood (see the module
+    docstring). Returns (first hitting subset or None, checks made, note,
+    subsets flooded, subsets answered from the memo); the note is "check
+    cap reached" when `cap` checks were made with subsets left to check. The
+    cap is tested before a subset or block, so a range that ends as the cap
     trips is complete and carries no note, and a cap inside a skipped block
     returns `cap` checks. In a pool worker the scan also ends, with the note
-    "stopped", once the caller has its answer (tested each time `checks` has
-    passed another multiple of 8192, only while subsets are left). Progress
-    is logged likewise each time `checks` has passed another multiple of
-    `_LOG_EVERY`.
+    "stopped", once the caller has its answer, and progress is logged each
+    time `checks` has passed another multiple of `_LOG_EVERY`; both are
+    polled at the start of a run or skipped block and just before a flood,
+    once `checks` has passed another multiple of 8192, only while subsets
+    are left.
     """
     tables, full, unit_masks, h, family_masks, every_set, suffix, kappa, meeting, memo = ctx
     n = len(unit_masks)
     last = size - 1
     memo = memo and last  # a size-1 subset is its own leading index
     seen = set()  # the unions flooded under this leading index that did not separate
-    sweep_min = _SWEEP_MIN if meeting else n + 1  # no run is that long
     chosen = [0] * size  # the index taken at each depth
     meets = [0] * size  # the family bits of the members before each depth
     removed = [0] * size  # the union of the members before each depth
     checks = flooded = repeated = 0
-    poll, log_at = 8192, _LOG_EVERY
+    poll = 8192
     d, i, end = 0, lo, min(hi, n - last)
     while True:
         if i >= end:  # depth d is done: take the next index one depth up
@@ -398,90 +395,66 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
                 end = min(hi, n - last)
                 seen.clear()
             continue
+        if checks >= poll:
+            poll = _poll(size, checks, n, poll)
+            if not poll:
+                return None, checks, "stopped", flooded, repeated
         left = last - d  # members still to take after this one
-        coverable = meets[d] | suffix[i] == every_set
-        if coverable and left:
+        if meets[d] | suffix[i] != every_set:  # skip the block that starts at index i
+            block = comb(n - i, left + 1) - comb(n - end, left + 1)
+            if checks + block > cap:
+                return None, cap, "check cap reached", flooded, repeated
+            checks += block
+            i = end
+            continue
+        if left:
             chosen[d] = i
             meets[d + 1] = meets[d] | family_masks[i]
             removed[d + 1] = removed[d] | unit_masks[i]
             d += 1
             i += 1
             end = n - left + 1
-            if (left > 1 or end - i < sweep_min
-                    or meets[d] | suffix[i + sweep_min - 1] != every_set):
-                continue
-            # settle the last member's run [i, end) by one sweep (see the module docstring)
-            need = every_set ^ meets[d]
+            continue
+        # settle the last member's run [i, end) (see the module docstring)
+        need = every_set ^ meets[d]
+        if need and end - i >= _SWEEP_MIN and meets[d] | suffix[i + _SWEEP_MIN - 1] == every_set:
             hits = (1 << end) - (1 << i)
             while need and hits:
                 low = need & -need
                 need ^= low
                 hits &= meeting[low.bit_length() - 1]
-            while i < end:
-                if checks >= poll:
-                    if _worker_stop.value:
-                        return None, checks, "stopped", flooded, repeated
-                    log_at = _progress(size, checks, n, log_at)
-                    poll = (checks // 8192 + 1) * 8192
-                room = min(poll, cap) - checks  # unit steps before the next poll or the cap
-                if room <= 0:
-                    return None, cap, "check cap reached", flooded, repeated
-                if room >= end - i or meets[d] | suffix[i + room - 1] != every_set:
-                    stop = end  # neither falls before the run's end or its skipped block
-                else:
-                    stop = i + room
-                while hits:
-                    low = hits & -hits
-                    k = low.bit_length() - 1
-                    if k >= stop:
-                        break
-                    hits ^= low
-                    union = removed[d] | unit_masks[k]
-                    if union.bit_count() >= kappa:
-                        if memo and union in seen:
-                            repeated += 1
-                        else:
-                            flooded += 1
-                            if _separates(tables, full, union, h):
-                                chosen[d] = k
-                                return tuple(chosen), checks + k - i + 1, "", flooded, repeated
-                            if memo:
-                                if len(seen) >= _MEMO_MAX:
-                                    seen.clear()
-                                seen.add(union)
-                if checks + stop - i > cap:  # the run ends in a skipped block past the cap
-                    return None, cap, "check cap reached", flooded, repeated
-                checks += stop - i
-                i = stop
-            continue
-        # settle one full subset, or the block that starts at index i
-        block = 1 if coverable else comb(n - i, left + 1) - comb(n - end, left + 1)
-        if checks >= poll:
-            if _worker_stop.value:
-                return None, checks, "stopped", flooded, repeated
-            log_at = _progress(size, checks, n, log_at)
-            poll = (checks // 8192 + 1) * 8192
-        if checks + block > cap:
+            survivors = ids(hits)
+        else:
+            survivors = range(i, end)
+        reach = i + cap - checks  # the walk takes index k only below this
+        for k in survivors:
+            if k >= reach or meets[d] | suffix[k] != every_set:
+                break
+            if meets[d] | family_masks[k] != every_set:
+                continue
+            union = removed[d] | unit_masks[k]
+            if union.bit_count() < kappa:
+                continue
+            if memo and union in seen:
+                repeated += 1
+                continue
+            at = checks + k - i  # the checks before the subset that ends at k
+            if at >= poll:
+                poll = _poll(size, at, n, poll)
+                if not poll:
+                    return None, at, "stopped", flooded, repeated
+            flooded += 1
+            if _separates(tables, full, union, h):
+                chosen[d] = k
+                return tuple(chosen), at + 1, "", flooded, repeated
+            if memo:
+                if len(seen) >= _MEMO_MAX:
+                    seen.clear()
+                seen.add(union)
+        if checks + end - i > cap:  # no hit before the cap
             return None, cap, "check cap reached", flooded, repeated
-        checks += block
-        if not coverable:
-            i = end
-            continue
-        if meets[d] | family_masks[i] == every_set:
-            union = removed[d] | unit_masks[i]
-            if union.bit_count() >= kappa:
-                if memo and union in seen:
-                    repeated += 1
-                else:
-                    flooded += 1
-                    if _separates(tables, full, union, h):
-                        chosen[d] = i
-                        return tuple(chosen), checks, "", flooded, repeated
-                    if memo:
-                        if len(seen) >= _MEMO_MAX:
-                            seen.clear()
-                        seen.add(union)
-        i += 1
+        checks += end - i
+        i = end
 
 
 _worker_ctx: tuple = ()  # a pool worker's scan context, set once by _pool_init
@@ -520,25 +493,16 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
     left in the budget) is split into one pool task per leading index (the
     pool starts at the first such size, with no more workers than that size
     has tasks, and serves the rest of the call); a smaller size is scanned
-    serially. The threshold is measured, with two workers on 2 cores, on 30
-    scans (`BENCH_kappa_rule.json`): a pool cost 15-70 ms more than it saved
-    on a scan whose rules skip most floods (0.1-0.5 us a subset), up to
-    2-6*10^5 subsets, and saved 35-175 ms on a flood-heavy one (2-20 us a
-    subset) from 2*10^4 to 10^5. Of the powers of 2, 2^14 lost the least
-    on those scans, in total and at worst (62 ms). Twelve of them, re-timed
-    with the leaf sweep (`BENCH_leaf_sweep.json`): the skip-heavy ones run
-    at 0.13-0.31 us a subset and still lose 10-100 ms with a pool; the
-    flood-heavy D(2,3) K_{1,4} size (12,090 subsets) fell from 22 to 13 us a
-    subset and no longer gains from one, while D(2,3) C_3 size 3 (22,100)
-    and the D(1,5) C_5 sizes above 2^15 still gain 105-190 ms. So 2^14
-    still loses the least. The pooled
-    results are read in leading-index order and settled as the serial
-    scan would settle them: the hit is the lexicographically first,
+    serially. The threshold is measured with two workers on 2 cores
+    (`BENCH_kappa_rule.json` `pool_threshold`, re-timed in
+    `BENCH_leaf_sweep.json` `pool_threshold_recheck`). The pooled results
+    are read in leading-index order and settled as the serial scan would
+    settle them: the hit is the lexicographically first,
     `checks` is the length of the lexicographic prefix the answer rests on
     (never above `budget.max_checks`, the same for every job count), and any
     note from a task stops the scan. Work that workers do past that point is
     not counted: the caller raises a shared flag, on which queued tasks
-    return at once and running ones within 8192 checks, then closes the pool
+    return at once and running ones at their next poll, then closes the pool
     and waits for it. Killing the workers instead could kill one that holds
     the result queue's lock, and the pool's shutdown would then wait for
     that lock forever. Workers ignore SIGINT, so an interrupt reaches only
@@ -664,9 +628,7 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
         degree = _min_degree(g)
         if any(unit.bit_count() < degree for unit in unit_masks):
             kappa = min_vertex_cut(g)
-    # a size s >= 2 sweeps runs of the last member of at most len(unit_masks) - s + 1 indices
-    sweeps = family and len(unit_masks) - max(sizes.start, 2) + 1 >= _SWEEP_MIN
-    meeting = _meeting_masks(unit_masks, family, g.vertex_count) if sweeps else []
+    meeting = _meeting_masks(unit_masks, family, g.vertex_count) if family else []
     # distinct single-vertex copies have distinct unions, so the memo would never hit
     ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
            (1 << len(family)) - 1, suffix, kappa, meeting, shape.vertex_count > 1)

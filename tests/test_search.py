@@ -29,6 +29,7 @@ from dcnconn import (
 from dcnconn import search
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
+from dcnconn.graph import ids
 from dcnconn.search import BUDGET, CERTIFIED, NO, size_bound
 from dcnconn.shapes import MODES, STRUCTURE, SUBSTRUCTURE
 
@@ -1049,22 +1050,58 @@ class TestKappaRule:
 # --- the leaf sweep ------------------------------------------------------------
 
 
-def _kernel_ctx(g, units, fam, bits, kappa=0, sweep=True, memo=False):
+def _kernel_ctx(g, units, fam, bits, kappa=0, memo=False):
     """A scan context over the unit masks `units`, unit k meeting the family
-    sets of the bits of `fam[k]`, out of `bits` sets. With `sweep`, it holds
-    the meeting masks, so the kernel settles long runs of the last member by
-    one sweep; without, it takes them one index at a time. With `memo`, the
-    kernel floods a union once per leading index."""
+    sets of the bits of `fam[k]`, out of `bits` sets. With `memo`, the kernel
+    floods a union once per leading index."""
     suffix = list(accumulate(reversed(fam), or_))[::-1]
     meeting = [sum(1 << k for k, f in enumerate(fam) if f >> j & 1) for j in range(bits)]
     return (g.neighbor_tables, (1 << g.vertex_count) - 1, units, 0, fam, (1 << bits) - 1,
-            suffix, kappa, meeting if sweep else [], memo)
+            suffix, kappa, meeting, memo)
 
 
 def _both_kernels(g, units, fam, bits, size, cap, kappa=0, memo=False):
-    """The swept and the per-index kernel's answers over the whole range."""
-    return [search._scan_range(_kernel_ctx(g, units, fam, bits, kappa, sweep, memo), size, 0,
-                               len(units), cap) for sweep in (True, False)]
+    """The kernel's answers over the whole range, sweeping the runs it may
+    sweep, and with a sweep threshold above every run, so that it takes each
+    run one index at a time."""
+    ctx = _kernel_ctx(g, units, fam, bits, kappa, memo)
+    swept = search._scan_range(ctx, size, 0, len(units), cap)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_SWEEP_MIN", len(units) + 1)
+        return [swept, search._scan_range(ctx, size, 0, len(units), cap)]
+
+
+def _oracle_ctx(g, shape, mode):
+    """The scan context `_shape_oracle` builds for a bound-3 scan of g."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_scan_sizes", lambda ctx, *args: ctx)
+        return search._shape_oracle(g, shape, mode, range(1, 4), SearchBudget(), 1)
+
+
+def _sweeps(monkeypatch) -> list[int]:
+    """The survivor count of each sweep the kernel makes from now on: a sweep
+    reads its survivors off the AND of the meeting masks with `ids`."""
+    counts = []
+
+    def spy(mask):
+        counts.append(mask.bit_count())
+        return ids(mask)
+
+    monkeypatch.setattr(search, "ids", spy)
+    return counts
+
+
+def _check_runs(g, ctx, sizes, marks):
+    """`_scan_sizes` over `ctx` against the brute-force reference, at caps one
+    before, at and one past each of `marks` and of the first hit, and
+    uncapped."""
+    units, n = ctx[2], len(ctx[2])
+    first = brute_force_first_cut(g, units, sizes)
+    caps = {c for m in [*marks, first[0]] for c in (m - 1, m, m + 1) if c >= 1} | {10**8}
+    for cap in sorted(caps):
+        status, value, bound, hit, checks, note = reference_answer(n, sizes, first, cap)
+        want = search.OracleResult(status, value, bound, None, checks, n, note)
+        assert search._scan_sizes(ctx, sizes, SearchBudget(max_checks=cap), 1) == (want, hit), cap
 
 
 class TestLeafSweep:
@@ -1078,7 +1115,8 @@ class TestLeafSweep:
         # run, of the first size-2 and size-3 runs, and of the first hit,
         # where the brute-force scan reaches them within `limit` subsets; and
         # uncapped, where it settles the answer within them. A sweep threshold
-        # of 1 sweeps every run, also those of the shapes with few copies.
+        # of 1 sweeps every run with a family set left to meet, also those of
+        # the shapes with few copies.
         monkeypatch.setattr(search, "_SWEEP_MIN", sweep_min)
         g = request.getfixturevalue(graph)
         limit = 20_000
@@ -1115,9 +1153,10 @@ class TestLeafSweep:
         # flag is up before the scan. Seed 0 gives every unit the one family
         # set, so all 19,900 pairs are flooded, and the poll at 8192 checks
         # falls inside the run of leading index 46 (8,120 to 8,272), 153
-        # indices long. Other seeds draw two sets per unit at random, so some
-        # runs end in skipped blocks, and a block may carry the count past a
-        # poll, where the per-index scan stops later.
+        # indices long, where the scan stops before the next flood. Other
+        # seeds draw two sets per unit at random, so some runs end in skipped
+        # blocks, and a block may carry the count past a poll, where the scan
+        # stops at the start of the next run.
         from types import SimpleNamespace
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
@@ -1134,32 +1173,69 @@ class TestLeafSweep:
                                                                     monkeypatch):
         # as above with the memo on: every union is empty, so each leading
         # index floods its first survivor and answers the rest from the memo.
-        # Seed 0 stops inside the run of leading index 46, after 47 floods.
+        # The scan polls only at the start of a run or block and before a
+        # flood, so it runs past the poll at 8192 checks, to the start of the
+        # run of leading index 47 (8,272), after 47 floods; each subset that
+        # survives the family test is flooded or answered from the memo
         from types import SimpleNamespace
 
-        monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         rng = random.Random(seed)
         bits = 1 if not seed else 2
         fam = [1 if not seed else rng.choice([1, 2, 3, 3]) for _ in range(200)]
+        unmemoized = _both_kernels(k5, [0] * 200, fam, bits, 2, 8272)[0]
+        monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         swept, plain = _both_kernels(k5, [0] * 200, fam, bits, 2, 10**6, memo=True)
-        unmemoized = _both_kernels(k5, [0] * 200, fam, bits, 2, 10**6)[0]
-        assert swept == plain and swept[:3] == unmemoized[:3]
+        assert swept == plain and swept[:3] == (None, 8272, "stopped")
         assert swept[3] + swept[4] == unmemoized[3] and swept[3] <= 47
         if not seed:
-            assert swept == (None, 8192, "stopped", 47, 8145)
+            assert swept == (None, 8272, "stopped", 47, 8225)
 
     def test_a_block_at_the_poll_inside_a_swept_run_stops_there(self, k5, monkeypatch):
         # 300 empty units, pairs; every unit meets family set 0 and only unit
         # 226 set 1, so in the run of each leading index below 226 unit 226
         # is the one survivor and the indices past it are one skipped block.
         # The run of leading index 28 starts after 7,994 pairs, so its block
-        # starts at check 8192, where the per-index scan polls the flag.
+        # starts at check 8192; the scan polls the flag at the start of the
+        # next run, at 8,265 checks.
         from types import SimpleNamespace
 
         monkeypatch.setattr(search, "_worker_stop", SimpleNamespace(value=1))
         fam = [3 if k == 226 else 1 for k in range(300)]
         assert _both_kernels(k5, [0] * 300, fam, 2, 2, 10**6) == [
-            (None, 8192, "stopped", 29, 0)] * 2
+            (None, 8265, "stopped", 29, 0)] * 2
+
+    @pytest.mark.parametrize("graph, shape", [
+        ("b3", ShapeSpec.star(4)), ("d14", ShapeSpec.star(4)), ("d14", ShapeSpec.cycle(4))])
+    def test_a_run_whose_prefix_meets_every_set_is_walked(self, request, graph, shape,
+                                                          monkeypatch):
+        # every copy of these shapes meets every set of the family, so from
+        # size 2 on no run has a set left to AND over: each is walked, though
+        # a sweep threshold of 1 would sweep any other run
+        g = request.getfixturevalue(graph)
+        ctx = _oracle_ctx(g, shape, STRUCTURE)
+        n = len(ctx[2])
+        assert ctx[5] and set(ctx[4]) == {ctx[5]}
+        monkeypatch.setattr(search, "_SWEEP_MIN", 1)
+        sweeps = _sweeps(monkeypatch)
+        _check_runs(g, ctx, range(2, 4), [n - 1, 2 * n - 3, comb(n, 2), comb(n, 2) + n - 2])
+        assert sweeps == []
+
+    @pytest.mark.parametrize("graph, shape, swept", [
+        ("b3", ShapeSpec.path(6), 512), ("d14", ShapeSpec.path(5), 120),
+        ("d14", ShapeSpec.path(6), 452)])
+    def test_a_size_1_scan_with_a_family_is_swept(self, request, graph, shape, swept,
+                                                  monkeypatch):
+        # size 1 is one run from index 0, with every family set to meet: it is
+        # swept, and only the copies that meet every set are left to flood
+        g = request.getfixturevalue(graph)
+        ctx = _oracle_ctx(g, shape, STRUCTURE)
+        n = len(ctx[2])
+        sweeps = _sweeps(monkeypatch)
+        _check_runs(g, ctx, range(1, 2), [n])
+        assert sweeps and set(sweeps) == {swept}
+        sweeps.clear()
+        _check_runs(g, ctx, range(1, 3), [n, 2 * n - 1])
+        assert sweeps[0] == swept
 
     def test_a_cap_inside_a_swept_run_trips_as_the_per_index_scan(self, c6):
         # 100 units of C_6, pairs. Every unit meets family set 0; units 10,

@@ -3,8 +3,9 @@ library module imports is used (by `__init__.py`: exported in `__all__`),
 every parameter of a library function is read, every top-level function,
 class and constant, private or public, and every public method and dataclass
 field is read by library or benchmark code (or named as kept on purpose),
-only the CLI writes to the terminal, and the library and benchmark parse as
-the oldest Python that `pyproject.toml` admits."""
+only the CLI writes to the terminal, the scan kernel tests its hit rule in
+one place, and the library and benchmark parse as the oldest Python that
+`pyproject.toml` admits."""
 
 import ast
 import re
@@ -199,6 +200,29 @@ def test_the_check_sees_a_terminal_write(tmp_path):
                      "    return sys.stderr, stderr, sys.argv\n")
     assert sorted(_terminal_writes(probe)) == ["probe.py:2 sys.stderr", "probe.py:7 print",
                                                "probe.py:8 sys.stdout", "probe.py:9 sys.stderr"]
+
+
+def _reads(path: Path, name: str) -> list[str]:
+    """The places where the module at `path` reads `name`, as a name or an
+    attribute: each call of a function is one, and so is each alias of it."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name]
+
+
+def test_the_scan_kernel_tests_the_hit_rule_in_one_place():
+    # the scan kernel's one survivor loop holds every per-subset rule before
+    # the flood, so a new rule lands there, not beside a second flood site
+    assert len(_reads(SRC / "search.py", "_separates")) == 1
+
+
+def test_the_check_sees_a_second_hit_rule_site(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def _separates(x):\n    return x\n\n\ndef scan(xs, search):\n"
+                     "    '_separates(x)'\n    for x in xs:\n        if _separates(x):\n"
+                     "            return x\n    test = search._separates\n    return test(xs)\n")
+    assert sorted(_reads(probe, "_separates")) == ["probe.py:10", "probe.py:8"]
 
 
 # public names that no library or benchmark code reads, each kept on purpose
