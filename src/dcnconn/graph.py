@@ -70,7 +70,7 @@ DEFAULT_MAX_VERTICES = 100_000
 class Graph:
     """Immutable undirected simple graph."""
 
-    __slots__ = ("_labels", "_index", "_masks", "_tables", "_kappa", "_family")
+    __slots__ = ("_labels", "_index", "_masks", "_tables", "_kappa", "_families")
 
     def __init__(self, labels: Sequence[str], id_edges: Iterable[tuple[int, int]]):
         self._labels: tuple[str, ...] = tuple(labels)
@@ -91,8 +91,8 @@ class Graph:
         self._masks: tuple[int, ...] = tuple(masks)
         self._tables = _neighbor_tables(self._masks)
         self._kappa: int | None = None  # filled by the first min_vertex_cut call
-        # the dominating-set family of `search`, filled by its first build
-        self._family: tuple[int, ...] | None = None
+        # the dominating-set families of `search`, one per h, each filled by its first build
+        self._families: dict[int, tuple[int, ...]] = {}
 
     @property
     def vertex_count(self) -> int:

@@ -43,6 +43,21 @@ so status, value, bound, witness and `checks` (a skipped subset is still
 counted) are those of the unfiltered scan for every worker count; an empty
 family skips nothing.
 
+A g-extra scan with h >= 1 skips by a family of smaller sets, built by
+`_dominating_family(g, h)`. Lemma: let D be a connected set of at least 2
+vertices such that every component of G − N[D] has at most h vertices, and
+U a removed union with U ∩ D = ∅. Then `_separates` with h is False. Proof:
+D is alive and connected, so G − U has at least 2 vertices and D lies in one
+component K. Any other component C has no vertex adjacent to D, or it would
+join K, so C lies inside G − N[D] and, being connected, in one component
+there: |C| <= h. Hence G − U is connected or has a component of at most h
+vertices. For h = 0 this is the lemma above. The greedy stops each run once
+its set meets the lemma's terms, so each set of the family for h is a
+prefix of the h = 0 run's set from the same start and tie order, and a
+union that misses an h = 0 set misses a set for h: the family skips every
+subset the h = 0 family skips. What the kernel builds on the lemma below
+holds for either family.
+
 The same lemma skips whole branches. The kernel walks the subsets of a size
 s depth first, in lexicographic order. Take depth d after the members
 c_0 < ... < c_{d-1}, and index i. The subsets that take i or a later index
@@ -236,7 +251,23 @@ def _tie_orders(n: int) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]) -> list[int]:
+def _parts_within(closed: list[int], rest: int, h: int) -> bool:
+    """Has every component of the subgraph that the vertex mask `rest`
+    induces at most h vertices? Each component is grown, one layer of
+    closed neighbourhoods at a time, only until it passes h vertices."""
+    while rest:
+        part = frontier = rest & -rest
+        while frontier:
+            if part.bit_count() > h:
+                return False
+            frontier = reduce(or_, (closed[v] for v in ids(frontier))) & rest & ~part
+            part |= frontier
+        rest ^= part
+    return True
+
+
+def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int],
+                h: int = 0) -> list[int]:
     """The vertices one greedy run takes, in the order taken, over a connected
     graph whose closed neighbourhoods are the masks `closed`.
 
@@ -245,12 +276,16 @@ def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]
     `order`. The added vertex is dominated, so it has a neighbour in the set,
     and while some vertex is undominated in a connected graph some candidate
     gains one, so the run ends with a connected dominating set (Guha and
-    Khuller). The greedy is lazy (Minoux): candidates wait in a heap keyed by
-    their gain when last scored, most first, then by rank. A gain only falls
-    as the set grows, so a stored key never comes after the fresh one; the
-    popped candidate is scored again and taken when its fresh key still comes
-    before the heap's top, which makes it the candidate of most gain first in
-    `order`, the vertex a scan of every candidate would take.
+    Khuller). With h >= 1 the run stops at the first take (so with at least
+    2 vertices in the set) after which every component of the undominated
+    vertices has at most h vertices. Its choices are those of the run with
+    h = 0, so its set is a prefix of that run's. The greedy is lazy (Minoux):
+    candidates wait in a heap keyed by their gain when last scored, most
+    first, then by rank. A gain only falls as the set grows, so a stored key
+    never comes after the fresh one; the popped candidate is scored again and
+    taken when its fresh key still comes before the heap's top, which makes
+    it the candidate of most gain first in `order`, the vertex a scan of
+    every candidate would take.
     """
     n = len(closed)
     taken = [start]
@@ -268,6 +303,8 @@ def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]
         taken.append(v)
         new = closed[v] & rest
         rest ^= new
+        if h and _parts_within(closed, rest, h):
+            break
         while new:  # the newly dominated vertices become candidates
             low = new & -new
             new ^= low
@@ -276,26 +313,32 @@ def _greedy_cds(closed: list[int], start: int, order: list[int], rank: list[int]
     return taken
 
 
-def _dominating_family(g: Graph) -> tuple[int, ...]:
-    """Greedy connected dominating sets of g, as vertex masks in the order
-    first found, each of at least 2 vertices: one `_greedy_cds` run per start
-    vertex and tie order. Each set is checked anyway, connected and
-    dominating, before it is kept; duplicates and single vertices are
-    dropped. The first call stores the family on the graph; later calls
+def _dominating_family(g: Graph, h: int = 0) -> tuple[int, ...]:
+    """The skip family of a scan with `h`, as vertex masks in the order first
+    found: one `_greedy_cds` run with `h` per start vertex and tie order, so
+    with h = 0 greedy connected dominating sets, and with h >= 1 each run's
+    prefix that leaves no undominated component of more than h vertices.
+    Each set is checked anyway before it is kept: connected, of at least 2
+    vertices, and every component of g minus the set's closed neighbourhood
+    of at most h vertices (for h = 0, dominating); duplicates are dropped.
+    The first call for an h stores its family on the graph; later calls
     return it without a run."""
-    if g._family is not None:
-        return g._family
+    family = g._families.get(h)
+    if family is not None:
+        return family
     n = g.vertex_count
     closed = [m | 1 << v for v, m in enumerate(g.neighbor_masks)]
     orders = _tie_orders(n)
     found: dict[int, None] = {}
     for start in range(n):
         for order, rank in orders:
-            found[sum(1 << v for v in _greedy_cds(closed, start, order, rank))] = None
+            found[sum(1 << v for v in _greedy_cds(closed, start, order, rank, h))] = None
     full = (1 << n) - 1
-    g._family = tuple(d for d in found if d.bit_count() >= 2 and component_masks(g, d) == [d]
-                      and reduce(or_, (closed[v] for v in ids(d))) == full)
-    return g._family
+    family = tuple(d for d in found if d.bit_count() >= 2 and component_masks(g, d) == [d]
+                   and all(c.bit_count() <= h for c in component_masks(
+                       g, full & ~reduce(or_, (closed[v] for v in ids(d))))))
+    g._families[h] = family
+    return family
 
 
 def _family_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> list[int]:
@@ -349,8 +392,8 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     copies i and later. The walk is depth first; a member at depth d is
     taken from index i only while the family masks of the members before it,
     ORed with `suffix[i]`, give every family bit. Otherwise every
-    subset that takes index i or a later one at depth d misses a connected
-    dominating set, and the whole block is counted and skipped without a
+    subset that takes index i or a later one at depth d misses a set of the
+    family, and the whole block is counted and skipped without a
     flood (see the module docstring); a full subset whose own family masks
     miss a bit is counted and skipped alike. `meeting[j]` is the mask of
     the copy indices that meet family set j. The last member's run is
@@ -592,9 +635,11 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     """Scan the unions of `sizes` copies of `shape`, never more than there are
     copies, for one that `_separates` g with `h`: CERTIFIED, NO, or BUDGET,
     with no witness, beside the first hit's ascending copy indices or None
-    (see `_scan_sizes`). With no size of 1 or more nothing is enumerated: the
-    empty set never cuts a connected graph. `kappa_rule` skips the unions of
-    fewer than κ vertices without a flood (see the module docstring)."""
+    (see `_scan_sizes`). A union that misses a set of `_dominating_family(g,
+    h)` is skipped without a flood. With no size of 1 or more nothing is
+    enumerated: the empty set never cuts a connected graph. `kappa_rule`
+    skips the unions of fewer than κ vertices without a flood (see the
+    module docstring)."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
     if sizes.stop <= 1:
@@ -617,7 +662,7 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
             unit_masks.append(prefix_mask | low)
     sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
     # a size-1 scan floods each copy once, which costs less than the family
-    family = _dominating_family(g) if sizes and sizes[-1] >= 2 else ()
+    family = _dominating_family(g, h) if sizes and sizes[-1] >= 2 else ()
     family_masks = _family_masks(unit_masks, family, g.vertex_count)
     # equal suffix masks share one int: most hold every bit, which offsets
     # the memory of the meeting masks

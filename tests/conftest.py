@@ -224,6 +224,11 @@ def d14():
 
 
 @pytest.fixture(scope="session")
+def d15():
+    return build_dcell(1, 5)
+
+
+@pytest.fixture(scope="session")
 def b3():
     return build_bcdc(3)
 

@@ -671,7 +671,7 @@ def _closed(g) -> list[int]:
 def _unfiltered(call):
     """`call()` with an empty family, which skips nothing."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_dominating_family", lambda g: [])
+        m.setattr(search, "_dominating_family", lambda g, h=0: [])
         return call()
 
 
@@ -820,7 +820,7 @@ class TestDominatingFamily:
             m.setattr(search, "_separates", lambda *args: False)
             plains = {cap: _unfiltered(lambda: exists_cut_of_size(
                 b4, K11, STRUCTURE, 2, SearchBudget(max_checks=cap))) for cap in caps}
-        monkeypatch.setattr(search, "_dominating_family", lambda g: family)  # built once
+        monkeypatch.setattr(search, "_dominating_family", lambda g, h=0: family)  # built once
         for cap, pooled in caps.items():
             budget = SearchBudget(max_checks=cap)
             for jobs in (1, 2) if pooled else (1,):
@@ -840,8 +840,8 @@ class TestDominatingFamily:
                         shape.tag, mode, jobs)
 
     @pytest.mark.usefixtures("pool_every_size")
-    @pytest.mark.parametrize("graph", ["b3", "d14"])
-    @pytest.mark.parametrize("h", [0, 1])
+    @pytest.mark.parametrize("graph", ["b3", "d14", "d15"])
+    @pytest.mark.parametrize("h", [0, 1, 2])
     def test_filtered_g_extra_matches_the_plain_scan(self, request, graph, h):
         g = request.getfixturevalue(graph)
         plain = _unfiltered(lambda: g_extra_connectivity(g, h))
@@ -868,7 +868,7 @@ class TestDominatingFamily:
     def test_a_size_1_scan_builds_no_family(self, d14, monkeypatch):
         # K_{1,3} on D_{1,4}: 1 x 4 vertices is not below kappa 4, so size 1
         # is scanned, and a size-1 scan checks each copy once without the family
-        def refuse(g):
+        def refuse(g, h=0):
             raise AssertionError("family built for a size-1 scan")
 
         monkeypatch.setattr(search, "_dominating_family", refuse)
@@ -876,6 +876,109 @@ class TestDominatingFamily:
         cut = structure_cut_for("dcell", {"m": 1, "n": 4}, star, STRUCTURE)
         res = certify_min(d14, star, STRUCTURE, 2, cut)
         assert (res.status, res.lower_bound_proven, res.checks) == ("certified", 1, 80)
+
+
+def _extra_floods(caplog, g, h, jobs, family=None) -> tuple:
+    """`g_extra_connectivity(g, h)`'s answer and the subsets it flooded at
+    each size, skipping by `family` in place of the family for h if given."""
+    with pytest.MonkeyPatch.context() as m:
+        if family is not None:
+            m.setattr(search, "_dominating_family", lambda g, h=0: family)
+        res, lines = _flooded_lines(caplog, lambda: g_extra_connectivity(g, h, jobs=jobs))
+    return res, [int(re.search(r"flooded=([\d,]+)", line)[1].replace(",", "")) for line in lines]
+
+
+class TestExtraFamily:
+    """The family of a g-extra scan with h >= 1: connected sets of at least 2
+    vertices that leave no component of more than h vertices once their
+    closed neighbourhood is deleted."""
+
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14", "d15"])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_every_set_leaves_components_of_at_most_h_vertices(self, request, graph, h):
+        g = request.getfixturevalue(graph)
+        family = search._dominating_family(g, h)
+        assert len(family) == len(set(family))
+        assert len(family) == {"b3": (43, 47), "b4": (307, 314), "d14": (77, 77),
+                               "d15": (178, 178)}[graph][h - 1]
+        for d in family:
+            inside = {g.label_of(v) for v in _members(d)}
+            assert len(inside) >= 2
+            assert len(components(delete_vertices(g, set(g.labels) - inside))) == 1
+            near = inside.union(*(neighbor_labels(g, label) for label in inside))
+            assert all(len(part) <= h for part in components(delete_vertices(g, near)))
+
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14", "d15"])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_each_run_for_h_is_a_prefix_of_the_run_for_0(self, request, graph, h):
+        # so every set of the family for 0 holds one for h, and a union that
+        # misses the one misses the other
+        g = request.getfixturevalue(graph)
+        closed = _closed(g)
+        for order, rank in search._tie_orders(g.vertex_count):
+            for start in range(g.vertex_count):
+                taken = search._greedy_cds(closed, start, order, rank, h)
+                assert taken == search._greedy_cds(closed, start, order, rank)[:len(taken)]
+        family = search._dominating_family(g, h)
+        assert all(any(d & wide == d for d in family) for wide in search._dominating_family(g))
+
+    @given(g=_connected_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_removal_that_misses_a_set_for_h_never_separates_with_h(self, g, data):
+        h = data.draw(st.integers(1, 3))
+        family = search._dominating_family(g, h)
+        if not family:
+            return
+        d = data.draw(st.sampled_from(family))
+        outside = [v for v in range(g.vertex_count) if not d >> v & 1]
+        picked = data.draw(st.lists(st.sampled_from(outside), unique=True)) if outside else []
+        full = (1 << g.vertex_count) - 1
+        assert not search._separates(g.neighbor_tables, full, sum(1 << v for v in picked), h)
+
+    @pytest.mark.usefixtures("pool_every_size")
+    @pytest.mark.parametrize("graph", ["b3", "d14", "d15"])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_the_family_for_h_floods_no_more_than_the_family_for_0(self, request, caplog,
+                                                                  graph, h):
+        g = request.getfixturevalue(graph)
+        for jobs in (1, 2):
+            res, floods = _extra_floods(caplog, g, h, jobs)
+            wide, wide_floods = _extra_floods(caplog, g, h, jobs, search._dominating_family(g))
+            assert res == wide and res.status == CERTIFIED, jobs
+            assert len(floods) == len(wide_floods) and all(map(int.__le__, floods, wide_floods))
+
+    def test_b4_with_h_1_floods_fewer_subsets(self, b4, caplog):
+        # the benchmark's g-extra scan: the answer is that of the family for
+        # 0, at a twelfth of its floods
+        for jobs in (1, 2):
+            res, floods = _extra_floods(caplog, b4, 1, jobs)
+            wide, wide_floods = _extra_floods(caplog, b4, 1, jobs, search._dominating_family(b4))
+            assert res == wide, jobs
+            assert (res.status, res.value, res.lower_bound_proven, res.checks) == (
+                CERTIFIED, 8, 7, 4364035)
+            assert res.witness == ("0000|0001", "0000|0010", "0000|0100", "0010|1010",
+                                   "1000|1001", "1000|1100", "1010|1011", "1010|1110")
+            assert (floods, wide_floods) == ([13, 1583, 128], [256, 19388, 1158]), jobs
+
+    def test_only_a_g_extra_scan_asks_for_its_h(self, d14, monkeypatch):
+        # a g-extra scan skips by the family for its own h, and a cut-mode
+        # scan, which separates with h = 0, by the family for 0
+        asked = []
+        real = search._dominating_family
+
+        def spy(g, h=0):
+            asked.append(h)
+            return real(g, h)
+
+        monkeypatch.setattr(search, "_dominating_family", spy)
+        for h in (0, 1, 2):
+            asked.clear()
+            assert g_extra_connectivity(d14, h).status == CERTIFIED
+            assert asked == [h]
+        asked.clear()
+        assert exists_cut_of_size(d14, K11, STRUCTURE, 2).status == NO
+        assert certify_min(d14, K11, STRUCTURE, 3, _d14_cut(3)).status == CERTIFIED
+        assert asked == [0, 0]
 
 
 def test_a_size_at_or_under_the_pool_threshold_is_scanned_serially(d14, monkeypatch):
@@ -1147,7 +1250,7 @@ class TestLeafSweep:
         assert swept
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_a_swept_run_crossing_the_poll_stops_where_the_per_index_scan_stops(
+    def test_swept_and_walked_survivors_stop_alike_across_the_poll(
             self, k5, seed, monkeypatch):
         # 200 empty units never cut K_5, so every pair is examined; the caller's
         # flag is up before the scan. Seed 0 gives every unit the one family
@@ -1190,7 +1293,7 @@ class TestLeafSweep:
         if not seed:
             assert swept == (None, 8272, "stopped", 47, 8225)
 
-    def test_a_block_at_the_poll_inside_a_swept_run_stops_there(self, k5, monkeypatch):
+    def test_a_block_at_the_poll_inside_a_swept_run_stops_at_the_next_run(self, k5, monkeypatch):
         # 300 empty units, pairs; every unit meets family set 0 and only unit
         # 226 set 1, so in the run of each leading index below 226 unit 226
         # is the one survivor and the indices past it are one skipped block.
