@@ -6,30 +6,45 @@ partial result carrying the bound proven so far. Both caps count, copies
 and subset checks, so an answer depends only on the inputs, whatever the
 worker count and whether or not a cap trips. Every oracle answers with
 one `OracleResult`, and all three share one path from the copies through the
-scan to the witness, `_shape_oracle` (`certify_min` by way of
-`exists_cut_of_size`), with one hit rule, `_separates`: g-extra connectivity
-scans the single-vertex copies. Subsets are scanned in
+scan to the witness, `_shape_oracle`, with one hit rule, `_separates`:
+`certify_min` runs it with the κ gate on, and g-extra connectivity scans the
+single-vertex copies. Subsets are scanned in
 canonical lexicographic order over copy indices by one kernel, `_scan_range`,
-which covers the subsets whose leading index lies in a range: the serial scan
-is one range, a pool of workers takes one task per leading index. One size
-loop, `_scan_sizes`, reads the kernel results in leading-index order and
-settles them as the serial scan would, so the witness is the
+which covers the subsets whose leading index lies in a range. A size of 2 or
+more is scanned as a stream of tasks, one per leading index, run in the
+caller or taken by a pool of workers; a size-1 scan is one range, each of its
+subsets its own leading index. One size loop, `_scan_sizes`, reads the task
+results in leading-index order and settles them, so the witness is the
 lexicographically first one and `checks` (the length of the lexicographic
 prefix the answer rests on) is the same for every worker count. Progress
-goes to the `dcnconn.search` logger at INFO, from the parent process only.
+goes to the `dcnconn.search` logger at INFO, from that loop alone, so its
+records too are the same for every worker count.
 
+The κ lemma: removing a set of fewer than κ(G) vertices never `_separates`
+G. Proof: what is left is connected, by the definition of κ, and since
+κ <= n-1 it holds at least 2 vertices, so `_separates` is False for every h.
+κ comes from the max-flow `min_vertex_cut`, never from a formula.
 `certify_min` checks a claim "the least cut has `value` members, and here is
-one": it refutes sizes 1..value-1, then verifies the cut it is given. It first
-tries the size bound, which settles the refutation without enumerating a copy
-when (value-1)·|V(H)| < κ(G). Proof: a member is a copy of H (structure mode)
+one": it refutes sizes 1..value-1 by a scan with the κ gate, `kappa_rule`,
+then verifies the cut it is given. The gate uses the lemma at two levels.
+First, before a copy is enumerated: a member is a copy of H (structure mode)
 or a connected subgraph of H (substructure mode), so s members cover at most
-s·|V(H)| vertices. Removing fewer than κ vertices leaves G connected, and
-since κ <= n-1 it leaves at least 2 vertices, so no union of value-1 or fewer
-members is a cut. κ comes from the max-flow `min_vertex_cut`, never from a
-formula. Where the bound does not reach every size below the value,
-`certify_min` refutes them with `exists_cut_of_size(value-1)`, which never
-uses the bound: the same call is the unpruned reference the bound is tested
-against. Searching for the least cut is `exists_cut_of_size`'s job alone.
+s·|V(H)| vertices, and when (value-1)·|V(H)| < κ no union of the sizes asked
+about is a cut. The answer is then NO, proven up to value-1, with no copy,
+no check and the size bound in the note. Second, for each union: the kernel
+counts and skips, without a flood, a union of fewer than κ vertices. The
+test comes after the dominating-set test (below), just before the flood, so
+it costs one bit count per subset that would be flooded; it never skips a
+hit, and a skipped subset is still counted, so every field of the answer is
+that of the unpruned scan for every worker count. Since κ <= δ, each level
+pays for the flow only past a test against δ: the first when
+(value-1)·|V(H)| < δ, the second once the copies have passed the candidate
+cap and some copy has fewer than δ vertices, as a union is at least as large
+as each of its members. `exists_cut_of_size` (behind `--bound`) and
+`g_extra_connectivity` scan without the gate, so `exists_cut_of_size(value-1)`
+is the unpruned reference for both levels, and the max-flow cross-check
+compares κ with a scan that does not rest on κ. Searching for the least cut
+is `exists_cut_of_size`'s job alone.
 
 The kernel skips, without a flood, every subset whose union misses a set of
 a family of connected dominating sets, built from the graph alone by
@@ -93,10 +108,9 @@ reaches index k only if k-i < cap-checks, and the loop takes survivor k only
 then: a hit at k returns checks+k-i+1, and with no hit before that the cap
 trips exactly when the run's e-i checks exceed cap-checks, and otherwise the
 run adds them. So status, value, bound, witness, `checks` and the note are
-those of the scan one subset at a time. The stop flag and the progress log
-are polled at the start of a run or skipped block and just before a flood,
-so where a pool worker stops and where a progress record falls move with the
-floods, and no answer field reads either.
+those of the scan one subset at a time. The stop flag is polled at the start
+of a run or skipped block and just before a flood, so where a pool worker
+stops moves with the floods, and no answer field reads it.
 
 The kernel floods each distinct union at most once per leading index. In one
 scan the tables, the vertex mask and h are fixed, so whether removing a
@@ -106,28 +120,13 @@ whose union is in the set is counted and answered "no" without a flood; a
 hit ends the scan, so none is ever stored. Every subset thus gets the
 verdict it gets without the set, in the same order, so status, value,
 bound, witness, `checks` and the note are those of the kernel without it,
-for every worker count. The set is emptied each time the scan takes the
-next leading index, and a pool task is one leading index, so a size floods
-the same subsets serially and in a pool.
-It is also emptied once it holds `_MEMO_MAX` unions, which bounds its
-memory; within one leading index the floods, and so these points, are the
-same for every worker count. The set is not kept for single-vertex copies,
-whose distinct subsets have distinct unions, nor at size 1, where each
-subset has a leading index of its own.
-
-`certify_min`'s scan, and no other, also skips every subset whose union has
-fewer than κ(G) vertices: the size bound applied to one union. Removing
-fewer than κ vertices leaves G connected, and since κ <= n-1 it leaves at
-least 2 vertices, so `_separates` is False for every h. The test comes after
-the dominating-set test, just before the flood, so it costs one bit count per
-subset that would be flooded. It never skips a hit, and a skipped subset is
-still counted, so every field of the answer is that of the unpruned scan for
-every worker count. κ is computed only once the copies have passed the
-candidate cap, and only when some copy has fewer than δ vertices: a union is
-at least as large as each of its members and κ <= δ, so otherwise the rule
-skips nothing and its flow is not paid. `exists_cut_of_size` (behind
-`--bound`) and `g_extra_connectivity` scan without it, so the max-flow
-cross-check compares κ with a scan that does not rest on κ.
+for every worker count. The set is emptied each time the kernel takes the
+next leading index, and once it holds `_MEMO_MAX` unions, which bounds its
+memory. A size of 2 or more is scanned one task per leading index, so the
+set starts empty at each task, wherever the task runs, and a size floods the
+same subsets for every worker count. The set is not kept for single-vertex
+copies, whose distinct subsets have distinct unions, nor at size 1, where
+each subset has a leading index of its own.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ NO = "no"
 BUDGET = "budget_exceeded"
 
 log = logging.getLogger(__name__)
-_LOG_EVERY = 1 << 17  # checks between progress records; a multiple of 8192
+_LOG_EVERY = 1 << 17  # checks between progress records
 _POOL_MIN = 1 << 14  # a size with no more subsets to check than this is scanned serially
 _RANDOM_TIES = 14  # shuffled tie orders per start vertex, beside ascending and descending id
 # a last-member run is swept when the per-index walk would take at least this
@@ -341,44 +340,32 @@ def _dominating_family(g: Graph, h: int = 0) -> tuple[int, ...]:
     return family
 
 
-def _family_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> list[int]:
-    """For each unit mask over n vertices, the mask of the family sets it
-    meets: bit j is set when the unit shares a vertex with `family[j]`."""
-    if not family:  # it skips nothing, and a size-1 scan can have many copies
-        return [0] * len(unit_masks)
-    of_vertex = [0] * n
-    for j, d in enumerate(family):
+def _incidence(sets, masks, n: int) -> list[int]:
+    """For each of the vertex masks `masks` over n vertices, the mask of the
+    indices of `sets` it meets: bit j is set when it shares a vertex with
+    `sets[j]`. The copies and the skip family are the two sides of one
+    incidence, taken either way. Built from each vertex's mask of the sets
+    that hold it, one bit set per set vertex; all zeros when either side is
+    empty (a size-1 scan has no family, and can have many copies)."""
+    if not sets or not masks:
+        return [0] * len(masks)
+    rows = [bytearray((len(sets) + 7) // 8) for _ in range(n)]
+    for j, d in enumerate(sets):
+        byte, bit = j >> 3, 1 << (j & 7)
         for v in ids(d):
-            of_vertex[v] |= 1 << j
-    return [reduce(or_, (of_vertex[v] for v in ids(unit)), 0) for unit in unit_masks]
-
-
-def _meeting_masks(unit_masks: list[int], family: tuple[int, ...], n: int) -> list[int]:
-    """For each family set, the mask of the unit indices that meet it: bit k
-    is set when unit k shares a vertex with the set. Built from each vertex's
-    mask of the units that hold it, one bit set per unit vertex."""
-    rows = [bytearray((len(unit_masks) + 7) // 8) for _ in range(n)]
-    for k, unit in enumerate(unit_masks):
-        byte, bit = k >> 3, 1 << (k & 7)
-        for v in ids(unit):
             rows[v][byte] |= bit
     holding = [int.from_bytes(row, "little") for row in rows]
-    return [reduce(or_, (holding[v] for v in ids(d))) for d in family]
+    return [reduce(or_, (holding[v] for v in ids(m)), 0) for m in masks]
 
 
 def _log_progress(size: int, checks: int, n: int) -> None:
     log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
 
 
-def _poll(size: int, checks: int, n: int, poll: int) -> int:
-    """At a poll, `checks` having reached `poll` (a multiple of 8192): 0 if
-    the caller has its answer, else the next poll. Progress is logged first
-    when `checks` has passed a multiple of `_LOG_EVERY` since the last poll."""
-    if _worker_stop.value:
-        return 0
-    if checks // _LOG_EVERY > (poll - 8192) // _LOG_EVERY:
-        _log_progress(size, checks, n)
-    return (checks // 8192 + 1) * 8192
+def _poll(checks: int) -> int:
+    """At a poll, once `checks` has reached the poll mark: 0 if the caller
+    has its answer, else the next mark, the next multiple of 8192."""
+    return 0 if _worker_stop.value else (checks // 8192 + 1) * 8192
 
 
 def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
@@ -409,11 +396,9 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     cap is tested before a subset or block, so a range that ends as the cap
     trips is complete and carries no note, and a cap inside a skipped block
     returns `cap` checks. In a pool worker the scan also ends, with the note
-    "stopped", once the caller has its answer, and progress is logged each
-    time `checks` has passed another multiple of `_LOG_EVERY`; both are
-    polled at the start of a run or skipped block and just before a flood,
-    once `checks` has passed another multiple of 8192, only while subsets
-    are left.
+    "stopped", once the caller has its answer; the stop flag is polled at the
+    start of a run or skipped block and just before a flood, once `checks`
+    has passed another multiple of 8192, only while subsets are left.
     """
     tables, full, unit_masks, h, family_masks, every_set, suffix, kappa, meeting, memo = ctx
     n = len(unit_masks)
@@ -439,7 +424,7 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
                 seen.clear()
             continue
         if checks >= poll:
-            poll = _poll(size, checks, n, poll)
+            poll = _poll(checks)
             if not poll:
                 return None, checks, "stopped", flooded, repeated
         left = last - d  # members still to take after this one
@@ -483,7 +468,7 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
                 continue
             at = checks + k - i  # the checks before the subset that ends at k
             if at >= poll:
-                poll = _poll(size, at, n, poll)
+                poll = _poll(at)
                 if not poll:
                     return None, at, "stopped", flooded, repeated
             flooded += 1
@@ -510,7 +495,6 @@ def _pool_init(ctx, stop) -> None:
 
     global _worker_ctx, _worker_stop
     _worker_ctx, _worker_stop = ctx, stop
-    logging.disable(logging.INFO)  # a task counts from its own leading index
     # Ctrl-C signals the whole process group; a worker killed by it would
     # never return its task, and the caller would wait in join() forever
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -531,30 +515,32 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
     None: CERTIFIED with `value` the size that hit, BUDGET, or NO after
     every size.
     The bound proven is the size before the one where the scan stopped, or the
-    last size after NO. With `jobs > 1`, a size of at least 2 with more than
-    `_POOL_MIN` subsets to check (the fewer of its subset count and the checks
-    left in the budget) is split into one pool task per leading index (the
-    pool starts at the first such size, with no more workers than that size
-    has tasks, and serves the rest of the call); a smaller size is scanned
-    serially. The threshold is measured with two workers on 2 cores
+    last size after NO. A size of at least 2 is scanned as one task per
+    leading index. With `jobs > 1` and more than `_POOL_MIN` subsets to check
+    (the fewer of the size's subset count and the checks left in the budget)
+    a pool takes the tasks (it starts at the first such size, with no more
+    workers than that size has tasks, and serves the rest of the call);
+    otherwise the caller runs them one at a time, each capped at the checks
+    left in the budget. The threshold is measured with two workers on 2 cores
     (`BENCH_kappa_rule.json` `pool_threshold`, re-timed in
-    `BENCH_leaf_sweep.json` `pool_threshold_recheck`). The pooled results
-    are read in leading-index order and settled as the serial scan would
-    settle them: the hit is the lexicographically first,
-    `checks` is the length of the lexicographic prefix the answer rests on
-    (never above `budget.max_checks`, the same for every job count), and any
-    note from a task stops the scan. Work that workers do past that point is
-    not counted: the caller raises a shared flag, on which queued tasks
-    return at once and running ones at their next poll, then closes the pool
-    and waits for it. Killing the workers instead could kill one that holds
-    the result queue's lock, and the pool's shutdown would then wait for
-    that lock forever. Workers ignore SIGINT, so an interrupt reaches only
-    the caller, whose shutdown then runs as after an answer. Results are
-    logged at least `_LOG_EVERY` checks apart, counting from 0 at each size,
-    and each size ends with a record of the subsets flooded among those it
-    examined and of those answered from the memo, which a rule skip is not
-    (in the results read, so a pool task cut by the check cap counts its
-    floods past the cap too).
+    `BENCH_leaf_sweep.json` `pool_threshold_recheck`). A size-1 scan is one
+    range, each of its subsets its own leading index. The results are read
+    in leading-index order and settled alike wherever they ran: the hit is
+    the lexicographically first, `checks` is the length of the lexicographic
+    prefix the answer rests on (never above `budget.max_checks`, the same for
+    every job count), and any note from a task stops the scan. Work that
+    workers do past that point is not counted: the caller raises a shared
+    flag, on which queued tasks return at once and running ones at their
+    next poll, then closes the pool and waits for it. Killing the workers
+    instead could kill one that holds the result queue's lock, and the
+    pool's shutdown would then wait for that lock forever. Workers ignore
+    SIGINT, so an interrupt reaches only the caller, whose shutdown then
+    runs as after an answer. All progress is logged here, from the results
+    read: at least `_LOG_EVERY` checks apart, counting from 0 at each size,
+    so the records are the same for every job count; and each size ends with
+    a record of the subsets flooded among those it examined and of those
+    answered from the memo, which a rule skip is not (so a pool task cut by
+    the check cap counts its floods past the cap too).
     """
     n = len(ctx[2])  # the number of unit masks
     total = 0
@@ -576,8 +562,11 @@ def _scan_sizes(ctx, sizes, budget: SearchBudget,
                     pool = mpc.Pool(min(jobs, len(tasks)), initializer=_pool_init,
                                     initargs=(ctx, stop))
                 results = pool.imap(_pool_task, tasks, chunksize=1)
-            else:
-                results = [_scan_range(ctx, size, 0, n, cap)]
+            elif size == 1:
+                results = [_scan_range(ctx, 1, 0, n, cap)]
+            else:  # the pool's task stream, run here, each task capped at the checks left
+                results = (_scan_range(ctx, size, lead, lead + 1, budget.max_checks - total)
+                           for lead in range(n - size + 1))
             for found, checks, note, floods, repeats in results:
                 flooded += floods
                 repeated += repeats
@@ -638,10 +627,18 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     (see `_scan_sizes`). A union that misses a set of `_dominating_family(g,
     h)` is skipped without a flood. With no size of 1 or more nothing is
     enumerated: the empty set never cuts a connected graph. `kappa_rule`
-    skips the unions of fewer than κ vertices without a flood (see the
-    module docstring)."""
+    applies the κ lemma at two levels (see the module docstring): it answers
+    NO before any copy is enumerated when the largest size's members cover
+    fewer than κ vertices, and otherwise skips the unions of fewer than κ
+    vertices without a flood."""
     if not is_connected(g):
         raise ValueError("the structure-cut oracles require a connected graph")
+    # κ <= δ, so each level tests δ before it pays for κ; a δ of 0 tests nothing
+    degree = _min_degree(g) if kappa_rule else 0
+    covered = (sizes.stop - 1) * shape.vertex_count  # by the members of the largest size
+    if covered < degree and covered < (kappa := min_vertex_cut(g)):
+        note = f"size bound: {sizes.stop - 1} x {shape.vertex_count} vertices < kappa {kappa}"
+        return OracleResult(NO, None, sizes.stop - 1, None, 0, 0, note), None
     if sizes.stop <= 1:
         return OracleResult(NO, None, 0, None, 0, 0), None
     # count the copies a family at a time, by popcount, before keeping any: a
@@ -663,17 +660,15 @@ def _shape_oracle(g: Graph, shape: ShapeSpec, mode: str, sizes: range, budget: S
     sizes = range(sizes.start, min(sizes.stop, len(unit_masks) + 1))
     # a size-1 scan floods each copy once, which costs less than the family
     family = _dominating_family(g, h) if sizes and sizes[-1] >= 2 else ()
-    family_masks = _family_masks(unit_masks, family, g.vertex_count)
+    family_masks = _incidence(family, unit_masks, g.vertex_count)
     # equal suffix masks share one int: most hold every bit, which offsets
     # the memory of the meeting masks
     shared: dict[int, int] = {}
     suffix = [shared.setdefault(m, m) for m in accumulate(reversed(family_masks), or_)][::-1]
-    kappa = 0
-    if kappa_rule:  # a union is at least as large as each member, and κ <= δ
-        degree = _min_degree(g)
-        if any(unit.bit_count() < degree for unit in unit_masks):
-            kappa = min_vertex_cut(g)
-    meeting = _meeting_masks(unit_masks, family, g.vertex_count) if family else []
+    # a union is at least as large as each of its members
+    kappa = min_vertex_cut(g) if degree and any(
+        unit.bit_count() < degree for unit in unit_masks) else 0
+    meeting = _incidence(unit_masks, family, g.vertex_count)
     # distinct single-vertex copies have distinct unions, so the memo would never hit
     ctx = (g.neighbor_tables, (1 << g.vertex_count) - 1, unit_masks, h, family_masks,
            (1 << len(family)) - 1, suffix, kappa, meeting, shape.vertex_count > 1)
@@ -697,20 +692,6 @@ def exists_cut_of_size(
     return res if hit is None else replace(res, witness=_cut_of(g, shape, mode, hit))
 
 
-def size_bound(g: Graph, shape: ShapeSpec, value: int) -> str:
-    """The size-bound note when (value-1)·|V(shape)| < κ(g), which settles
-    sizes 1..value-1 (see the module docstring), else "". Min degree δ >= κ
-    is tested first, so a value the bound cannot reach costs no flow; so is
-    connectivity, which κ needs."""
-    covered = (value - 1) * shape.vertex_count
-    if covered >= _min_degree(g) or not is_connected(g):
-        return ""
-    kappa = min_vertex_cut(g)
-    if covered >= kappa:
-        return ""
-    return f"size bound: {value - 1} x {shape.vertex_count} vertices < kappa {kappa}"
-
-
 def certify_min(
     g: Graph,
     shape: ShapeSpec,
@@ -721,29 +702,21 @@ def certify_min(
     jobs: int = 1,
 ) -> OracleResult:
     """Certify a claimed minimum: refute sizes 1..value-1, then verify
-    `witness`, a cut of `value` members (e.g. a constructed one). The size
-    bound refutes the smaller sizes with no copy enumerated (`checks` and
-    `copies` 0, the rule in `note`) where it reaches them; otherwise a scan
-    of sizes 1..value-1 does, and the least cut it finds refutes the value
-    and becomes the reported one.
+    `witness`, a cut of `value` members (e.g. a constructed one).
 
-    The scan is that of `exists_cut_of_size(value - 1)` with one rule more,
-    the size bound applied to each union: a union of fewer than κ vertices
-    is counted and skipped without a flood, since removing fewer than κ
-    vertices leaves g connected with at least 2 vertices (κ <= n-1). The
-    rule never skips a cut, so the answer is the plain scan's, field for
-    field. It stays out of `exists_cut_of_size`, which is the unpruned
-    reference for both forms of the size bound and for κ itself."""
+    The refutation is the scan of `exists_cut_of_size(value - 1)` with the κ
+    gate on (see the module docstring). Where (value-1)·|V(shape)| < κ it
+    settles every size with no copy enumerated (`checks` and `copies` 0, the
+    size bound in `note`); otherwise a union of fewer than κ vertices is
+    counted and skipped without a flood, and the answer is the plain scan's,
+    field for field. The least cut the scan finds refutes the value and
+    becomes the reported one."""
     if value < 1:
         raise ValueError("certified value must be >= 1")
-    bound = size_bound(g, shape, value)
-    if bound:
-        res = OracleResult(NO, None, value - 1, None, 0, 0, bound)
-    else:
-        res, hit = _shape_oracle(g, shape, mode, range(1, value), budget or SearchBudget(), jobs,
-                                 kappa_rule=True)
-        if hit is not None:
-            res = replace(res, witness=_cut_of(g, shape, mode, hit))
+    res, hit = _shape_oracle(g, shape, mode, range(1, value), budget or SearchBudget(), jobs,
+                             kappa_rule=True)
+    if hit is not None:
+        res = replace(res, witness=_cut_of(g, shape, mode, hit))
     if res.status == BUDGET:
         return replace(res, value=value)
     if res.status == CERTIFIED:
@@ -751,7 +724,7 @@ def certify_min(
     res = replace(res, value=value, witness=witness)
 
     def refuted(reason: str) -> OracleResult:
-        return replace(res, status="refuted", note=f"{bound}; {reason}" if bound else reason)
+        return replace(res, status="refuted", note=f"{res.note}; {reason}" if res.note else reason)
 
     if len(witness.members) != value:
         return refuted(f"witness has {len(witness.members)} members, expected {value}")

@@ -5,7 +5,7 @@ import shlex
 import signal
 import subprocess
 import sys
-from itertools import islice
+from itertools import accumulate, islice
 from math import comb
 from pathlib import Path
 
@@ -204,14 +204,15 @@ def test_oracle_prints_one_report_line(capsys, argv, call):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_progress_restarts_at_each_size(capsys, caplog, monkeypatch, jobs):
     # B_3 has 12 vertices: sizes 1..3 leave it connected, size 4 cuts. Every
-    # size of 2 or more takes the pool, whose results the parent process logs
+    # size of 2 or more takes the pool at --jobs 2; at either job count the
+    # parent process alone logs, once per leading index, so the records match
     monkeypatch.setattr(search, "_LOG_EVERY", 1)
     monkeypatch.setattr(search, "_POOL_MIN", 0)
     with caplog.at_level(logging.INFO, logger="dcnconn.search"):
         code, out, _ = run(capsys, "oracle", "bcdc", "--n", "3", "--g-extra", "0", "--progress",
                            "--jobs", jobs)
     assert code == 0 and "value=4" in out
-    last, flooded = {}, []
+    records, flooded = [], []
     for record in caplog.records:
         if "flooded" in record.getMessage():
             flooded.append(record.getMessage())
@@ -219,8 +220,10 @@ def test_progress_restarts_at_each_size(capsys, caplog, monkeypatch, jobs):
         size, examined, total = re.fullmatch(r"size=(\d) subsets examined=([\d,]+) / ([\d,]+)",
                                              record.getMessage()).groups()
         assert total == f"{comb(12, int(size)):,}"
-        last[size] = examined
-    assert last == {"1": "12", "2": "66", "3": "220"}
+        records.append((int(size), int(examined.replace(",", ""))))
+    # size 1 is one range; a later size's leading index l starts comb(11-l, size-1) subsets
+    assert records == [(1, 12)] + [(size, examined) for size in (2, 3) for examined in accumulate(
+        comb(11 - lead, size - 1) for lead in range(13 - size))]
     # the dominating-set rule leaves one subset to flood, the cut at size 4
     assert flooded == [f"size={size} subsets flooded={floods} of {examined} examined, "
                        "0 repeated unions not flooded"

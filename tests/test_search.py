@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+from dataclasses import replace
 from itertools import accumulate
 from math import comb
 from operator import or_
@@ -30,7 +31,7 @@ from dcnconn import search
 from dcnconn.bcdc import build_bcdc
 from dcnconn.dcell import build_dcell
 from dcnconn.graph import ids
-from dcnconn.search import BUDGET, CERTIFIED, NO, size_bound
+from dcnconn.search import BUDGET, CERTIFIED, NO
 from dcnconn.shapes import MODES, STRUCTURE, SUBSTRUCTURE
 
 
@@ -109,9 +110,11 @@ class TestExists:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exists_scan_logs_each_size(self, d14, caplog, monkeypatch, jobs):
         # 40 edges: sizes 1 and 2 are scanned in full, size 3 holds the witness;
-        # a pool logs each task's result, counting from 0 again at each size;
-        # each size ends with the subsets flooded and those answered from the
-        # memo, the same for every job count: at size 3 two unions repeat
+        # size 1 is one range, and each later size's results are logged one
+        # leading index at a time, counting from 0 again at each size, by the
+        # caller alone; each size ends with the subsets flooded and those
+        # answered from the memo: at size 3 two unions repeat. The records are
+        # the same for every job count
         monkeypatch.setattr(search, "_LOG_EVERY", 1)
         monkeypatch.setattr(search, "_POOL_MIN", 0)
         with caplog.at_level(logging.INFO, logger="dcnconn.search"):
@@ -122,14 +125,8 @@ class TestExists:
             "size=1 subsets flooded=0 of 40 examined, 0 repeated unions not flooded",
             "size=2 subsets flooded=15 of 780 examined, 0 repeated unions not flooded",
             "size=3 subsets flooded=3 of 33 examined, 2 repeated unions not flooded"]
-        records = [_progress_record(m) for m in messages if "flooded" not in m]
-        if jobs == 1:
-            assert records == [(1, 40, 40), (2, 780, 780)]
-        else:
-            by_size = [[r for r in records if r[0] == size] for size in (1, 2)]
-            assert by_size[0] == [(1, 40, 40)]
-            assert by_size[1][0] == (2, 39, 780) and by_size[1][-1] == (2, 780, 780)
-            assert [r[1] for r in by_size[1]] == sorted({r[1] for r in by_size[1]})
+        assert [_progress_record(m) for m in messages if "flooded" not in m] == [
+            (1, 40, 40), *((2, examined, 780) for examined in accumulate(range(39, 0, -1)))]
 
 
 class TestMinCut:
@@ -448,21 +445,32 @@ def _isolating_witness(g, shape, mode, size):
     return None
 
 
+def _bound_note(g, shape, mode, value) -> str:
+    """The size-bound note certify_min settles `value` with, or "" where the
+    bound does not settle it: with a candidate cap of 0, no other route
+    answers without a copy."""
+    note = certify_min(g, shape, mode, value, StructureCut(shape, (), mode),
+                       SearchBudget(max_candidates=0)).note
+    return note.partition("; ")[0] if note.startswith("size bound") else ""
+
+
 def _check_size_bound_at_its_limit(g, shape, mode, kappa) -> bool:
     """At the largest value the size bound settles, the unpruned scan of the
     sizes below it finds no cut, and certify_min, given a cut of that value,
     certifies it from the bound with the same lower bound. False when the
     value has no isolating cut to certify with."""
     value = (kappa - 1) // shape.vertex_count + 1
-    assert size_bound(g, shape, value) and not size_bound(g, shape, value + 1)
+    note = f"size bound: {value - 1} x {shape.vertex_count} vertices < kappa {kappa}"
+    assert _bound_note(g, shape, mode, value) == note
+    assert not _bound_note(g, shape, mode, value + 1)
     case = (shape.tag, mode, value)
     assert exists_cut_of_size(g, shape, mode, value - 1).status == NO, case
     witness = _isolating_witness(g, shape, mode, value)
     if witness is None:
         return False
     res = certify_min(g, shape, mode, value, witness=witness)
-    assert (res.status, res.lower_bound_proven, res.checks, res.copies) == (
-        "certified", value - 1, 0, 0), case
+    assert (res.status, res.lower_bound_proven, res.checks, res.copies, res.note) == (
+        "certified", value - 1, 0, 0, note), case
     return True
 
 
@@ -535,7 +543,8 @@ class TestSizeBound:
         # min degree 4 but kappa 2, and the edge 0-1 alone is a cut, so
         # 1 x 2 vertices settles nothing
         g = _two_k5(("0", "5"), ("1", "6"))
-        assert size_bound(g, K11, 1) and not size_bound(g, K11, 2)
+        assert _bound_note(g, K11, STRUCTURE, 1) == "size bound: 0 x 2 vertices < kappa 2"
+        assert not _bound_note(g, K11, STRUCTURE, 2)
         two = StructureCut(K11, (("0", "1"), ("2", "3")), STRUCTURE)
         res = certify_min(g, K11, STRUCTURE, 2, witness=two)
         assert (res.status, res.value, res.note) == ("refuted", 1, "found a cut of 1 members")
@@ -791,7 +800,7 @@ class TestDominatingFamily:
 
         family = search._dominating_family(b4)
         units = [sum(1 << v for v in ids) for ids in enumerate_shape_copies(b4, K11, STRUCTURE)]
-        fam = search._family_masks(units, family, b4.vertex_count)
+        fam = search._incidence(family, units, b4.vertex_count)
         every, n = (1 << len(family)) - 1, len(units)
         later = [reduce(or_, fam[i:], 0) for i in range(n)]
         keys = []  # each subset's block and leading index, None outside a block
@@ -1001,7 +1010,8 @@ def test_a_size_at_or_under_the_pool_threshold_is_scanned_serially(d14, monkeypa
 
 
 def _without_kappa_rule(call):
-    """`call()` with certify_min's scan run without the kappa rule."""
+    """`call()` with certify_min's scan run without the kappa rule, at either
+    of its levels: the plain scan of every size below the value."""
     real = search._shape_oracle
 
     def plain(*args, **kwargs):
@@ -1044,7 +1054,7 @@ class TestKappaRule:
                 copies = sum(1 for _ in enumerate_shape_copies(g, shape, mode))
                 values = [v for v in range(2, 7)
                           if sum(comb(copies, s) for s in range(1, v)) <= 30_000
-                          and not size_bound(g, shape, v)]
+                          and not _bound_note(g, shape, mode, v)]
                 if not values:
                     continue
                 least = exists_cut_of_size(g, shape, mode, values[-1])
@@ -1088,7 +1098,42 @@ class TestKappaRule:
         def call():
             return certify_min(g, shape, mode, value, witness, budget)
 
-        assert call() == _without_kappa_rule(call)
+        pruned = call()
+        bound = pruned.note.partition("; ")[0]
+        if not bound.startswith("size bound"):
+            assert pruned == _without_kappa_rule(call)
+            return
+        # the bound answers NO up to value-1 without a copy or a check, and
+        # the plain scan, given the checks it needs, answers NO as well
+        scan, hit = search._shape_oracle(g, shape, mode, range(1, value), budget, 1,
+                                         kappa_rule=True)
+        assert (scan, hit) == (search.OracleResult(NO, None, value - 1, None, 0, 0, bound), None)
+        assert exists_cut_of_size(g, shape, mode, value - 1).status == NO
+        plain = _without_kappa_rule(lambda: certify_min(g, shape, mode, value, witness))
+        assert pruned == replace(plain, checks=0, copies=0,
+                                 note="; ".join(filter(None, [bound, plain.note])))
+
+    def test_a_certification_the_bound_settles_enumerates_no_copy(self, b5, monkeypatch):
+        # B_5 K_{1,2} at value 3: 2 x 3 vertices < kappa 8; at value 1 there
+        # is no size to refute, and the note still names the bound
+        families = []
+        real = search._leaf_families
+
+        def spy(*args):
+            families.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "_leaf_families", spy)
+        k12 = ShapeSpec.star(2)
+        three = structure_cut_for("bcdc", {"n": 5}, k12, STRUCTURE)
+        res = certify_min(b5, k12, STRUCTURE, 3, three)
+        assert (res.status, res.checks, res.copies, res.note) == (
+            "certified", 0, 0, "size bound: 2 x 3 vertices < kappa 8")
+        one = certify_min(b5, k12, STRUCTURE, 1, StructureCut(k12, three.members[:1], STRUCTURE))
+        assert (one.status, one.lower_bound_proven, one.checks, one.copies, one.note) == (
+            "refuted", 0, 0, 0,
+            "size bound: 0 x 3 vertices < kappa 8; witness failed verification")
+        assert families == []
 
     @pytest.mark.parametrize("n, flooded, copies", [(4, 192, 1920), (5, 640, 20080)])
     def test_rule_floods_only_unions_of_kappa_vertices(self, caplog, n, flooded, copies):
@@ -1208,6 +1253,21 @@ def _check_runs(g, ctx, sizes, marks):
 
 
 class TestLeafSweep:
+    @pytest.mark.parametrize("graph, shape", [("b4", K11), ("d14", ShapeSpec.path(4))])
+    def test_family_and_meeting_masks_are_one_incidence(self, request, graph, shape):
+        # the oracle builds both directions with one builder; each is checked
+        # here against the copies and the family sets directly
+        g = request.getfixturevalue(graph)
+        ctx = _oracle_ctx(g, shape, STRUCTURE)
+        units, family = ctx[2], search._dominating_family(g)
+        assert family and ctx[4] == [sum(1 << j for j, d in enumerate(family) if unit & d)
+                                     for unit in units]
+        assert ctx[8] == [sum(1 << k for k, unit in enumerate(units) if unit & d)
+                          for d in family]
+        # an empty side meets nothing
+        assert search._incidence((), units, g.vertex_count) == [0] * len(units)
+        assert search._incidence(units, (), g.vertex_count) == []
+
     @pytest.mark.parametrize("graph, sweep_min", [
         ("b3", search._SWEEP_MIN), ("b3", 1), ("b4", search._SWEEP_MIN),
         ("d14", search._SWEEP_MIN), ("d14", 1)], ids=["b3", "b3-every-run", "b4", "d14",

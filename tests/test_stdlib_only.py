@@ -217,6 +217,12 @@ def test_the_scan_kernel_tests_the_hit_rule_in_one_place():
     assert len(_reads(SRC / "search.py", "_separates")) == 1
 
 
+def test_progress_is_logged_in_one_place():
+    # the size loop logs progress from the results it reads, so a scan logs
+    # the same records wherever its tasks run; the kernel logs nothing
+    assert len(_reads(SRC / "search.py", "_log_progress")) == 1
+
+
 def test_the_check_sees_a_second_hit_rule_site(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("def _separates(x):\n    return x\n\n\ndef scan(xs, search):\n"
