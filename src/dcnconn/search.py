@@ -112,6 +112,27 @@ those of the scan one subset at a time. The stop flag is polled at the start
 of a run or skipped block and just before a flood, so where a pool worker
 stops moves with the floods, and no answer field reads it.
 
+The kernel skips a block of the second-to-last depth when no pair of its
+copies can finish the prefix. In a size of 3 or more, once the members
+before the last two are taken, the subsets that follow are the pairs of
+copies from the window [i, n) after them, comb(n-i, 2) of them. Let `need`
+be the family bits the prefix's family masks miss: a pair survives the rule
+only when its two family masks together give every bit of `need`. Lemma:
+`_pair_covers` finds such a pair if there is one. Proof: let j be the lowest
+bit of `need`. A surviving pair meets D_j, so one of its two copies is a
+window copy a in `meeting[j]`, and the other lies in the window less a and
+in `meeting[k]` for each bit k of `need` that a's family mask misses; the
+helper ANDs these masks for each such a, so it misses no pair. If there is
+none, no subset with the prefix survives, and the whole block is counted and
+skipped as above: a cap inside it is one the unfiltered scan reaches with no
+hit before it. A pair from a later start index is a pair from [i, n) too, so
+the block runs to the end of the depth. The test reads the masks alone, so
+it floods nothing and stores nothing, and every size floods and answers from
+the memo the subsets it does without the test; the stop flag is polled, as
+for any block, at the count where the block starts, in the step that takes
+the prefix's last member. A size-2 scan is left as it is: its second-to-last
+depth is the root, and its runs are settled by the run step.
+
 The kernel floods each distinct union at most once per leading index. In one
 scan the tables, the vertex mask and h are fixed, so whether removing a
 union `_separates` the graph depends on the union alone. The kernel keeps
@@ -358,6 +379,30 @@ def _incidence(sets, masks, n: int) -> list[int]:
     return [reduce(or_, (holding[v] for v in ids(m)), 0) for m in masks]
 
 
+def _pair_covers(meeting, family_masks, need: int, lo: int, n: int) -> bool:
+    """Are there two copies a < b among the indices [lo, n) whose family masks
+    together give every bit of `need`? A pair that does meets the set of
+    need's lowest bit, so one of its copies is in that set's meeting mask:
+    for each such copy, its partners are the other copies of the window in
+    the meeting mask of each bit of `need` it misses."""
+    if not need:
+        return n - lo >= 2
+    window = (1 << n) - (1 << lo)
+    firsts = meeting[(need & -need).bit_length() - 1] & window
+    while firsts:
+        a = firsts & -firsts
+        firsts ^= a
+        partners = window ^ a
+        rest = need & ~family_masks[a.bit_length() - 1]
+        while rest and partners:
+            low = rest & -rest
+            rest ^= low
+            partners &= meeting[low.bit_length() - 1]
+        if partners:
+            return True
+    return False
+
+
 def _log_progress(size: int, checks: int, n: int) -> None:
     log.info("size=%d subsets examined=%s / %s", size, f"{checks:,}", f"{comb(n, size):,}")
 
@@ -387,7 +432,10 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
     settled at one step: its survivors come from one sweep of the meeting
     masks when the per-index walk would take at least `_SWEEP_MIN` unit
     steps in it and the members before it miss a family set, and from the
-    walk otherwise (see the module docstring). With `memo` true and a size
+    walk otherwise (see the module docstring). On taking a member at the
+    third-to-last depth, the kernel skips the block of the next depth, the
+    pairs from index i on, when `_pair_covers` finds no pair among them
+    that meets every family set the prefix misses. With `memo` true and a size
     of 2 or more, a union already flooded under the same leading index is
     counted and answered from the memo without a flood (see the module
     docstring). Returns (first hitting subset or None, checks made, note,
@@ -428,20 +476,25 @@ def _scan_range(ctx, size: int, lo: int, hi: int, cap: int):
             if not poll:
                 return None, checks, "stopped", flooded, repeated
         left = last - d  # members still to take after this one
-        if meets[d] | suffix[i] != every_set:  # skip the block that starts at index i
-            block = comb(n - i, left + 1) - comb(n - end, left + 1)
-            if checks + block > cap:
-                return None, cap, "check cap reached", flooded, repeated
-            checks += block
-            i = end
-            continue
-        if left:
+        skip = meets[d] | suffix[i] != every_set
+        if left and not skip:
             chosen[d] = i
             meets[d + 1] = meets[d] | family_masks[i]
             removed[d + 1] = removed[d] | unit_masks[i]
             d += 1
             i += 1
             end = n - left + 1
+            # at the second-to-last depth, skip the depth's whole block when
+            # no pair of its copies meets every set the prefix misses
+            if left != 2 or _pair_covers(meeting, family_masks, every_set ^ meets[d], i, n):
+                continue
+            left, skip = 1, True
+        if skip:  # skip the block that starts at index i
+            block = comb(n - i, left + 1) - comb(n - end, left + 1)
+            if checks + block > cap:
+                return None, cap, "check cap reached", flooded, repeated
+            checks += block
+            i = end
             continue
         # settle the last member's run [i, end) (see the module docstring)
         need = every_set ^ meets[d]

@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+import sys
 from dataclasses import replace
 from itertools import accumulate
 from math import comb
@@ -1612,3 +1613,169 @@ class TestUnionMemo:
         one, one_floods = _with_floods(call)
         assert one == full == plain and max(sizes) == 1
         assert full_floods < one_floods < plain_floods
+
+
+# --- the pair cover ------------------------------------------------------------
+
+
+def _meeting_masks(fam: list[int], bits: int) -> list[int]:
+    """For each of `bits` family sets, the mask of the copies whose family
+    mask in `fam` holds its bit."""
+    return [sum(1 << k for k, f in enumerate(fam) if f >> j & 1) for j in range(bits)]
+
+
+def _some_pair_covers(fam: list[int], need: int, lo: int, n: int) -> bool:
+    """The brute-force pair test: do two copies of [lo, n) together give
+    every bit of `need`?"""
+    return any(not need & ~(fam[a] | fam[b]) for a in range(lo, n) for b in range(a + 1, n))
+
+
+def _no_pair_skip(call):
+    """`call()` with `_pair_covers` answering yes to every block, so the
+    kernel skips no block by pairs."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_pair_covers", lambda *args: True)
+        return call()
+
+
+def _pair_skips(call) -> tuple:
+    """`call()`'s answer, from a serial scan, and the [start, end) of each
+    block that the kernel skipped by pairs, in subsets from the start of the
+    oracle's first size. A spy on the helper reads the task's count before
+    the block from the kernel's frame; a task starts where the counts of the
+    tasks before it end."""
+    blocks = []
+    done = 0  # the checks of the tasks before the running one
+    real_scan, real_test = search._scan_range, search._pair_covers
+
+    def scan(*args):
+        nonlocal done
+        out = real_scan(*args)
+        done += out[1]
+        return out
+
+    def test(meeting, family_masks, need, lo, n):
+        found = real_test(meeting, family_masks, need, lo, n)
+        if not found:
+            start = done + sys._getframe(1).f_locals["checks"]
+            blocks.append((start, start + comb(n - lo, 2)))
+        return found
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_scan_range", scan)
+        m.setattr(search, "_pair_covers", test)
+        res = call()
+    return res, blocks
+
+
+def _spread(blocks: list, most: int) -> list:
+    """At most `most` of `blocks`, evenly spaced, the first and last among them."""
+    if len(blocks) <= most:
+        return blocks
+    return [blocks[k * (len(blocks) - 1) // (most - 1)] for k in range(most)]
+
+
+class TestPairCover:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_the_helper_matches_every_pair(self, data):
+        bits = data.draw(st.integers(0, 6))
+        n = data.draw(st.integers(0, 10))
+        fam = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=n, max_size=n))
+        need = data.draw(st.integers(0, (1 << bits) - 1))
+        lo = data.draw(st.integers(0, n))
+        assert search._pair_covers(_meeting_masks(fam, bits), fam, need, lo, n) == (
+            _some_pair_covers(fam, need, lo, n))
+
+    @pytest.mark.parametrize("need", [0, 1, 3])
+    def test_an_empty_or_one_copy_window_holds_no_pair(self, need):
+        fam = [3, 3, 3]
+        meeting = _meeting_masks(fam, 2)
+        assert search._pair_covers(meeting, fam, need, 1, 3)
+        assert not search._pair_covers(meeting, fam, need, 2, 3)
+        assert not search._pair_covers(meeting, fam, need, 3, 3)
+
+    def test_a_pair_only_at_the_window_end_is_found(self):
+        # copies 6 and 7 meet sets 0 and 1 apart; no earlier copy meets either
+        fam = [0] * 6 + [1, 2]
+        meeting = _meeting_masks(fam, 2)
+        for lo in range(7):
+            assert search._pair_covers(meeting, fam, 3, lo, 8)
+        assert not search._pair_covers(meeting, fam, 3, 7, 8)
+        # with copy 7 gone, copy 6 alone meets set 0, and no partner meets set 1
+        assert not search._pair_covers(meeting, fam, 3, 0, 7)
+
+    @pytest.mark.parametrize("cap, want", [(1, (None, 1, "check cap reached", 0, 0)),
+                                           (9, (None, 9, "check cap reached", 0, 0)),
+                                           (10, (None, 10, "", 0, 0)),
+                                           (11, (None, 10, "", 0, 0))])
+    def test_a_cap_inside_a_pair_skipped_block_trips_at_the_cap(self, k5, cap, want,
+                                                                 monkeypatch):
+        # 6 empty units, triples, leading index 0: unit 0 meets set 0, units
+        # 1, 2 and 3 one each of sets 1, 2 and 3. Every set is met after unit
+        # 0, but no pair of units 1 to 5 meets sets 1 to 3, so the 10 triples
+        # that start at unit 0 are one block, skipped by pairs
+        answers = []
+        real = search._pair_covers
+
+        def spy(*args):
+            answers.append(real(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(search, "_pair_covers", spy)
+        ctx = _kernel_ctx(k5, [0] * 6, [1, 2, 4, 8, 0, 0], 4)
+        assert search._scan_range(ctx, 3, 0, 1, cap) == want
+        assert answers == [False]
+        assert _no_pair_skip(lambda: search._scan_range(ctx, 3, 0, 1, cap)) == want
+
+    def test_a_size_2_scan_never_tests_pairs(self, b5, monkeypatch):
+        # the paper-refutation scan of B_5's C_5 copies at bound 2: its
+        # second-to-last depth is the root, so no block is skipped by pairs
+        def refuse(*args):
+            raise AssertionError("pair test in a size-2 scan")
+
+        monkeypatch.setattr(search, "_pair_covers", refuse)
+        res = exists_cut_of_size(b5, ShapeSpec.cycle(5), STRUCTURE, 2)
+        assert (res.status, res.copies, res.checks) == (NO, 1072, 1072 + comb(1072, 2))
+
+    @pytest.mark.usefixtures("pool_every_size")
+    @pytest.mark.parametrize("graph", ["b3", "b4", "d14", "d15"])
+    def test_pair_skip_matches_the_scan_without_it(self, request, graph, caplog):
+        # bound 4, every shape and mode, and g-extra with h 0 to 2: the answer
+        # and each size's closing flood record are those of the scan that
+        # skips no block by pairs, uncapped and at caps at, and one either
+        # side of, both edges of the first and last blocks skipped by pairs.
+        # A pool starts for the uncapped scan and the least cap alone. A scan
+        # in which the test found a pair for every block is the reference
+        # scan step for step, as the test is pure, and is not run again
+        g = request.getfixturevalue(graph)
+        calls = {(shape.tag, mode): (lambda budget, jobs, shape=shape, mode=mode:
+                                     exists_cut_of_size(g, shape, mode, 4, budget, jobs))
+                 for shape in ALL_SHAPES for mode in MODES}
+        calls.update({("g-extra", h): (lambda budget, jobs, h=h:
+                                       g_extra_connectivity(g, h, budget, jobs))
+                      for h in range(3)})
+        skipped = 0
+        for case, call in calls.items():
+            res, blocks = _pair_skips(lambda: call(SearchBudget(), 1))
+            if not blocks:
+                continue
+            skipped += len(blocks)
+            caps = {c for block in _spread(blocks, 2) for edge in block for c in (
+                edge - 1, edge, edge + 1) if c >= 1}
+            for cap in [None, *sorted(caps)]:
+                budget = SearchBudget(max_checks=cap) if cap else SearchBudget()
+                for jobs in (1, 2) if cap is None or cap == min(caps) else (1,):
+                    got = _flooded_lines(caplog, lambda: call(budget, jobs))
+                    assert got == _flooded_lines(caplog, lambda: _no_pair_skip(
+                        lambda: call(budget, jobs))), (case, cap, jobs)
+                    if cap is None and jobs == 1:
+                        assert got[0] == res, case
+        assert skipped
+
+    def test_b5_g_extra_capped_is_pinned(self, b5):
+        # B_5 with h = 1, capped at 5,000,000 checks, which the scan without
+        # the pair test answers alike; the pair test finds no pair in it
+        want = search.OracleResult(BUDGET, None, 7, None, 5_000_000, 80, "check cap reached")
+        for jobs in (1, 2):
+            assert g_extra_connectivity(b5, 1, SearchBudget(max_checks=5_000_000), jobs) == want

@@ -4,8 +4,8 @@ every parameter of a library function is read, every top-level function,
 class and constant, private or public, and every public method and dataclass
 field is read by library or benchmark code (or named as kept on purpose),
 only the CLI writes to the terminal, the scan kernel tests its hit rule in
-one place, and the library and benchmark parse as the oldest Python that
-`pyproject.toml` admits."""
+one place and floods nowhere else, and the library and benchmark parse as
+the oldest Python that `pyproject.toml` admits."""
 
 import ast
 import re
@@ -202,19 +202,40 @@ def test_the_check_sees_a_terminal_write(tmp_path):
                                                "probe.py:8 sys.stdout", "probe.py:9 sys.stderr"]
 
 
+def _is_read(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
 def _reads(path: Path, name: str) -> list[str]:
     """The places where the module at `path` reads `name`, as a name or an
     attribute: each call of a function is one, and so is each alias of it."""
     tree = ast.parse(path.read_text(), str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _is_read(node, name)]
+
+
+def _reads_outside(path: Path, name: str, function: str) -> list[str]:
+    """The places where the module at `path` reads `name`, as `_reads` finds
+    them, outside the body of its top-level function `function`."""
+    tree = ast.parse(path.read_text(), str(path))
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == function
+              for node in ast.walk(top)}
     return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
-            or isinstance(node, ast.Attribute) and node.attr == name]
+            if id(node) not in inside and _is_read(node, name)]
 
 
 def test_the_scan_kernel_tests_the_hit_rule_in_one_place():
     # the scan kernel's one survivor loop holds every per-subset rule before
     # the flood, so a new rule lands there, not beside a second flood site
     assert len(_reads(SRC / "search.py", "_separates")) == 1
+
+
+def test_only_the_hit_rule_floods():
+    # every rule that skips a subset or a block decides from the masks alone:
+    # `_separates` reads the flood, and no other code in the module does
+    assert _reads_outside(SRC / "search.py", "flood_mask", "_separates") == []
+    assert _reads(SRC / "search.py", "flood_mask")
 
 
 def test_progress_is_logged_in_one_place():
@@ -229,6 +250,17 @@ def test_the_check_sees_a_second_hit_rule_site(tmp_path):
                      "    '_separates(x)'\n    for x in xs:\n        if _separates(x):\n"
                      "            return x\n    test = search._separates\n    return test(xs)\n")
     assert sorted(_reads(probe, "_separates")) == ["probe.py:10", "probe.py:8"]
+
+
+def test_the_check_sees_a_flood_outside_the_hit_rule(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .graph import flood_mask\n\n\ndef _separates(t, a):\n"
+                     "    return flood_mask(t, a, a & -a) != a\n\n\n"
+                     "def _pair_covers(t, a):\n    return flood_mask(t, a, 1)\n\n\n"
+                     "def scan(graph):\n    'flood_mask'\n    return graph.flood_mask\n")
+    assert sorted(_reads_outside(probe, "flood_mask", "_separates")) == ["probe.py:14",
+                                                                         "probe.py:9"]
+    assert sorted(_reads_outside(probe, "flood_mask", "scan")) == ["probe.py:5", "probe.py:9"]
 
 
 # public names that no library or benchmark code reads, each kept on purpose
